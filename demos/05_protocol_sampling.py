@@ -36,7 +36,7 @@ psi = haar_state(d, rng)
 
 print("ideal setup, random input:")
 print("  outcome probabilities:", np.round(outcome_probabilities(psi, ideal), 12))
-shots = Counter(sample_outcome(psi, ideal, rng).xi for _ in range(4000))
+shots = Counter(o.xi for o in sample_outcome(psi, ideal, rng, size=4000))
 print("  4000 sampled shots   :", dict(sorted(shots.items())))
 outcome = sample_outcome(psi, ideal, rng)
 print(f"  one shot: xi={outcome.xi}, p={outcome.probability:.6f}, "

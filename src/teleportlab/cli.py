@@ -286,8 +286,7 @@ def run_teleport(cfg: ExperimentConfig):
     psi = _resolve_psi(cfg, rng)
     rows = []
     sane = True
-    for shot in range(cfg.samples):
-        outcome = sample_outcome(psi, setup, rng)
+    for shot, outcome in enumerate(sample_outcome(psi, setup, rng, size=cfg.samples)):
         sane &= 0.0 <= outcome.probability <= 1.0 + 1e-12
         sane &= 0.0 <= outcome.conditional_fidelity <= 1.0 + 1e-12
         row = dict.fromkeys(TRANSCRIPT_COLUMNS)
@@ -348,43 +347,50 @@ _RUNNERS = {
 # rendering
 
 
-def _format_value(value) -> str:
+def _format_scalar(value, null: str = "", text=str) -> str:
+    """One report cell.  Floats get 17 significant digits and booleans
+    ``true``/``false``; ``None`` becomes ``null`` and strings go through
+    ``text``, so CSV keeps the defaults (empty cell, bare text) and JSON
+    passes ``"null"`` and ``json.dumps``.
+
+    The exact-type checks up front are a fast path for the plain Python
+    values that fill transcripts; they give the same text as the
+    ``isinstance`` chain below.
+    """
+    kind = type(value)
+    if kind is float:
+        return format(value, ".17g")
+    if kind is int:
+        return str(value)
+    if kind is str:
+        return text(value)
     if value is None:
-        return ""
+        return null
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
         return format(float(value), ".17g")
-    return str(value)
-
-
-def _json_scalar(value) -> str:
-    if value is None:
-        return "null"
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return format(float(value), ".17g")
-    return json.dumps(str(value))
+    return text(str(value))
 
 
 def render_csv(meta: dict, columns, rows) -> str:
-    lines = [f"# {key}: {_format_value(value)}" for key, value in meta.items()]
+    lines = [f"# {key}: {_format_scalar(value)}" for key, value in meta.items()]
     lines.append(",".join(columns))
     for row in rows:
-        lines.append(",".join(_format_value(row[c]) for c in columns))
+        lines.append(",".join(_format_scalar(row[c]) for c in columns))
     return "\n".join(lines) + "\n"
 
 
 def render_json(meta: dict, columns, rows) -> str:
-    meta_items = ", ".join(f"{json.dumps(k)}: {_json_scalar(v)}" for k, v in meta.items())
+    def cell(value) -> str:
+        return _format_scalar(value, "null", json.dumps)
+
+    meta_items = ", ".join(f"{json.dumps(k)}: {cell(v)}" for k, v in meta.items())
     row_texts = []
     for row in rows:
-        body = ", ".join(f"{json.dumps(c)}: {_json_scalar(row[c])}" for c in columns)
+        body = ", ".join(f"{json.dumps(c)}: {cell(row[c])}" for c in columns)
         row_texts.append("    {" + body + "}")
     rows_block = ",\n".join(row_texts)
     return (

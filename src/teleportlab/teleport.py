@@ -187,23 +187,32 @@ def enumerate_outcomes(psi, setup: TeleportSetup) -> list[TeleportOutcome]:
     return [realize_outcome(psi, setup, xi) for xi in range(len(setup.basis))]
 
 
-def sample_outcome(psi, setup: TeleportSetup, rng: np.random.Generator) -> TeleportOutcome:
-    """Draw one measurement outcome and its conditional data.
+def sample_outcome(psi, setup: TeleportSetup, rng: np.random.Generator,
+                   size: int | None = None) -> TeleportOutcome | list[TeleportOutcome]:
+    """Draw measurement outcomes and their conditional data.
 
-    Inverse-CDF sampling over the fixed xi ordering; the probability
-    vector is renormalized by its computed sum to absorb float drift, so
-    the draw consumes exactly one uniform variate.  Zero-probability
-    outcomes are never selected.
+    ``size=None`` returns one :class:`TeleportOutcome`; ``size=n``
+    returns a list of n outcomes, one per shot.  Inverse-CDF sampling
+    over the fixed xi ordering, with the probability vector renormalized
+    by its computed sum to absorb float drift.  Every shot consumes one
+    uniform variate from a single ``rng.random`` draw, so ``size=n``
+    leaves ``rng`` exactly where n scalar calls would and selects the
+    same xi sequence.  Zero-probability outcomes are never selected.
+
+    One record is built per distinct xi, so a call runs at most d^2
+    correction SVDs whatever ``size`` is, and shots with the same xi
+    share one record object.
     """
     probs = outcome_probabilities(psi, setup)
     total = probs.sum()
     if total <= 0.0:
         raise AssertionError("probability vector vanished for a normalized input")
     cdf = np.cumsum(probs / total)
-    draw = rng.random()
-    xi = int(np.searchsorted(cdf, draw, side="right"))
-    xi = min(xi, len(probs) - 1)
-    return realize_outcome(psi, setup, xi)
+    draws = rng.random(1 if size is None else size)
+    xis = np.minimum(np.searchsorted(cdf, draws, side="right"), len(probs) - 1).tolist()
+    records = {xi: realize_outcome(psi, setup, xi) for xi in set(xis)}
+    outcomes = [records[xi] for xi in xis]
+    return outcomes[0] if size is None else outcomes
 
 
 def state_fidelity(psi, setup: TeleportSetup) -> float:

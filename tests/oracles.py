@@ -81,3 +81,33 @@ def haar_states_gaussian(rng, d, n):
     """Rows of normalized complex Gaussians (for Monte-Carlo oracles)."""
     z = random_complex(rng, (n, d))
     return z / np.linalg.norm(z, axis=1, keepdims=True)
+
+
+# Copy of teleportlab.tolerances.ZERO_OUTCOME_TOL.
+ZERO_OUTCOME_TOL = 1e-12
+
+
+def sample_outcome_per_shot(psi, transfer_ops, rng):
+    """One protocol shot by per-shot inverse-CDF sampling.
+
+    The scalar sampler as it stood before batching: probabilities
+    ||T_xi psi||^2, a CDF renormalized by its computed sum, exactly one
+    ``rng.random()``, a clamped right-side search, then the polar
+    correction of T_xi from its own SVD.  The arithmetic is the package's
+    operation for operation, so probability and conditional fidelity can
+    be compared bit for bit.  Returns (xi, probability, conditional_fidelity).
+    """
+    v = np.asarray(psi, dtype=complex)
+    amplitudes = transfer_ops @ v
+    probs = np.einsum("xi,xi->x", amplitudes.conj(), amplitudes).real
+    cdf = np.cumsum(probs / probs.sum())
+    xi = int(np.searchsorted(cdf, rng.random(), side="right"))
+    xi = min(xi, len(probs) - 1)
+    t = transfer_ops[xi]
+    t_psi = t @ v
+    norm = float(np.linalg.norm(t_psi))
+    if norm <= ZERO_OUTCOME_TOL:
+        return xi, 0.0, 0.0
+    u, _, vh = np.linalg.svd(t)
+    corrected = dagger(u @ vh) @ (t_psi / norm)
+    return xi, norm * norm, float(np.abs(np.vdot(v, corrected)) ** 2)

@@ -7,8 +7,25 @@ import math
 import numpy as np
 import pytest
 
-from teleportlab import bell_basis
-from teleportlab.cli import load_basis_file, load_state_file, main, save_basis_file, save_state_file
+import oracles
+from teleportlab import (
+    basis_state,
+    bell_basis,
+    build_setup,
+    haar_state,
+    product_basis,
+    product_state,
+    random_shared_state,
+)
+from teleportlab.cli import (
+    load_basis_file,
+    load_state_file,
+    main,
+    render_csv,
+    render_json,
+    save_basis_file,
+    save_state_file,
+)
 
 
 def run_cli(args, capsys=None):
@@ -93,6 +110,57 @@ def test_teleport_product_resource_rows_are_sane(tmp_path):
     for row in rows:
         assert 0.0 <= float(row["probability"]) <= 1.0 + 1e-12
         assert 0.0 <= float(row["conditional_fidelity"]) <= 1.0 + 1e-12
+
+
+@pytest.mark.parametrize("seed", [5, 11])
+@pytest.mark.parametrize("basis, shared", [("bell", "haar-random"), ("product", "product")])
+def test_teleport_transcript_equals_per_shot_oracle(tmp_path, seed, basis, shared):
+    d, shots = 3, 400
+    rng = np.random.default_rng(seed)
+    if shared == "haar-random":
+        setup = build_setup(random_shared_state(d, rng), bell_basis(d))
+    else:
+        setup = build_setup(product_state(basis_state(d, 0), basis_state(d, 0)), product_basis(d))
+    psi = haar_state(d, rng)
+    expected = [oracles.sample_outcome_per_shot(psi, setup.transfer_ops, rng) for _ in range(shots)]
+
+    args = ["teleport", "--d", str(d), "--basis", basis, "--shared", shared,
+            "--samples", str(shots), "--seed", str(seed), "--no-timestamp"]
+    csv_out, json_out = tmp_path / "t.csv", tmp_path / "t.json"
+    assert main(args + ["--out", str(csv_out)]) == 0
+    assert main(args + ["--format", "json", "--out", str(json_out)]) == 0
+
+    _, csv_rows = read_csv_report(csv_out)
+    assert [(int(r["shot"]), int(r["xi"]), r["probability"], r["conditional_fidelity"])
+            for r in csv_rows] == [
+        (shot, xi, format(p, ".17g"), format(f, ".17g"))
+        for shot, (xi, p, f) in enumerate(expected)
+    ]
+    json_rows = json.loads(json_out.read_text())["rows"]
+    assert [(r["shot"], r["xi"], r["probability"], r["conditional_fidelity"])
+            for r in json_rows] == [(shot, *outcome) for shot, outcome in enumerate(expected)]
+
+
+def test_csv_and_json_scalar_formatting_is_pinned():
+    values = [None, True, np.bool_(False), 3, np.int64(3), 0.1, np.float64(1 / 3), -0.0, "bell"]
+    columns = [f"c{i}" for i in range(len(values))]
+    row = dict(zip(columns, values))
+    meta = {"m": None, "s": "bell"}
+    assert render_csv(meta, columns, [row]) == (
+        "# m: \n"
+        "# s: bell\n"
+        "c0,c1,c2,c3,c4,c5,c6,c7,c8\n"
+        ",true,false,3,3,0.10000000000000001,0.33333333333333331,-0,bell\n"
+    )
+    assert render_json(meta, columns, [row]) == (
+        "{\n"
+        '  "meta": {"m": null, "s": "bell"},\n'
+        '  "rows": [\n'
+        '    {"c0": null, "c1": true, "c2": false, "c3": 3, "c4": 3, '
+        '"c5": 0.10000000000000001, "c6": 0.33333333333333331, "c7": -0, "c8": "bell"}\n'
+        "  ]\n"
+        "}\n"
+    )
 
 
 def test_verify_large_dimension_product_basis(tmp_path):

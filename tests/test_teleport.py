@@ -12,6 +12,7 @@ from teleportlab import (
     NormalizationError,
     OperatorBasis,
     BipartiteState,
+    TeleportOutcome,
     basis_state,
     bell_basis,
     build_setup,
@@ -201,11 +202,50 @@ def test_sampling_frequencies_match_uniform_law():
     psi = _random_psi(rng, 2)
     draws = 40000
     counts = np.zeros(4)
-    for _ in range(draws):
-        counts[sample_outcome(psi, setup, rng).xi] += 1
+    for outcome in sample_outcome(psi, setup, rng, size=draws):
+        counts[outcome.xi] += 1
     p = 0.25
     sigma = math.sqrt(draws * p * (1 - p))  # binomial standard error
     assert np.all(np.abs(counts - draws * p) <= 3 * sigma)
+
+
+def _sampler_setup(d, basis_kind, resource_kind):
+    rng = np.random.default_rng(1000 + d)
+    basis = {
+        "bell": lambda: bell_basis(d),
+        "product": lambda: product_basis(d),
+        "rotated": lambda: rotated_basis(bell_basis(d), oracles.random_unitary(rng, d * d)),
+    }[basis_kind]()
+    shared = {
+        "haar": lambda: _random_shared(rng, d),
+        "product": lambda: product_state(basis_state(d, 0), basis_state(d, 0)),
+        "maximally-entangled": lambda: maximally_entangled_state(d),
+    }[resource_kind]()
+    return build_setup(shared, basis), _random_psi(rng, d)
+
+
+@pytest.mark.parametrize("resource_kind", ["haar", "product", "maximally-entangled"])
+@pytest.mark.parametrize("basis_kind", ["bell", "product", "rotated"])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_batched_sampling_matches_per_shot_oracle(d, basis_kind, resource_kind):
+    # size=n must replay n per-shot draws: same xi sequence, bit-equal
+    # numbers and the generator left in the same state.
+    setup, psi = _sampler_setup(d, basis_kind, resource_kind)
+    for n in (0, 1, 500):
+        rng, oracle_rng = np.random.default_rng(n + d), np.random.default_rng(n + d)
+        outcomes = sample_outcome(psi, setup, rng, size=n)
+        expected = [oracles.sample_outcome_per_shot(psi, setup.transfer_ops, oracle_rng)
+                    for _ in range(n)]
+        assert isinstance(outcomes, list)
+        assert [(o.xi, o.probability, o.conditional_fidelity) for o in outcomes] == expected
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+    rng, oracle_rng = np.random.default_rng(d), np.random.default_rng(d)
+    single = sample_outcome(psi, setup, rng)
+    assert isinstance(single, TeleportOutcome)
+    expected = oracles.sample_outcome_per_shot(psi, setup.transfer_ops, oracle_rng)
+    assert (single.xi, single.probability, single.conditional_fidelity) == expected
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
 
 def test_sampling_concentrated_distribution():
