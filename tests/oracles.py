@@ -111,3 +111,19 @@ def sample_outcome_per_shot(psi, transfer_ops, rng):
     u, _, vh = np.linalg.svd(t)
     corrected = dagger(u @ vh) @ (t_psi / norm)
     return xi, norm * norm, float(np.abs(np.vdot(v, corrected)) ** 2)
+
+
+def state_fidelity_batch_per_outcome(psis, transfer_abs):
+    """F(psi) = sum_xi <psi| |T_xi| |psi>^2 for each row of ``psis``.
+
+    The Monte-Carlo kernel as it stood before the single-GEMM form: one
+    pass per outcome xi, each an (n, d) x (d, d) complex product and a
+    row-wise overlap, squared and accumulated.
+    """
+    psis = np.asarray(psis, dtype=complex)
+    fidelities = np.zeros(psis.shape[0])
+    for t_abs in transfer_abs:
+        rotated = psis @ t_abs.T
+        overlaps = np.einsum("ni,ni->n", psis.conj(), rotated).real
+        fidelities += overlaps**2
+    return fidelities

@@ -233,6 +233,22 @@ def test_average_ideal_setup_every_sample_exact(tmp_path):
     assert row["mc_stderr"] <= 1e-12
 
 
+@pytest.mark.parametrize("d", [3, 5])
+def test_average_exact_setup_reports_rounding_level_stderr(tmp_path, d):
+    # Every input teleports perfectly, so the spread of the samples is
+    # rounding noise.  A variance taken as sum(f^2) - n mean^2 turned that
+    # noise into 6e-11 (d=3) with the per-outcome kernel and 1e-10 (d=5)
+    # with the GEMM kernel.
+    out = tmp_path / "exact.json"
+    code = main([
+        "average", "--d", str(d), "--basis", "bell", "--shared", "maximally-entangled",
+        "--samples", "30001", "--format", "json", "--no-timestamp", "--out", str(out),
+    ])
+    assert code == 0
+    row = json.loads(out.read_text())["rows"][0]
+    assert row["mc_stderr"] <= 1e-15
+
+
 def test_classical_sweep_matches_closed_form(tmp_path):
     for d in range(2, 7):
         out = tmp_path / f"sweep{d}.csv"

@@ -254,6 +254,26 @@ def test_monte_carlo_estimator_is_unitarily_invariant():
     assert gap <= 3 * sigma
 
 
+@pytest.mark.parametrize("samples", [100, 20000, 20001, 45000])
+def test_monte_carlo_replays_the_chunked_draw_stream(samples):
+    # Inputs are drawn in blocks of 20000 states; the estimate must equal
+    # the per-outcome oracle kernel over exactly that stream.
+    setup = build_setup(random_shared_state(3, np.random.default_rng(16)), bell_basis(3))
+    rng, oracle_rng = np.random.default_rng(samples), np.random.default_rng(samples)
+    result = monte_carlo_fidelity(setup, samples, rng)
+    fids = np.concatenate([
+        oracles.state_fidelity_batch_per_outcome(
+            oracles.haar_states_gaussian(oracle_rng, 3, min(20000, samples - start)),
+            setup.transfer_abs,
+        )
+        for start in range(0, samples, 20000)
+    ])
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+    assert abs(result.monte_carlo_mean - fids.mean()) <= 1e-14
+    expected_stderr = math.sqrt(fids.var(ddof=1) / samples)
+    assert result.monte_carlo_stderr == pytest.approx(expected_stderr, rel=1e-12)
+
+
 def test_monte_carlo_rejects_tiny_sample_counts():
     setup = build_setup(maximally_entangled_state(2), bell_basis(2))
     with pytest.raises(ConfigurationError):

@@ -1,6 +1,7 @@
 """Tests for transfer operators, the identity, and the protocol."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from teleportlab import (
     state_fidelity_batch,
     verify_identity,
 )
+from teleportlab.teleport import _BLOCK_BYTES
 
 
 def _random_shared(rng, d):
@@ -373,6 +375,43 @@ def test_state_fidelity_batch_matches_scalar_path():
     batch = state_fidelity_batch(psis, setup)
     for row, psi in zip(batch, psis):
         assert row == pytest.approx(state_fidelity(psi, setup), abs=1e-12)
+
+
+@pytest.mark.parametrize("resource_kind", ["haar", "product", "maximally-entangled"])
+@pytest.mark.parametrize("basis_kind", ["bell", "product", "rotated"])
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
+def test_state_fidelity_batch_matches_per_outcome_oracle(d, basis_kind, resource_kind):
+    # Row counts around the block size exercise empty, partial and
+    # multiple blocks of the GEMM kernel.
+    setup, _ = _sampler_setup(d, basis_kind, resource_kind)
+    rows = _BLOCK_BYTES // (16 * d * d)
+    psis = oracles.haar_states_gaussian(np.random.default_rng(d), d, 3 * rows + 7)
+    for n in (0, 1, rows - 1, rows, rows + 1, 3 * rows + 7):
+        batch = state_fidelity_batch(psis[:n], setup)
+        expected = oracles.state_fidelity_batch_per_outcome(psis[:n], setup.transfer_abs)
+        assert batch.shape == (n,)
+        np.testing.assert_allclose(batch, expected, rtol=0, atol=1e-14)
+    with pytest.raises(DimensionError):
+        state_fidelity_batch(psis[0], setup)
+    with pytest.raises(DimensionError):
+        state_fidelity_batch(np.ones((2, d + 1)), setup)
+
+
+def test_state_fidelity_batch_memory_is_bounded_per_block():
+    # 2000 inputs at d=32 are 1 MB; forming all their |psi><psi| at once
+    # would take 32 MB, one block takes 1 MiB.
+    d, n = 32, 2000
+    setup = build_setup(maximally_entangled_state(d), bell_basis(d), validate=False)
+    psis = oracles.haar_states_gaussian(np.random.default_rng(32), d, n)
+    tracemalloc.start()
+    try:
+        baseline = tracemalloc.get_traced_memory()[0]
+        fidelities = state_fidelity_batch(psis, setup)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - baseline - fidelities.nbytes < 4 * 2**20
+    np.testing.assert_allclose(fidelities, 1.0, atol=1e-12)
 
 
 def test_input_contract_violations_are_rejected():
