@@ -46,7 +46,7 @@ from .haar import (
     special_case_fidelity,
 )
 from .linalg import basis_state
-from .teleport import build_setup, sample_outcome, verify_identity
+from .teleport import TeleportSetup, build_setup, sample_outcome, verify_identity
 from .tolerances import NORMALIZATION_TOL
 
 REPORT_COLUMNS = (
@@ -242,6 +242,20 @@ def _resolve_basis(cfg: ExperimentConfig) -> OperatorBasis:
     return basis
 
 
+def _resolve_setup(cfg: ExperimentConfig) -> tuple[np.random.Generator, TeleportSetup]:
+    """The run's seeded generator and the setup built from ``cfg``.
+
+    The resource is drawn from the generator before anything else the
+    run draws.  A custom basis is validated once, by
+    :func:`_resolve_basis`, so that a failure names its file;
+    ``build_setup`` validates the built-in bases.
+    """
+    rng = np.random.default_rng(cfg.seed)
+    shared = _resolve_shared(cfg, rng)
+    basis = _resolve_basis(cfg)
+    return rng, build_setup(shared, basis, validate=cfg.basis_kind != "custom")
+
+
 def _resolve_psi(cfg: ExperimentConfig, rng: np.random.Generator) -> np.ndarray:
     if not cfg.psi_file:
         return haar_state(cfg.d, rng)
@@ -269,8 +283,7 @@ def _context(cfg: ExperimentConfig) -> dict:
 
 def run_verify(cfg: ExperimentConfig):
     """Max identity residual over ``samples`` random input states."""
-    rng = np.random.default_rng(cfg.seed)
-    setup = build_setup(_resolve_shared(cfg, rng), _resolve_basis(cfg))
+    rng, setup = _resolve_setup(cfg)
     trials = max(cfg.samples, 1)
     worst = max(verify_identity(haar_state(cfg.d, rng), setup) for _ in range(trials))
     row = dict.fromkeys(REPORT_COLUMNS)
@@ -281,8 +294,7 @@ def run_verify(cfg: ExperimentConfig):
 
 def run_teleport(cfg: ExperimentConfig):
     """Shot-by-shot protocol transcript for one input state."""
-    rng = np.random.default_rng(cfg.seed)
-    setup = build_setup(_resolve_shared(cfg, rng), _resolve_basis(cfg))
+    rng, setup = _resolve_setup(cfg)
     psi = _resolve_psi(cfg, rng)
     rows = []
     sane = True
@@ -303,8 +315,7 @@ def run_teleport(cfg: ExperimentConfig):
 
 def run_fidelity(cfg: ExperimentConfig):
     """Analytic average fidelity and the detected closed form."""
-    rng = np.random.default_rng(cfg.seed)
-    setup = build_setup(_resolve_shared(cfg, rng), _resolve_basis(cfg))
+    _, setup = _resolve_setup(cfg)
     result = average_fidelity_analytic(setup)
     case, closed = special_case_fidelity(setup)
     rows = []
@@ -319,8 +330,7 @@ def run_fidelity(cfg: ExperimentConfig):
 
 def run_average(cfg: ExperimentConfig):
     """Monte-Carlo estimate against the analytic average fidelity."""
-    rng = np.random.default_rng(cfg.seed)
-    setup = build_setup(_resolve_shared(cfg, rng), _resolve_basis(cfg))
+    rng, setup = _resolve_setup(cfg)
     result = monte_carlo_fidelity(setup, cfg.samples, rng)
     row = dict.fromkeys(REPORT_COLUMNS)
     row.update(_context(cfg))

@@ -29,7 +29,6 @@ from .choi import BipartiteState
 from .errors import ConfigurationError, DimensionError
 from .linalg import as_square_matrix
 from .teleport import TeleportSetup, state_fidelity_batch
-from .tolerances import RANK_TOL
 
 # Samples drawn per block in the Monte-Carlo loops.  It fixes the draw
 # stream (a seeded generator gives the same states only for the same
@@ -122,33 +121,15 @@ class AverageFidelityResult:
         return gap <= n_sigma * self.monte_carlo_stderr + slack
 
 
-def _singular_value_profile(elements: np.ndarray) -> tuple[bool, bool]:
-    """(all elements maximally entangled, all elements rank one)."""
-    all_flat = True
-    all_rank_one = True
-    for el in elements:
-        s = np.linalg.svd(el, compute_uv=False)
-        if s[0] - s[-1] > RANK_TOL * max(s[0], 1.0):
-            all_flat = False
-        if int(np.sum(s > RANK_TOL)) != 1:
-            all_rank_one = False
-        if not (all_flat or all_rank_one):
-            break
-    return all_flat, all_rank_one
-
-
 def _detect_special_case(setup: TeleportSetup) -> SpecialCase:
-    shared_s = np.linalg.svd(setup.shared.operator_form, compute_uv=False)
-    shared_maxent = shared_s[0] - shared_s[-1] <= RANK_TOL * shared_s[0]
-    shared_product = int(np.sum(shared_s > RANK_TOL)) == 1
-    basis_maxent, basis_product = _singular_value_profile(setup.basis.elements)
-    if basis_maxent and shared_maxent:
+    profile = setup.singular_value_profile
+    if profile.basis_maxent and profile.shared_maxent:
         return SpecialCase.IDEAL
-    if shared_product:
+    if profile.shared_product:
         return SpecialCase.PRODUCT_SHARED
-    if basis_product:
+    if profile.basis_product:
         return SpecialCase.PRODUCT_BASIS
-    if basis_maxent:
+    if profile.basis_maxent:
         return SpecialCase.MAXENT_BASIS
     return SpecialCase.GENERAL
 
@@ -171,7 +152,10 @@ def special_case_fidelity(setup: TeleportSetup) -> tuple[SpecialCase, float]:
 
     Falls back to the general trace-norm formula when no structure is
     detected.  Always agrees with :func:`average_fidelity_analytic` to
-    rounding; disagreement would mean a broken closed form.
+    rounding; disagreement would mean a broken closed form.  Detection
+    and the maximally-entangled-basis form read the setup's cached
+    singular-value profile, so after the first detection on a setup they
+    run no further SVDs.
     """
     d = setup.local_dim
     case = _detect_special_case(setup)
@@ -180,9 +164,7 @@ def special_case_fidelity(setup: TeleportSetup) -> tuple[SpecialCase, float]:
     if case in (SpecialCase.PRODUCT_SHARED, SpecialCase.PRODUCT_BASIS):
         return case, 2.0 / (d + 1)
     if case is SpecialCase.MAXENT_BASIS:
-        shared_trace_norm = float(
-            np.sum(np.linalg.svd(setup.shared.operator_form, compute_uv=False))
-        )
+        shared_trace_norm = float(np.sum(setup.singular_value_profile.schmidt_coefficients))
         return case, (1.0 + shared_trace_norm**2) / (d + 1)
     return case, average_fidelity_analytic(setup).analytic
 

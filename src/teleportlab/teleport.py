@@ -20,6 +20,7 @@ polar factor of T_xi, leaving |T_xi| psi (normalized).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -27,10 +28,31 @@ from .bases import BasisStructureError, OperatorBasis, validate_basis
 from .choi import BipartiteState
 from .errors import DimensionError
 from .linalg import as_square_matrix, as_state, dagger, require_normalized
-from .tolerances import ZERO_OUTCOME_TOL
+from .tolerances import RANK_TOL, ZERO_OUTCOME_TOL
 
 # Bytes of vec(|psi><psi|) that state_fidelity_batch forms at once.
 _BLOCK_BYTES = 1 << 20
+
+# Completeness trials run by build_setup's basis check.
+_VALIDATION_TRIALS = 4
+
+
+@dataclass(frozen=True)
+class SingularValueProfile:
+    """Rank and flatness facts about a setup's resource and basis.
+
+    ``schmidt_coefficients`` are the singular values of the resource's
+    operator form, descending.  ``shared_maxent`` and ``shared_product``
+    say whether the resource is maximally entangled (flat coefficients)
+    or rank one; ``basis_maxent`` and ``basis_product`` whether every
+    basis element is.  These select the closed forms of average fidelity.
+    """
+
+    schmidt_coefficients: np.ndarray
+    shared_maxent: bool
+    shared_product: bool
+    basis_maxent: bool
+    basis_product: bool
 
 
 @dataclass(frozen=True)
@@ -41,6 +63,7 @@ class TeleportSetup:
     ``transfer_ops[xi]`` is T_xi; ``transfer_abs[xi]`` caches |T_xi|,
     which drives both the optimal correction and every fidelity formula.
     For a normalized resource, sum_xi Tr(T_xi^dag T_xi) = d.
+    ``singular_value_profile`` is computed on first use and then kept.
     """
 
     local_dim: int
@@ -48,6 +71,36 @@ class TeleportSetup:
     basis: OperatorBasis
     transfer_ops: np.ndarray
     transfer_abs: np.ndarray
+
+    @cached_property
+    def singular_value_profile(self) -> SingularValueProfile:
+        """The :class:`SingularValueProfile` of this setup.
+
+        One SVD of the resource, then one per basis element in xi order,
+        stopping at the first element that shows the basis is neither all
+        maximally entangled nor all rank one; so a generic custom basis
+        costs one or two SVDs, not d^2.  Lazy, because only special-case
+        detection needs it.
+        """
+        schmidt = np.linalg.svd(self.shared.operator_form, compute_uv=False)
+        schmidt.setflags(write=False)
+        all_flat = True
+        all_rank_one = True
+        for el in self.basis.elements:
+            s = np.linalg.svd(el, compute_uv=False)
+            if s[0] - s[-1] > RANK_TOL * max(s[0], 1.0):
+                all_flat = False
+            if int(np.sum(s > RANK_TOL)) != 1:
+                all_rank_one = False
+            if not (all_flat or all_rank_one):
+                break
+        return SingularValueProfile(
+            schmidt_coefficients=schmidt,
+            shared_maxent=bool(schmidt[0] - schmidt[-1] <= RANK_TOL * schmidt[0]),
+            shared_product=int(np.sum(schmidt > RANK_TOL)) == 1,
+            basis_maxent=all_flat,
+            basis_product=all_rank_one,
+        )
 
 
 @dataclass(frozen=True)
@@ -69,8 +122,8 @@ class TeleportOutcome:
     conditional_fidelity: float
 
 
-def build_setup(shared: BipartiteState, basis: OperatorBasis, *, validate: bool = True,
-                validation_trials: int = 4) -> TeleportSetup:
+def build_setup(shared: BipartiteState, basis: OperatorBasis, *,
+                validate: bool = True) -> TeleportSetup:
     """Derive the transfer operators for a resource state and basis.
 
     The basis is validated first (skippable for bases already known
@@ -84,7 +137,7 @@ def build_setup(shared: BipartiteState, basis: OperatorBasis, *, validate: bool 
         )
     require_normalized(shared.vector, what="shared state")
     if validate:
-        report = validate_basis(basis, trials=validation_trials)
+        report = validate_basis(basis, trials=_VALIDATION_TRIALS)
         if not report.passed:
             raise BasisStructureError(
                 f"measurement basis violates {report.failed_relation}: residual "

@@ -127,3 +127,54 @@ def state_fidelity_batch_per_outcome(psis, transfer_abs):
         overlaps = np.einsum("ni,ni->n", psis.conj(), rotated).real
         fidelities += overlaps**2
     return fidelities
+
+
+# Copy of teleportlab.bases._VALIDATION_SEED.
+VALIDATION_SEED = 0x0B5E5
+
+
+def completeness_residual_einsum(elements, trials, seed=VALIDATION_SEED):
+    """Largest entrywise |sum_xi B_xi^dag A B_xi - Tr(A) I| over seeded trials.
+
+    The completeness check as it stood before the two-product form: the
+    same trial matrices A, drawn from ``default_rng(seed)``, each
+    contracted by one three-operand einsum.
+    """
+    elements = np.asarray(elements, dtype=complex)
+    d = elements.shape[1]
+    rng = np.random.default_rng(seed)
+    residual = 0.0
+    for _ in range(trials):
+        a = random_complex(rng, (d, d))
+        total = np.einsum("xba,bc,xcd->ad", elements.conj(), a, elements, optimize=True)
+        residual = max(residual, float(np.max(np.abs(total - np.trace(a) * np.eye(d)))))
+    return residual
+
+
+# Copy of teleportlab.tolerances.RANK_TOL.
+RANK_TOL = 1e-10
+
+
+def special_case_label(elements, shared_operator):
+    """The closed-form label of a setup, from one SVD per matrix.
+
+    Every basis element is decomposed (no early exit); the rules are the
+    package's: flat when s_max - s_min <= RANK_TOL * max(s_max, 1) for an
+    element and <= RANK_TOL * s_max for the resource, rank one when
+    exactly one singular value exceeds RANK_TOL.
+    """
+    shared_s = np.linalg.svd(np.asarray(shared_operator), compute_uv=False)
+    shared_maxent = shared_s[0] - shared_s[-1] <= RANK_TOL * shared_s[0]
+    shared_product = np.count_nonzero(shared_s > RANK_TOL) == 1
+    element_s = [np.linalg.svd(el, compute_uv=False) for el in np.asarray(elements)]
+    basis_maxent = all(s[0] - s[-1] <= RANK_TOL * max(s[0], 1.0) for s in element_s)
+    basis_product = all(np.count_nonzero(s > RANK_TOL) == 1 for s in element_s)
+    if basis_maxent and shared_maxent:
+        return "ideal"
+    if shared_product:
+        return "product-shared"
+    if basis_product:
+        return "product-basis"
+    if basis_maxent:
+        return "maxent-basis"
+    return "general"

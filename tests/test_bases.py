@@ -1,6 +1,7 @@
 """Tests for the operator basis constructors and validator."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from teleportlab import (
     rotated_basis,
     validate_basis,
 )
+from teleportlab.tolerances import BASIS_TOL
 
 
 def test_bell_first_element_is_phi_plus():
@@ -159,3 +161,56 @@ def test_rotation_shape_and_trials_validation():
         rotated_basis(bell_basis(2), np.eye(9))
     with pytest.raises(ValueError):
         validate_basis(bell_basis(2), trials=0)
+
+
+def _damaged_variants(elements):
+    """The clean stack, then one element scaled by 1.01, zeroed, duplicated,
+    and scaled so the residual lands 1e-11 either side of BASIS_TOL."""
+    n = len(elements)
+    k = n // 2
+    yield elements
+    for factor in (1.01, 0.0, 1 + (BASIS_TOL - 1e-11) / 2, 1 + (BASIS_TOL + 1e-11) / 2):
+        damaged = elements.copy()
+        damaged[k] *= factor
+        yield damaged
+    duplicated = elements.copy()
+    duplicated[k] = elements[(k + 1) % n]
+    yield duplicated
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+@pytest.mark.parametrize("kind", ["bell", "product", "rotated"])
+def test_validate_basis_matches_einsum_oracle(d, kind):
+    n = d * d
+    if kind == "rotated":
+        w = oracles.random_unitary(np.random.default_rng(31 + d), n)
+        base = rotated_basis(bell_basis(d), w)
+    else:
+        base = (bell_basis if kind == "bell" else product_basis)(d)
+    for elements in _damaged_variants(base.elements):
+        vecs = elements.reshape(n, n)
+        orth = float(np.max(np.abs(vecs.conj() @ vecs.T - np.eye(n))))
+        for trials in (1, 2, 8):
+            report = validate_basis(OperatorBasis(local_dim=d, elements=elements), trials=trials)
+            comp = oracles.completeness_residual_einsum(elements, trials)
+            expected = ("orthonormality" if orth > BASIS_TOL
+                        else "completeness" if comp > BASIS_TOL else None)
+            assert report.failed_relation == expected
+            assert report.passed is (expected is None)
+            assert abs(report.orthonormality_residual - orth) <= 1e-13 + 1e-12 * orth
+            assert abs(report.completeness_residual - comp) <= 1e-13 + 1e-12 * comp
+
+
+def test_validate_basis_memory_is_bounded():
+    # Each completeness trial may hold two arrays the size of the element
+    # stack (16 MiB at d = 32), not a three-operand contraction's worth.
+    basis = bell_basis(32)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        report = validate_basis(basis, trials=4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert peak - start < 40 * 2**20

@@ -17,6 +17,7 @@ from teleportlab import (
     product_state,
     random_shared_state,
 )
+from teleportlab import cli, teleport
 from teleportlab.cli import (
     load_basis_file,
     load_state_file,
@@ -283,6 +284,29 @@ def test_custom_state_and_basis_files(tmp_path, capsys):
     assert "normalizing" in err  # the unnormalized resource is rescaled with notice
     _, rows = read_csv_report(out)
     assert float(rows[0]["residual"]) < 1e-10
+
+
+@pytest.mark.parametrize("basis, trials", [("custom", [8]), ("bell", [4])])
+def test_basis_is_validated_once(tmp_path, monkeypatch, basis, trials):
+    # A custom basis is checked by the CLI with 8 trials and not again by
+    # build_setup, whose 4 trials would repeat the first four.
+    seen = []
+    validate = cli.validate_basis
+
+    def recording_validate(b, trials=8, **kwargs):
+        seen.append(trials)
+        return validate(b, trials, **kwargs)
+
+    monkeypatch.setattr(cli, "validate_basis", recording_validate)
+    monkeypatch.setattr(teleport, "validate_basis", recording_validate)
+    basis_path = tmp_path / "basis.json"
+    save_basis_file(basis_path, bell_basis(3))
+    code = main([
+        "verify", "--d", "3", "--basis", basis, "--basis-file", str(basis_path),
+        "--samples", "5", "--no-timestamp", "--out", str(tmp_path / "out.csv"),
+    ])
+    assert code == 0
+    assert seen == trials
 
 
 def test_custom_psi_file_fixes_the_input(tmp_path):

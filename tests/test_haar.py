@@ -29,6 +29,7 @@ from teleportlab import (
     state_fidelity_batch,
     transfer_trace_norms,
 )
+from teleportlab.cli import main
 
 
 def test_haar_states_are_normalized():
@@ -190,6 +191,45 @@ def test_detected_cases_agree_with_general_formula():
         case, value = special_case_fidelity(setup)
         assert case is expected
         assert value == pytest.approx(average_fidelity_analytic(setup).analytic, abs=1e-12)
+
+
+def test_fidelity_command_runs_each_svd_once(monkeypatch, capsys):
+    # d = 2, Bell basis, Haar resource: 4 transfer SVDs in build_setup,
+    # then 1 resource and 4 basis-element SVDs for the singular-value
+    # profile, which both routes and the closed form read.
+    calls = []
+    svd = np.linalg.svd
+
+    def counting_svd(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    code = main(["fidelity", "--d", "2", "--shared", "haar-random", "--no-timestamp"])
+    capsys.readouterr()
+    assert code == 0
+    assert len(calls) == 9
+
+
+@pytest.mark.parametrize("d", range(1, 6))
+def test_detected_labels_match_per_element_oracle(d):
+    rng = np.random.default_rng(40 + d)
+    bases = [
+        bell_basis(d),
+        product_basis(d),
+        rotated_basis(bell_basis(d), oracles.random_unitary(rng, d * d)),
+    ]
+    resources = [
+        random_shared_state(d, rng),
+        product_state(oracles.random_complex(rng, d), oracles.random_complex(rng, d)),
+        maximally_entangled_state(d),
+    ]
+    for basis in bases:
+        for shared in resources:
+            setup = build_setup(shared, basis)
+            case, _ = special_case_fidelity(setup)
+            assert average_fidelity_analytic(setup).special_case is case
+            assert case.value == oracles.special_case_label(basis.elements, shared.operator_form)
 
 
 @pytest.mark.parametrize("d", [2, 3, 5])
