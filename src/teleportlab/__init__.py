@@ -10,7 +10,7 @@ transfer operators.
 
 Layout:
 
-    linalg    dense complex SVD / polar / tensor substrate
+    linalg    dense complex |M|, polar factor and tensor substrate
     choi      operator form of bipartite states, entanglement reports
     bases     generalized Bell and product operator bases, validation
     teleport  transfer operators, identity check, protocol sampling
@@ -27,13 +27,11 @@ from .errors import (
     NormalizationError,
 )
 from .linalg import (
-    SvdFactors,
     basis_state,
     dagger,
     normalize_state,
     operator_abs,
     polar_decompose,
-    svd,
     tensor_product,
 )
 from .choi import (
@@ -47,6 +45,7 @@ from .choi import (
     op_to_vec,
     product_state,
     reduced_states,
+    schmidt_shape,
     vec_to_op,
 )
 from .bases import (
@@ -77,6 +76,7 @@ from .haar import (
     SpecialCase,
     average_fidelity_analytic,
     classical_baseline,
+    closed_form_gap_bound,
     haar_state,
     haar_states,
     haar_unitary,
@@ -92,12 +92,12 @@ __all__ = [
     # errors
     "BasisStructureError", "ConfigurationError", "DimensionError", "NormalizationError",
     # linalg
-    "SvdFactors", "basis_state", "dagger", "normalize_state", "operator_abs",
-    "polar_decompose", "svd", "tensor_product",
+    "basis_state", "dagger", "normalize_state", "operator_abs", "polar_decompose",
+    "tensor_product",
     # choi
     "BipartiteState", "EntanglementClass", "EntanglementReport", "analyze_entanglement",
     "component_overlap", "hs_inner", "maximally_entangled_state", "op_to_vec",
-    "product_state", "reduced_states", "vec_to_op",
+    "product_state", "reduced_states", "schmidt_shape", "vec_to_op",
     # bases
     "BasisKind", "BasisValidationReport", "OperatorBasis", "bell_basis", "custom_basis",
     "product_basis", "rotated_basis", "validate_basis",
@@ -107,7 +107,7 @@ __all__ = [
     "state_fidelity", "state_fidelity_batch", "verify_identity",
     # haar
     "AverageFidelityResult", "SpecialCase", "average_fidelity_analytic",
-    "classical_baseline", "haar_state", "haar_states", "haar_unitary",
+    "classical_baseline", "closed_form_gap_bound", "haar_state", "haar_states", "haar_unitary",
     "monte_carlo_fidelity", "pair_average_analytic", "random_shared_state",
     "special_case_fidelity", "transfer_trace_norms",
 ]

@@ -172,19 +172,29 @@ def _entropy_term(weights: np.ndarray) -> float:
     return float(-np.sum(positive * np.log(positive)))
 
 
-def analyze_entanglement(state: BipartiteState, *, rank_tol: float = RANK_TOL) -> EntanglementReport:
+def schmidt_shape(coeffs: np.ndarray) -> tuple[bool, int]:
+    """The package's one rank and flatness rule, ``(flat, rank)``.
+
+    For a descending spectrum: flat when s_max - s_min <= RANK_TOL * s_max;
+    rank counts the values above RANK_TOL.  Resources and basis elements
+    alike are classified by it.
+    """
+    flat = bool(coeffs[0] - coeffs[-1] <= RANK_TOL * coeffs[0])
+    return flat, int(np.count_nonzero(coeffs > RANK_TOL))
+
+
+def analyze_entanglement(state: BipartiteState) -> EntanglementReport:
     """Schmidt spectrum, entropies, rank and classification of ``state``.
 
-    Classification: all coefficients equal (relative spread at most
-    ``rank_tol``) is maximally entangled; Schmidt rank one is a product
-    state; anything else is generic.  For d = 1 the two notions
-    coincide and maximally entangled is reported.
+    Classification by :func:`schmidt_shape`: flat coefficients are
+    maximally entangled; Schmidt rank one is a product state; anything
+    else is generic.  For d = 1 the two notions coincide and maximally
+    entangled is reported.
     """
     _require_state(state)
     coeffs = np.linalg.svd(state.operator_form, compute_uv=False)
-    rank = int(np.sum(coeffs > rank_tol))
-    spread = float(coeffs[0] - coeffs[-1])
-    if spread <= rank_tol * coeffs[0]:
+    flat, rank = schmidt_shape(coeffs)
+    if flat:
         classification = EntanglementClass.MAXIMALLY_ENTANGLED
     elif rank == 1:
         classification = EntanglementClass.PRODUCT

@@ -40,6 +40,7 @@ from .choi import BipartiteState, maximally_entangled_state, product_state
 from .errors import BasisStructureError, ConfigurationError, DimensionError, NormalizationError
 from .haar import (
     average_fidelity_analytic,
+    closed_form_gap_bound,
     haar_state,
     monte_carlo_fidelity,
     random_shared_state,
@@ -324,8 +325,9 @@ def run_fidelity(cfg: ExperimentConfig):
         row.update(_context(cfg))
         row.update(quantity=quantity, label=case.value, analytic=value, samples=0)
         rows.append(row)
-    # The two routes must coincide; a gap is a quantitative failure.
-    return (0 if abs(result.analytic - closed) <= 1e-12 else 1), rows
+    # The two routes must agree within the rule's own gap or --tolerance.
+    gate = max(closed_form_gap_bound(cfg.d), cfg.tolerance)
+    return (0 if abs(result.analytic - closed) <= gate else 1), rows
 
 
 def run_average(cfg: ExperimentConfig):

@@ -29,6 +29,7 @@ from .choi import BipartiteState
 from .errors import ConfigurationError, DimensionError
 from .linalg import as_square_matrix
 from .teleport import TeleportSetup, state_fidelity_batch
+from .tolerances import CLOSED_FORM_GAP_PER_DIM
 
 # Samples drawn per block in the Monte-Carlo loops.  It fixes the draw
 # stream (a seeded generator gives the same states only for the same
@@ -167,6 +168,24 @@ def special_case_fidelity(setup: TeleportSetup) -> tuple[SpecialCase, float]:
         shared_trace_norm = float(np.sum(setup.singular_value_profile.schmidt_coefficients))
         return case, (1.0 + shared_trace_norm**2) / (d + 1)
     return case, average_fidelity_analytic(setup).analytic
+
+
+def closed_form_gap_bound(d: int) -> float:
+    """Largest |E(F) - closed form| the rank and flatness rule admits: 2 d tau.
+
+    A label holds within tau = RANK_TOL of the exact structure
+    (:func:`teleportlab.choi.schmidt_shape`).  With sum_xi ||T_xi||_F^2 = d,
+    (Tr|T|)^2 - ||T||_F^2 <= 2 s_0 r + r^2 for r = sum_{i>=1} s_i(T) and
+    r^2 <= (d-1) ||T - T'||_F^2 (T' rank one), Cauchy-Schwarz over xi gives
+    gaps of at most 2 (d-1) tau / (d+1) for a rank-one resource and
+    2 sqrt(d) (d-1) tau / (d+1) for a rank-one basis.  A flat element is
+    U/sqrt(d) + E with ||E|| <= tau' / sqrt(d), tau' = tau / (1 - tau), so
+    each Tr|T_xi| is ||C||_1 / sqrt(d) to a factor 1 +- tau', and a flat
+    basis gives at most 2 tau' + tau'^2 (+ tau'^2 / 2 for a flat resource).
+    For d >= 2 each is below 2 d tau, with room for the O(tau) shift of a
+    basis validated at BASIS_TOL; at d = 1 every spectrum is one value.
+    """
+    return d * CLOSED_FORM_GAP_PER_DIM
 
 
 def monte_carlo_fidelity(

@@ -8,8 +8,6 @@ can assume clean inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DimensionError, NormalizationError
@@ -84,50 +82,25 @@ def dagger(matrix: np.ndarray) -> np.ndarray:
     return matrix.conj().T
 
 
-@dataclass(frozen=True)
-class SvdFactors:
-    """Singular value decomposition M = left @ diag(s) @ right^dagger.
-
-    ``left`` and ``right`` are unitary; ``singular_values`` is real,
-    nonnegative and sorted descending.
-    """
-
-    left: np.ndarray
-    singular_values: np.ndarray
-    right: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        return self.left @ (self.singular_values[:, None] * dagger(self.right))
-
-
-def svd(matrix) -> SvdFactors:
-    """Singular value decomposition of a square complex matrix.
-
-    The singular values of the operator form of a bipartite pure state
-    are its Schmidt coefficients, which is the main use downstream.
-    """
-    m = as_square_matrix(matrix)
-    u, s, vh = np.linalg.svd(m)
-    return SvdFactors(left=u, singular_values=s, right=dagger(vh))
+def _abs_from_svd(s: np.ndarray, vh: np.ndarray) -> np.ndarray:
+    # |M| = V S V^dagger from M = W S V^dagger, symmetrized to exact Hermiticity.
+    positive = dagger(vh) @ (s[:, None] * vh)
+    return 0.5 * (positive + dagger(positive))
 
 
 def polar_decompose(matrix) -> tuple[np.ndarray, np.ndarray]:
     """Polar decomposition M = U P with U unitary, P = |M| = sqrt(M^dag M).
 
     For singular M the unitary factor is not unique; the completion
-    W V^dagger from the SVD M = W S V^dagger is returned.  Every
-    downstream use depends only on P.
+    W V^dagger from the SVD M = W S V^dagger is returned.
 
     Returns:
-        (U, P) with ``U @ P`` equal to M up to the reconstruction
-        tolerance and P Hermitian positive semidefinite.
+        (U, P) with ``U @ P`` equal to M up to rounding and P Hermitian
+        positive semidefinite, equal to :func:`operator_abs` of M.
     """
     m = as_square_matrix(matrix)
     u, s, vh = np.linalg.svd(m)
-    unitary = u @ vh
-    positive = dagger(vh) @ (s[:, None] * vh)
-    positive = 0.5 * (positive + dagger(positive))
-    return unitary, positive
+    return u @ vh, _abs_from_svd(s, vh)
 
 
 def operator_abs(matrix) -> np.ndarray:
@@ -138,8 +111,7 @@ def operator_abs(matrix) -> np.ndarray:
     """
     m = as_square_matrix(matrix)
     _, s, vh = np.linalg.svd(m)
-    positive = dagger(vh) @ (s[:, None] * vh)
-    return 0.5 * (positive + dagger(positive))
+    return _abs_from_svd(s, vh)
 
 
 def tensor_product(a, b) -> np.ndarray:

@@ -25,10 +25,10 @@ from functools import cached_property
 import numpy as np
 
 from .bases import BasisStructureError, OperatorBasis, validate_basis
-from .choi import BipartiteState
+from .choi import BipartiteState, schmidt_shape
 from .errors import DimensionError
-from .linalg import as_square_matrix, as_state, dagger, require_normalized
-from .tolerances import RANK_TOL, ZERO_OUTCOME_TOL
+from .linalg import as_state, dagger, operator_abs, polar_decompose, require_normalized
+from .tolerances import ZERO_OUTCOME_TOL
 
 # Bytes of vec(|psi><psi|) that state_fidelity_batch forms at once.
 _BLOCK_BYTES = 1 << 20
@@ -43,9 +43,9 @@ class SingularValueProfile:
 
     ``schmidt_coefficients`` are the singular values of the resource's
     operator form, descending.  ``shared_maxent`` and ``shared_product``
-    say whether the resource is maximally entangled (flat coefficients)
-    or rank one; ``basis_maxent`` and ``basis_product`` whether every
-    basis element is.  These select the closed forms of average fidelity.
+    are :func:`~teleportlab.choi.schmidt_shape`'s flat and rank-one verdicts
+    on the resource; ``basis_maxent`` and ``basis_product`` hold when they
+    hold for every basis element.  These select the closed forms of E(F).
     """
 
     schmidt_coefficients: np.ndarray
@@ -84,20 +84,18 @@ class TeleportSetup:
         """
         schmidt = np.linalg.svd(self.shared.operator_form, compute_uv=False)
         schmidt.setflags(write=False)
-        all_flat = True
-        all_rank_one = True
+        shared_flat, shared_rank = schmidt_shape(schmidt)
+        all_flat = all_rank_one = True
         for el in self.basis.elements:
-            s = np.linalg.svd(el, compute_uv=False)
-            if s[0] - s[-1] > RANK_TOL * max(s[0], 1.0):
-                all_flat = False
-            if int(np.sum(s > RANK_TOL)) != 1:
-                all_rank_one = False
+            flat, rank = schmidt_shape(np.linalg.svd(el, compute_uv=False))
+            all_flat &= flat
+            all_rank_one &= rank == 1
             if not (all_flat or all_rank_one):
                 break
         return SingularValueProfile(
             schmidt_coefficients=schmidt,
-            shared_maxent=bool(schmidt[0] - schmidt[-1] <= RANK_TOL * schmidt[0]),
-            shared_product=int(np.sum(schmidt > RANK_TOL)) == 1,
+            shared_maxent=shared_flat,
+            shared_product=shared_rank == 1,
             basis_maxent=all_flat,
             basis_product=all_rank_one,
         )
@@ -148,9 +146,7 @@ def build_setup(shared: BipartiteState, basis: OperatorBasis, *,
     transfer_ops = np.matmul(ct, basis.elements.conj().transpose(0, 2, 1))
     transfer_abs = np.empty_like(transfer_ops)
     for xi in range(transfer_ops.shape[0]):
-        _, s, vh = np.linalg.svd(transfer_ops[xi])
-        p = dagger(vh) @ (s[:, None] * vh)
-        transfer_abs[xi] = 0.5 * (p + dagger(p))
+        transfer_abs[xi] = operator_abs(transfer_ops[xi])
     transfer_ops.setflags(write=False)
     transfer_abs.setflags(write=False)
     return TeleportSetup(
@@ -199,9 +195,7 @@ def optimal_correction(transfer) -> np.ndarray:
     completion, which cannot matter: those directions never receive
     amplitude.
     """
-    t = as_square_matrix(transfer)
-    u, _, vh = np.linalg.svd(t)
-    return dagger(u @ vh)
+    return dagger(polar_decompose(transfer)[0])
 
 
 def realize_outcome(psi, setup: TeleportSetup, xi: int) -> TeleportOutcome:

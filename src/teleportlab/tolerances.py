@@ -2,18 +2,20 @@
 
 Chosen with double precision headroom for local dimensions up to a few
 dozen.  Operations that gate on a tolerance take these as defaults and
-accept overrides.
+accept overrides, except the rank and flatness rule, which has one form
+so that every classification agrees.
 """
-
-# Factorizations (SVD, polar) must reconstruct their input this well,
-# relative to 1 + the Frobenius norm of the input.
-RECONSTRUCTION_TOL = 1e-10
 
 # State vectors must have unit Euclidean norm within this bound.
 NORMALIZATION_TOL = 1e-12
 
-# Singular values at or below this threshold count as zero for ranks.
+# Singular values at or below this threshold count as zero for ranks, and
+# a spectrum whose spread is at most this fraction of its largest value
+# counts as flat (choi.schmidt_shape).
 RANK_TOL = 1e-10
+
+# Closed-form gap per unit of d that RANK_TOL admits (haar.closed_form_gap_bound).
+CLOSED_FORM_GAP_PER_DIM = 2 * RANK_TOL
 
 # Orthonormality / completeness residual bound for operator bases.
 BASIS_TOL = 1e-10

@@ -159,15 +159,15 @@ def special_case_label(elements, shared_operator):
     """The closed-form label of a setup, from one SVD per matrix.
 
     Every basis element is decomposed (no early exit); the rules are the
-    package's: flat when s_max - s_min <= RANK_TOL * max(s_max, 1) for an
-    element and <= RANK_TOL * s_max for the resource, rank one when
-    exactly one singular value exceeds RANK_TOL.
+    package's: flat when s_max - s_min <= RANK_TOL * s_max, for the
+    resource and every element alike, rank one when exactly one singular
+    value exceeds RANK_TOL.
     """
     shared_s = np.linalg.svd(np.asarray(shared_operator), compute_uv=False)
     shared_maxent = shared_s[0] - shared_s[-1] <= RANK_TOL * shared_s[0]
     shared_product = np.count_nonzero(shared_s > RANK_TOL) == 1
     element_s = [np.linalg.svd(el, compute_uv=False) for el in np.asarray(elements)]
-    basis_maxent = all(s[0] - s[-1] <= RANK_TOL * max(s[0], 1.0) for s in element_s)
+    basis_maxent = all(s[0] - s[-1] <= RANK_TOL * s[0] for s in element_s)
     basis_product = all(np.count_nonzero(s > RANK_TOL) == 1 for s in element_s)
     if basis_maxent and shared_maxent:
         return "ideal"

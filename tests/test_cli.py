@@ -203,6 +203,45 @@ def test_fidelity_product_resource(capsys):
     assert float(closed["analytic"]) == pytest.approx(2 / 3, abs=1e-12)
 
 
+def _near_product_resource(tmp_path, d, tail):
+    # Schmidt coefficients (sqrt(1 - (d-1) tail^2), tail, ..., tail): rank
+    # one under the rule while tail <= RANK_TOL, so labelled product-shared.
+    s = np.full(d, tail)
+    s[0] = math.sqrt(1.0 - (d - 1) * tail**2)
+    path = tmp_path / "shared.json"
+    save_state_file(path, d, np.diag(s).reshape(-1))
+    return ["fidelity", "--d", str(d), "--shared", "custom", "--shared-file", str(path),
+            "--no-timestamp"]
+
+
+@pytest.mark.parametrize("d, tail, tolerance", [
+    (2, 1e-11, "1e-6"),    # gap 6.7e-12
+    (2, 1e-11, "1e-10"),
+    (8, 9e-11, None),      # gap 1.4e-10, above the default --tolerance
+])
+def test_fidelity_near_product_resource_passes(tmp_path, capsys, d, tail, tolerance):
+    args = _near_product_resource(tmp_path, d, tail)
+    if tolerance is not None:
+        args += ["--tolerance", tolerance]
+    code, out, _ = run_cli(args, capsys)
+    assert "product-shared" in out
+    assert code == 0
+
+
+def test_fidelity_fails_on_a_wrong_closed_form(tmp_path, capsys, monkeypatch):
+    real = cli.special_case_fidelity
+
+    def off_by_1e_6(setup):
+        case, value = real(setup)
+        return case, value + 1e-6
+
+    monkeypatch.setattr(cli, "special_case_fidelity", off_by_1e_6)
+    code, _, _ = run_cli(_near_product_resource(tmp_path, 2, 1e-11), capsys)
+    assert code == 1
+    code, _, _ = run_cli(["fidelity", "--d", "3", "--no-timestamp"], capsys)
+    assert code == 1
+
+
 def test_average_json_report(tmp_path):
     out = tmp_path / "avg.json"
     code = main([

@@ -10,11 +10,13 @@ from teleportlab import (
     ConfigurationError,
     DimensionError,
     SpecialCase,
+    BipartiteState,
     average_fidelity_analytic,
     basis_state,
     bell_basis,
     build_setup,
     classical_baseline,
+    closed_form_gap_bound,
     haar_state,
     haar_states,
     haar_unitary,
@@ -230,6 +232,40 @@ def test_detected_labels_match_per_element_oracle(d):
             case, _ = special_case_fidelity(setup)
             assert average_fidelity_analytic(setup).special_case is case
             assert case.value == oracles.special_case_label(basis.elements, shared.operator_form)
+
+
+def _near_identity(rng, n, eps):
+    # exp(i eps H) for a random Hermitian H scaled to unit spectral norm.
+    z = oracles.random_complex(rng, (n, n))
+    lam, v = np.linalg.eigh(z + oracles.dagger(z))
+    return (v * np.exp(1j * eps * lam / np.abs(lam).max())) @ oracles.dagger(v)
+
+
+@pytest.mark.parametrize("d", range(2, 7))
+def test_closed_form_gap_stays_within_bound_near_thresholds(d):
+    # Resources and bases placed just inside the flat and rank-one
+    # thresholds: every closed form still matches the trace-norm value
+    # within closed_form_gap_bound(d), though not within 1e-12.
+    rng = np.random.default_rng(60 + d)
+    eps = 0.3 * oracles.RANK_TOL
+    tail = np.full(d, 0.9 * oracles.RANK_TOL)
+    tail[0] = 1.0
+    spectra = (tail, np.linspace(1.0, 1.0 - 0.9 * oracles.RANK_TOL, d))
+    resources = [BipartiteState.from_operator(np.diag(s.astype(complex)), normalize=True)
+                 for s in spectra] + [random_shared_state(d, rng)]
+    bases = [bell_basis(d), product_basis(d),
+             rotated_basis(bell_basis(d), _near_identity(rng, d * d, eps)),
+             rotated_basis(product_basis(d), _near_identity(rng, d * d, eps))]
+    gaps = {}
+    for basis in bases:
+        for shared in resources:
+            setup = build_setup(shared, basis, validate=False)
+            case, closed = special_case_fidelity(setup)
+            gap = abs(average_fidelity_analytic(setup).analytic - closed)
+            gaps[case] = max(gaps.get(case, 0.0), gap)
+    assert set(gaps) == set(SpecialCase) - {SpecialCase.GENERAL}
+    assert max(gaps.values()) <= closed_form_gap_bound(d)
+    assert gaps[SpecialCase.PRODUCT_SHARED] > 1e-12
 
 
 @pytest.mark.parametrize("d", [2, 3, 5])

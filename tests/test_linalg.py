@@ -12,63 +12,66 @@ from teleportlab import (
     normalize_state,
     operator_abs,
     polar_decompose,
-    svd,
     tensor_product,
 )
 
 RECON_TOL = 1e-10
 
 
+def singular_values(m):
+    """Singular values of ``m``, descending, read off as the eigenvalues of |m|."""
+    return np.linalg.eigvalsh(operator_abs(m))[::-1]
+
+
 def test_svd_diagonal_sorted():
-    factors = svd(np.diag([3.0, 4.0]))
-    np.testing.assert_allclose(factors.singular_values, [4.0, 3.0], atol=1e-14)
+    np.testing.assert_allclose(singular_values(np.diag([3.0, 4.0])), [4.0, 3.0], atol=1e-14)
 
 
 @pytest.mark.parametrize("d", [1, 2, 5])
 def test_svd_identity(d):
-    factors = svd(np.eye(d))
-    np.testing.assert_allclose(factors.singular_values, np.ones(d), atol=1e-14)
+    np.testing.assert_allclose(singular_values(np.eye(d)), np.ones(d), atol=1e-14)
 
 
 def test_svd_nilpotent_matches_characteristic_polynomial_oracle():
     m = np.array([[0.0, 1.0], [0.0, 0.0]])
     expected = oracles.singular_values_2x2(m)
     np.testing.assert_allclose(expected, [1.0, 0.0], atol=1e-14)
-    np.testing.assert_allclose(svd(m).singular_values, expected, atol=1e-12)
+    np.testing.assert_allclose(singular_values(m), expected, atol=1e-12)
 
 
 def test_svd_random_2x2_matches_oracle():
     rng = np.random.default_rng(21)
     for _ in range(25):
         m = oracles.random_complex(rng, (2, 2))
-        np.testing.assert_allclose(
-            svd(m).singular_values, oracles.singular_values_2x2(m), atol=1e-10
-        )
+        np.testing.assert_allclose(singular_values(m), oracles.singular_values_2x2(m), atol=1e-10)
 
 
 @pytest.mark.parametrize("d", [2, 3, 5, 8])
 def test_svd_reconstruction_and_unitarity(d):
+    # The polar factors are the SVD's W V^dagger and V S V^dagger; the
+    # positive one is the same assembly operator_abs returns.
     rng = np.random.default_rng(100 + d)
     for _ in range(10):
         m = oracles.random_complex(rng, (d, d))
-        factors = svd(m)
+        u, p = polar_decompose(m)
         scale = 1.0 + np.linalg.norm(m)
-        assert np.linalg.norm(factors.reconstruct() - m) <= RECON_TOL * scale
-        assert np.max(np.abs(dagger(factors.left) @ factors.left - np.eye(d))) <= RECON_TOL
-        assert np.max(np.abs(dagger(factors.right) @ factors.right - np.eye(d))) <= RECON_TOL
-        assert np.all(np.diff(factors.singular_values) <= 0)
-        assert np.all(factors.singular_values >= 0)
+        assert np.linalg.norm(u @ p - m) <= RECON_TOL * scale
+        assert np.max(np.abs(dagger(u) @ u - np.eye(d))) <= RECON_TOL
+        np.testing.assert_array_equal(p, operator_abs(m))
+        s = singular_values(m)
+        assert np.all(np.diff(s) <= 0)
+        assert np.all(s >= -1e-12)
 
 
 @pytest.mark.parametrize("d", [2, 4])
 def test_singular_values_invariant_under_unitaries(d):
     rng = np.random.default_rng(7)
     m = oracles.random_complex(rng, (d, d))
-    reference = svd(m).singular_values
+    reference = singular_values(m)
     for _ in range(5):
         u = oracles.random_unitary(rng, d)
         v = oracles.random_unitary(rng, d)
-        np.testing.assert_allclose(svd(u @ m @ v).singular_values, reference, atol=1e-10)
+        np.testing.assert_allclose(singular_values(u @ m @ v), reference, atol=1e-10)
 
 
 def test_polar_already_positive():
@@ -170,8 +173,6 @@ def test_tensor_product_mixed_product_law(d):
 def test_nonfinite_entries_rejected():
     bad = np.array([[1.0, np.nan], [0.0, 1.0]])
     with pytest.raises(ValueError):
-        svd(bad)
-    with pytest.raises(ValueError):
         polar_decompose(bad)
     with pytest.raises(ValueError):
         operator_abs(bad)
@@ -180,8 +181,6 @@ def test_nonfinite_entries_rejected():
 
 
 def test_nonsquare_rejected():
-    with pytest.raises(DimensionError):
-        svd(np.ones((2, 3)))
     with pytest.raises(DimensionError):
         polar_decompose(np.ones((3, 2)))
     with pytest.raises(DimensionError):

@@ -13,10 +13,13 @@ from teleportlab import (
     NormalizationError,
     OperatorBasis,
     BipartiteState,
+    EntanglementClass,
     TeleportOutcome,
+    analyze_entanglement,
     basis_state,
     bell_basis,
     build_setup,
+    custom_basis,
     dagger,
     enumerate_outcomes,
     maximally_entangled_state,
@@ -48,6 +51,33 @@ def _ideal_setup(d):
 
 # ----------------------------------------------------------------------
 # setup structure
+
+
+def _straddling_spectra(d):
+    # Relative spreads and tail values k * RANK_TOL on both sides of 1, so
+    # every spectrum sits just inside or just outside the flat and the
+    # rank-one threshold.
+    for k in (0.5, 0.9, 1.1, 1.3, 2.0):
+        yield np.linspace(1.0, 1.0 - k * oracles.RANK_TOL, d)
+        tail = np.full(d, k * oracles.RANK_TOL)
+        tail[0] = 1.0
+        yield tail
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_profile_flags_agree_with_entanglement_classification(d):
+    # One rule for resources and basis elements: the profile's flags for a
+    # resource with spectrum s, and for a basis whose elements all have
+    # spectrum s, equal analyze_entanglement's verdict on that spectrum.
+    # (Only the flags are compared; the elements need not be orthonormal.)
+    for s in _straddling_spectra(d):
+        state = BipartiteState.from_operator(np.diag(s.astype(complex)), normalize=True)
+        report = analyze_entanglement(state)
+        flat = report.classification is EntanglementClass.MAXIMALLY_ENTANGLED
+        basis = custom_basis([state.operator_form] * (d * d))
+        profile = build_setup(state, basis, validate=False).singular_value_profile
+        assert (profile.shared_maxent, profile.shared_product) == (flat, report.rank == 1)
+        assert (profile.basis_maxent, profile.basis_product) == (flat, report.rank == 1)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
