@@ -15,15 +15,17 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
+from .choi import schmidt_shape
 from .errors import BasisStructureError, DimensionError
 from .linalg import as_square_matrix
 from .tolerances import BASIS_TOL
 
-# Default generator for the completeness spot check; validation must be
+# Seed of the completeness spot check's generator, so that validation is
 # reproducible without the caller threading a seed through.
 _VALIDATION_SEED = 0x0B5E5
 
@@ -65,6 +67,20 @@ class OperatorBasis:
         """The elements as rows of a (d^2, d^2) matrix of amplitude vectors."""
         n = len(self)
         return self.elements.reshape(n, n)
+
+    @cached_property
+    def element_shape(self) -> tuple[bool, bool]:
+        """Cached ``(all_flat, all_rank_one)`` by :func:`~teleportlab.choi.schmidt_shape`:
+        one SVD per element in xi order, stopping at the first that shows the
+        basis is neither.  Measured, since any elements may carry any ``kind``."""
+        all_flat = all_rank_one = True
+        for el in self.elements:
+            flat, rank = schmidt_shape(np.linalg.svd(el, compute_uv=False))
+            all_flat &= flat
+            all_rank_one &= rank == 1
+            if not (all_flat or all_rank_one):
+                break
+        return all_flat, all_rank_one
 
 
 def bell_basis(local_dim: int) -> OperatorBasis:
@@ -155,28 +171,21 @@ class BasisValidationReport:
     tolerance: float
 
 
-def validate_basis(
-    basis: OperatorBasis,
-    trials: int = 8,
-    *,
-    tol: float = BASIS_TOL,
-    rng: Optional[np.random.Generator] = None,
-) -> BasisValidationReport:
+def validate_basis(basis: OperatorBasis, trials: int = 8) -> BasisValidationReport:
     """Check both defining relations of an orthonormal operator basis.
 
     Orthonormality is checked exhaustively over all element pairs;
     completeness against ``trials`` random complex matrices A, drawn from
-    ``rng`` (by default a generator seeded with ``_VALIDATION_SEED``, so
-    every call sees the same trial matrices).  Each trial is contracted
-    as two matrix products, A B_xi for all xi at once and then the sum
-    over (xi, row) against the conjugated elements, so its working memory
-    is two copies of the element stack.  Residuals above ``tol`` are
-    reported as a failure, not raised.
+    a generator seeded with ``_VALIDATION_SEED``, so every call sees the
+    same trial matrices.  Each trial is contracted as two matrix products,
+    A B_xi for all xi at once and then the sum over (xi, row) against the
+    conjugated elements, so its working memory is two copies of the
+    element stack.  Residuals above ``BASIS_TOL`` are reported as a
+    failure, not raised.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
-    if rng is None:
-        rng = np.random.default_rng(_VALIDATION_SEED)
+    rng = np.random.default_rng(_VALIDATION_SEED)
     d = basis.local_dim
     n = len(basis)
 
@@ -197,14 +206,14 @@ def validate_basis(
         comp_residual = max(comp_residual, float(np.max(np.abs(total - np.trace(a) * identity))))
 
     failed = None
-    if orth_residual > tol:
+    if orth_residual > BASIS_TOL:
         failed = "orthonormality"
-    elif comp_residual > tol:
+    elif comp_residual > BASIS_TOL:
         failed = "completeness"
     return BasisValidationReport(
         passed=failed is None,
         orthonormality_residual=orth_residual,
         completeness_residual=comp_residual,
         failed_relation=failed,
-        tolerance=tol,
+        tolerance=BASIS_TOL,
     )

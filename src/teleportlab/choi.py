@@ -12,6 +12,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -106,6 +107,14 @@ class BipartiteState:
                 f"bipartite state must be normalized: |norm - 1| = {abs(norm - 1.0):.3e}"
             )
 
+    @cached_property
+    def schmidt_coefficients(self) -> np.ndarray:
+        """Singular values of the operator form, descending and read-only;
+        one SVD per state, cached for the entanglement report and closed forms."""
+        coeffs = np.linalg.svd(self.operator_form, compute_uv=False)
+        coeffs.setflags(write=False)
+        return coeffs
+
     @classmethod
     def from_vector(cls, vector, *, normalize: bool = False) -> "BipartiteState":
         """Build from a length d^2 amplitude vector.
@@ -192,7 +201,7 @@ def analyze_entanglement(state: BipartiteState) -> EntanglementReport:
     entangled is reported.
     """
     _require_state(state)
-    coeffs = np.linalg.svd(state.operator_form, compute_uv=False)
+    coeffs = state.schmidt_coefficients
     flat, rank = schmidt_shape(coeffs)
     if flat:
         classification = EntanglementClass.MAXIMALLY_ENTANGLED
@@ -200,7 +209,6 @@ def analyze_entanglement(state: BipartiteState) -> EntanglementReport:
         classification = EntanglementClass.PRODUCT
     else:
         classification = EntanglementClass.GENERIC
-    coeffs.setflags(write=False)
     return EntanglementReport(
         schmidt_coefficients=coeffs,
         entropy=_entropy_term(coeffs**2),

@@ -29,8 +29,6 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -39,6 +37,7 @@ from .bases import OperatorBasis, bell_basis, custom_basis, product_basis, valid
 from .choi import BipartiteState, maximally_entangled_state, product_state
 from .errors import BasisStructureError, ConfigurationError, DimensionError, NormalizationError
 from .haar import (
+    MIN_SAMPLES,
     average_fidelity_analytic,
     closed_form_gap_bound,
     haar_state,
@@ -47,7 +46,7 @@ from .haar import (
     special_case_fidelity,
 )
 from .linalg import basis_state
-from .teleport import TeleportSetup, build_setup, sample_outcome, verify_identity
+from .teleport import TeleportSetup, build_setup, require_setup_fits, sample_outcome, verify_identity
 from .tolerances import NORMALIZATION_TOL
 
 REPORT_COLUMNS = (
@@ -63,23 +62,6 @@ _BASIS_KINDS = ("bell", "product", "custom")
 _SHARED_KINDS = ("maximally-entangled", "product", "haar-random", "custom")
 
 
-@dataclass
-class ExperimentConfig:
-    command: str
-    d: int
-    basis_kind: str
-    shared_kind: str
-    samples: int
-    seed: int
-    tolerance: float
-    out: Optional[str]
-    fmt: str
-    timestamp: bool
-    basis_file: Optional[str]
-    shared_file: Optional[str]
-    psi_file: Optional[str]
-
-
 def _default_samples(command: str, d: int) -> int:
     if command == "verify":
         return 100
@@ -90,37 +72,27 @@ def _default_samples(command: str, d: int) -> int:
     return 0
 
 
-def config_from_namespace(ns: argparse.Namespace) -> ExperimentConfig:
+def config_from_namespace(ns: argparse.Namespace) -> argparse.Namespace:
+    """Check the parsed flags, fill in the command's default ``--samples`` and
+    return ``ns``; a dimension too large for dense storage is refused here."""
     if ns.d < 1:
         raise ConfigurationError("--d must be at least 1")
     if not 0 <= ns.seed < 2**64:
         raise ConfigurationError("--seed must fit in an unsigned 64-bit integer")
     if ns.tolerance <= 0:
         raise ConfigurationError("--tolerance must be positive")
-    samples = ns.samples if ns.samples is not None else _default_samples(ns.command, ns.d)
-    if samples < 0:
+    if ns.samples is None:
+        ns.samples = _default_samples(ns.command, ns.d)
+    if ns.samples < 0:
         raise ConfigurationError("--samples must be nonnegative")
-    if ns.command == "average" and samples < 100:
-        raise ConfigurationError("the average command needs --samples of at least 100")
+    if ns.command == "average" and ns.samples < MIN_SAMPLES:
+        raise ConfigurationError(f"the average command needs --samples of at least {MIN_SAMPLES}")
     if ns.basis == "custom" and not ns.basis_file:
         raise ConfigurationError("--basis custom requires --basis-file")
     if ns.shared == "custom" and not ns.shared_file:
         raise ConfigurationError("--shared custom requires --shared-file")
-    return ExperimentConfig(
-        command=ns.command,
-        d=ns.d,
-        basis_kind=ns.basis,
-        shared_kind=ns.shared,
-        samples=samples,
-        seed=ns.seed,
-        tolerance=ns.tolerance,
-        out=ns.out,
-        fmt=ns.format,
-        timestamp=not ns.no_timestamp,
-        basis_file=ns.basis_file,
-        shared_file=ns.shared_file,
-        psi_file=ns.psi_file,
-    )
+    require_setup_fits(ns.d)
+    return ns
 
 
 # ----------------------------------------------------------------------
@@ -201,35 +173,36 @@ def save_basis_file(path: str, basis: OperatorBasis) -> None:
         json.dump(payload, handle)
 
 
-def _normalized_with_notice(amplitudes: np.ndarray, origin: str) -> np.ndarray:
+def _state_from_file(path: str, d: int, size: int, what: str) -> np.ndarray:
+    """Amplitudes of a state file for local dimension ``d`` with ``size``
+    entries, rescaled to unit norm with a warning when they are not."""
+    d_file, amplitudes = load_state_file(path)
+    if d_file != d or amplitudes.size != size:
+        raise ConfigurationError(f"{path}: {what} must have d = {d} and {size} amplitudes")
     norm = np.linalg.norm(amplitudes)
     if norm == 0.0:
-        raise ConfigurationError(f"{origin}: amplitudes are identically zero")
+        raise ConfigurationError(f"{path}: amplitudes are identically zero")
     if abs(norm - 1.0) > NORMALIZATION_TOL:
-        print(f"warning: normalizing {origin} (norm was {norm:.12g})", file=sys.stderr)
+        print(f"warning: normalizing {path} (norm was {norm:.12g})", file=sys.stderr)
         return amplitudes / norm
     return amplitudes
 
 
-def _resolve_shared(cfg: ExperimentConfig, rng: np.random.Generator) -> BipartiteState:
-    if cfg.shared_kind == "maximally-entangled":
+def _resolve_shared(cfg: argparse.Namespace, rng: np.random.Generator) -> BipartiteState:
+    if cfg.shared == "maximally-entangled":
         return maximally_entangled_state(cfg.d)
-    if cfg.shared_kind == "product":
+    if cfg.shared == "product":
         return product_state(basis_state(cfg.d, 0), basis_state(cfg.d, 0))
-    if cfg.shared_kind == "haar-random":
+    if cfg.shared == "haar-random":
         return random_shared_state(cfg.d, rng)
-    d_file, amplitudes = load_state_file(cfg.shared_file)
-    if d_file != cfg.d or amplitudes.size != cfg.d * cfg.d:
-        raise ConfigurationError(
-            f"{cfg.shared_file}: shared state must have d = {cfg.d} and {cfg.d**2} amplitudes"
-        )
-    return BipartiteState.from_vector(_normalized_with_notice(amplitudes, cfg.shared_file))
+    amplitudes = _state_from_file(cfg.shared_file, cfg.d, cfg.d * cfg.d, "shared state")
+    return BipartiteState.from_vector(amplitudes)
 
 
-def _resolve_basis(cfg: ExperimentConfig) -> OperatorBasis:
-    if cfg.basis_kind == "bell":
+def _resolve_basis(cfg: argparse.Namespace) -> OperatorBasis:
+    if cfg.basis == "bell":
         return bell_basis(cfg.d)
-    if cfg.basis_kind == "product":
+    if cfg.basis == "product":
         return product_basis(cfg.d)
     basis = load_basis_file(cfg.basis_file)
     if basis.local_dim != cfg.d:
@@ -243,7 +216,7 @@ def _resolve_basis(cfg: ExperimentConfig) -> OperatorBasis:
     return basis
 
 
-def _resolve_setup(cfg: ExperimentConfig) -> tuple[np.random.Generator, TeleportSetup]:
+def _resolve_setup(cfg: argparse.Namespace) -> tuple[np.random.Generator, TeleportSetup]:
     """The run's seeded generator and the setup built from ``cfg``.
 
     The resource is drawn from the generator before anything else the
@@ -254,46 +227,38 @@ def _resolve_setup(cfg: ExperimentConfig) -> tuple[np.random.Generator, Teleport
     rng = np.random.default_rng(cfg.seed)
     shared = _resolve_shared(cfg, rng)
     basis = _resolve_basis(cfg)
-    return rng, build_setup(shared, basis, validate=cfg.basis_kind != "custom")
+    return rng, build_setup(shared, basis, validate=cfg.basis != "custom")
 
 
-def _resolve_psi(cfg: ExperimentConfig, rng: np.random.Generator) -> np.ndarray:
+def _resolve_psi(cfg: argparse.Namespace, rng: np.random.Generator) -> np.ndarray:
     if not cfg.psi_file:
         return haar_state(cfg.d, rng)
-    d_file, amplitudes = load_state_file(cfg.psi_file)
-    if d_file != cfg.d or amplitudes.size != cfg.d:
-        raise ConfigurationError(
-            f"{cfg.psi_file}: input state must have d = {cfg.d} and {cfg.d} amplitudes"
-        )
-    return _normalized_with_notice(amplitudes, cfg.psi_file)
+    return _state_from_file(cfg.psi_file, cfg.d, cfg.d, "input state")
 
 
 # ----------------------------------------------------------------------
 # runners
 
 
-def _context(cfg: ExperimentConfig) -> dict:
-    return {
-        "experiment": cfg.command,
-        "d": cfg.d,
-        "basis": cfg.basis_kind,
-        "shared": cfg.shared_kind,
-        "seed": cfg.seed,
-    }
+def _row(cfg: argparse.Namespace, columns, **cells) -> dict:
+    # Context by item assignment, not keyword update: transcripts build one row per shot.
+    row = dict.fromkeys(columns)
+    row["experiment"], row["d"], row["seed"] = cfg.command, cfg.d, cfg.seed
+    row["basis"], row["shared"] = cfg.basis, cfg.shared
+    row.update(cells)
+    return row
 
 
-def run_verify(cfg: ExperimentConfig):
+def run_verify(cfg: argparse.Namespace):
     """Max identity residual over ``samples`` random input states."""
     rng, setup = _resolve_setup(cfg)
     trials = max(cfg.samples, 1)
     worst = max(verify_identity(haar_state(cfg.d, rng), setup) for _ in range(trials))
-    row = dict.fromkeys(REPORT_COLUMNS)
-    row.update(_context(cfg))
-    row.update(quantity="max_identity_residual", samples=trials, residual=worst)
+    row = _row(cfg, REPORT_COLUMNS, quantity="max_identity_residual", samples=trials, residual=worst)
     return (0 if worst < cfg.tolerance else 1), [row]
 
 
-def run_teleport(cfg: ExperimentConfig):
+def run_teleport(cfg: argparse.Namespace):
     """Shot-by-shot protocol transcript for one input state."""
     rng, setup = _resolve_setup(cfg)
     psi = _resolve_psi(cfg, rng)
@@ -302,49 +267,37 @@ def run_teleport(cfg: ExperimentConfig):
     for shot, outcome in enumerate(sample_outcome(psi, setup, rng, size=cfg.samples)):
         sane &= 0.0 <= outcome.probability <= 1.0 + 1e-12
         sane &= 0.0 <= outcome.conditional_fidelity <= 1.0 + 1e-12
-        row = dict.fromkeys(TRANSCRIPT_COLUMNS)
-        row.update(_context(cfg))
-        row.update(
-            shot=shot,
-            xi=outcome.xi,
-            probability=outcome.probability,
-            conditional_fidelity=outcome.conditional_fidelity,
-        )
-        rows.append(row)
+        rows.append(_row(cfg, TRANSCRIPT_COLUMNS, shot=shot, xi=outcome.xi,
+                         probability=outcome.probability,
+                         conditional_fidelity=outcome.conditional_fidelity))
     return (0 if sane else 1), rows
 
 
-def run_fidelity(cfg: ExperimentConfig):
+def run_fidelity(cfg: argparse.Namespace):
     """Analytic average fidelity and the detected closed form."""
     _, setup = _resolve_setup(cfg)
     result = average_fidelity_analytic(setup)
     case, closed = special_case_fidelity(setup)
-    rows = []
-    for quantity, value in (("average_fidelity", result.analytic), ("special_case_fidelity", closed)):
-        row = dict.fromkeys(REPORT_COLUMNS)
-        row.update(_context(cfg))
-        row.update(quantity=quantity, label=case.value, analytic=value, samples=0)
-        rows.append(row)
+    rows = [
+        _row(cfg, REPORT_COLUMNS, quantity=quantity, label=case.value, analytic=value, samples=0)
+        for quantity, value in (("average_fidelity", result.analytic),
+                                ("special_case_fidelity", closed))
+    ]
     # The two routes must agree within the rule's own gap or --tolerance.
     gate = max(closed_form_gap_bound(cfg.d), cfg.tolerance)
     return (0 if abs(result.analytic - closed) <= gate else 1), rows
 
 
-def run_average(cfg: ExperimentConfig):
+def run_average(cfg: argparse.Namespace):
     """Monte-Carlo estimate against the analytic average fidelity."""
     rng, setup = _resolve_setup(cfg)
     result = monte_carlo_fidelity(setup, cfg.samples, rng)
-    row = dict.fromkeys(REPORT_COLUMNS)
-    row.update(_context(cfg))
-    row.update(
-        quantity="average_fidelity",
-        label=result.special_case.value,
-        analytic=result.analytic,
-        mc_mean=result.monte_carlo_mean,
-        mc_stderr=result.monte_carlo_stderr,
-        samples=result.samples,
+    row = _row(
+        cfg, REPORT_COLUMNS, quantity="average_fidelity", label=result.special_case.value,
+        analytic=result.analytic, mc_mean=result.monte_carlo_mean,
+        mc_stderr=result.monte_carlo_stderr, samples=result.samples,
     )
-    return (0 if result.within_statistical_bound(4.0) else 1), [row]
+    return (0 if result.within_statistical_bound() else 1), [row]
 
 
 _RUNNERS = {
@@ -413,18 +366,18 @@ def render_json(meta: dict, columns, rows) -> str:
     )
 
 
-def _build_meta(cfg: ExperimentConfig) -> dict:
+def _build_meta(cfg: argparse.Namespace) -> dict:
     meta = {
         "command": cfg.command,
         "version": __version__,
         "d": cfg.d,
-        "basis": cfg.basis_kind,
-        "shared": cfg.shared_kind,
+        "basis": cfg.basis,
+        "shared": cfg.shared,
         "samples": cfg.samples,
         "seed": cfg.seed,
         "tolerance": cfg.tolerance,
     }
-    if cfg.timestamp:
+    if not cfg.no_timestamp:
         meta["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     return meta
 
@@ -479,7 +432,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     meta = _build_meta(cfg)
-    text = render_csv(meta, columns, rows) if cfg.fmt == "csv" else render_json(meta, columns, rows)
+    text = render_csv(meta, columns, rows) if cfg.format == "csv" else render_json(meta, columns, rows)
     if cfg.out:
         try:
             with open(cfg.out, "w", encoding="utf-8", newline="") as handle:

@@ -21,11 +21,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
 
-from .choi import BipartiteState
+from .choi import BipartiteState, schmidt_shape
 from .errors import ConfigurationError, DimensionError
 from .linalg import as_square_matrix
 from .teleport import TeleportSetup, state_fidelity_batch
@@ -37,7 +38,10 @@ from .tolerances import CLOSED_FORM_GAP_PER_DIM
 # kernel bounds its own working memory inside a block.
 _CHUNK = 20000
 
-_MIN_SAMPLES = 100
+MIN_SAMPLES = 100
+
+_N_SIGMA = 4.0
+_SLACK = 1e-9
 
 
 def haar_state(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -57,6 +61,13 @@ def haar_states(dim: int, count: int, rng: np.random.Generator) -> np.ndarray:
         raise ValueError("count must be nonnegative")
     z = rng.standard_normal((count, dim)) + 1j * rng.standard_normal((count, dim))
     return z / np.linalg.norm(z, axis=1, keepdims=True)
+
+
+def _haar_blocks(dim: int, samples: int, rng: np.random.Generator, per_block):
+    """``per_block`` of each ``_CHUNK``-state block of the ``samples`` Haar draws;
+    only results leave, so a block is freed before the next is drawn."""
+    for start in range(0, samples, _CHUNK):
+        yield per_block(haar_states(dim, min(_CHUNK, samples - start), rng))
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -112,25 +123,25 @@ class AverageFidelityResult:
     monte_carlo_stderr: Optional[float] = None
     samples: int = 0
 
-    def within_statistical_bound(self, n_sigma: float = 4.0, *, slack: float = 1e-9) -> bool:
-        """Whether the estimate sits within ``n_sigma`` standard errors
-        of the analytic value (plus an absolute slack for the
-        zero-variance ideal case)."""
+    def within_statistical_bound(self) -> bool:
+        """Whether the estimate sits within ``_N_SIGMA`` standard errors of the
+        analytic value, plus ``_SLACK`` for the zero-variance ideal case."""
         if self.monte_carlo_mean is None or self.monte_carlo_stderr is None:
             return True
         gap = abs(self.analytic - self.monte_carlo_mean)
-        return gap <= n_sigma * self.monte_carlo_stderr + slack
+        return gap <= _N_SIGMA * self.monte_carlo_stderr + _SLACK
 
 
 def _detect_special_case(setup: TeleportSetup) -> SpecialCase:
-    profile = setup.singular_value_profile
-    if profile.basis_maxent and profile.shared_maxent:
+    shared_flat, shared_rank = schmidt_shape(setup.shared.schmidt_coefficients)
+    basis_flat, basis_rank_one = setup.basis.element_shape
+    if basis_flat and shared_flat:
         return SpecialCase.IDEAL
-    if profile.shared_product:
+    if shared_rank == 1:
         return SpecialCase.PRODUCT_SHARED
-    if profile.basis_product:
+    if basis_rank_one:
         return SpecialCase.PRODUCT_BASIS
-    if profile.basis_maxent:
+    if basis_flat:
         return SpecialCase.MAXENT_BASIS
     return SpecialCase.GENERAL
 
@@ -152,11 +163,11 @@ def special_case_fidelity(setup: TeleportSetup) -> tuple[SpecialCase, float]:
     """Average fidelity by the closed form of the detected structure.
 
     Falls back to the general trace-norm formula when no structure is
-    detected.  Always agrees with :func:`average_fidelity_analytic` to
-    rounding; disagreement would mean a broken closed form.  Detection
-    and the maximally-entangled-basis form read the setup's cached
-    singular-value profile, so after the first detection on a setup they
-    run no further SVDs.
+    detected.  Agrees with :func:`average_fidelity_analytic` within
+    :func:`closed_form_gap_bound`.  A maximally entangled basis gives
+    Horodecki's (d f + 1)/(d + 1), f = ||C||_1^2 / d.  Detection reads the
+    cached ``shared.schmidt_coefficients`` and ``basis.element_shape``, so
+    no resource or basis is decomposed twice, whichever setups share it.
     """
     d = setup.local_dim
     case = _detect_special_case(setup)
@@ -165,7 +176,7 @@ def special_case_fidelity(setup: TeleportSetup) -> tuple[SpecialCase, float]:
     if case in (SpecialCase.PRODUCT_SHARED, SpecialCase.PRODUCT_BASIS):
         return case, 2.0 / (d + 1)
     if case is SpecialCase.MAXENT_BASIS:
-        shared_trace_norm = float(np.sum(setup.singular_value_profile.schmidt_coefficients))
+        shared_trace_norm = float(np.sum(setup.shared.schmidt_coefficients))
         return case, (1.0 + shared_trace_norm**2) / (d + 1)
     return case, average_fidelity_analytic(setup).analytic
 
@@ -203,15 +214,14 @@ def monte_carlo_fidelity(
     catastrophically, so a setup whose fidelity is the same for every
     input reports a standard error at rounding level, not 1e-10.
     """
-    if samples < _MIN_SAMPLES:
-        raise ConfigurationError(f"need at least {_MIN_SAMPLES} samples, got {samples}")
-    d = setup.local_dim
+    if samples < MIN_SAMPLES:
+        raise ConfigurationError(f"need at least {MIN_SAMPLES} samples, got {samples}")
     total = 0.0
     sq_dev = 0.0
     drawn = 0
-    while drawn < samples:
-        block = min(samples - drawn, _CHUNK)
-        fids = state_fidelity_batch(haar_states(d, block, rng), setup)
+    kernel = partial(state_fidelity_batch, setup=setup)
+    for fids in _haar_blocks(setup.local_dim, samples, rng, kernel):
+        block = len(fids)
         block_total = float(fids.sum())
         block_mean = block_total / block
         block_sq_dev = float(np.sum((fids - block_mean) ** 2))
@@ -245,11 +255,5 @@ def classical_baseline(dim: int, samples: int, rng: np.random.Generator) -> floa
         raise DimensionError("the baseline needs dimension at least 2")
     if samples < 1:
         raise ConfigurationError("need at least one sample")
-    total = 0.0
-    remaining = samples
-    while remaining > 0:
-        block = min(remaining, _CHUNK)
-        psis = haar_states(dim, block, rng)
-        total += float(np.sum(np.abs(psis) ** 4))
-        remaining -= block
+    total = sum(_haar_blocks(dim, samples, rng, lambda psis: float(np.sum(np.abs(psis) ** 4))))
     return total / samples

@@ -13,8 +13,8 @@ import numpy as np
 from .errors import DimensionError, NormalizationError
 from .tolerances import NORMALIZATION_TOL
 
-# Tensor products beyond this total element count are refused rather
-# than attempted; dense storage is the whole point of this package.
+# Tensor products and setups beyond this total element count are refused
+# rather than attempted; dense storage is the whole point of this package.
 _MAX_ELEMENTS = 1 << 26
 
 
@@ -57,11 +57,11 @@ def normalize_state(vector) -> np.ndarray:
     return v / norm
 
 
-def require_normalized(vector, tol: float = NORMALIZATION_TOL, what: str = "state") -> np.ndarray:
-    """Validate that ``vector`` has unit norm within ``tol``."""
+def require_normalized(vector, what: str = "state") -> np.ndarray:
+    """Validate that ``vector`` has unit norm within ``NORMALIZATION_TOL``."""
     v = as_state(vector)
     norm = np.linalg.norm(v)
-    if abs(norm - 1.0) > tol:
+    if abs(norm - 1.0) > NORMALIZATION_TOL:
         raise NormalizationError(f"{what} must be normalized: |norm - 1| = {abs(norm - 1.0):.3e}")
     return v
 
@@ -114,6 +114,15 @@ def operator_abs(matrix) -> np.ndarray:
     return _abs_from_svd(s, vh)
 
 
+def require_dense_size(entries: int, what: str) -> None:
+    """Refuse ``what`` when it needs more than ``_MAX_ELEMENTS`` complex entries."""
+    if entries > _MAX_ELEMENTS:
+        raise DimensionError(
+            f"{what} needs {entries:,} complex entries ({16 * entries / 2**30:.1f} GiB), "
+            f"over the dense size limit of {_MAX_ELEMENTS:,}"
+        )
+
+
 def tensor_product(a, b) -> np.ndarray:
     """Kronecker product with row-major index convention.
 
@@ -122,9 +131,5 @@ def tensor_product(a, b) -> np.ndarray:
     """
     ma = as_matrix(a)
     mb = as_matrix(b)
-    elements = ma.shape[0] * ma.shape[1] * mb.shape[0] * mb.shape[1]
-    if elements > _MAX_ELEMENTS:
-        raise DimensionError(
-            f"tensor product of shapes {ma.shape} and {mb.shape} exceeds the dense size limit"
-        )
+    require_dense_size(ma.size * mb.size, f"tensor product of shapes {ma.shape} and {mb.shape}")
     return np.kron(ma, mb)

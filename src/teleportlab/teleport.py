@@ -20,14 +20,13 @@ polar factor of T_xi, leaving |T_xi| psi (normalized).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .bases import BasisStructureError, OperatorBasis, validate_basis
-from .choi import BipartiteState, schmidt_shape
+from .choi import BipartiteState
 from .errors import DimensionError
-from .linalg import as_state, dagger, operator_abs, polar_decompose, require_normalized
+from .linalg import as_state, dagger, operator_abs, polar_decompose, require_dense_size, require_normalized
 from .tolerances import ZERO_OUTCOME_TOL
 
 # Bytes of vec(|psi><psi|) that state_fidelity_batch forms at once.
@@ -36,23 +35,9 @@ _BLOCK_BYTES = 1 << 20
 # Completeness trials run by build_setup's basis check.
 _VALIDATION_TRIALS = 4
 
-
-@dataclass(frozen=True)
-class SingularValueProfile:
-    """Rank and flatness facts about a setup's resource and basis.
-
-    ``schmidt_coefficients`` are the singular values of the resource's
-    operator form, descending.  ``shared_maxent`` and ``shared_product``
-    are :func:`~teleportlab.choi.schmidt_shape`'s flat and rank-one verdicts
-    on the resource; ``basis_maxent`` and ``basis_product`` hold when they
-    hold for every basis element.  These select the closed forms of E(F).
-    """
-
-    schmidt_coefficients: np.ndarray
-    shared_maxent: bool
-    shared_product: bool
-    basis_maxent: bool
-    basis_product: bool
+# Complex d^4-entry stacks live at a setup's peak: elements, T_xi, |T_xi| and a
+# temporary (traced peaks of the CLI commands at d = 16 and 24: 3.0-4.3 stacks).
+_PEAK_STACKS = 4
 
 
 @dataclass(frozen=True)
@@ -62,8 +47,8 @@ class TeleportSetup:
 
     ``transfer_ops[xi]`` is T_xi; ``transfer_abs[xi]`` caches |T_xi|,
     which drives both the optimal correction and every fidelity formula.
-    For a normalized resource, sum_xi Tr(T_xi^dag T_xi) = d.
-    ``singular_value_profile`` is computed on first use and then kept.
+    For a normalized resource, sum_xi Tr(T_xi^dag T_xi) = d.  Rank and
+    flatness are cached on ``shared`` and ``basis``, which they describe.
     """
 
     local_dim: int
@@ -71,34 +56,6 @@ class TeleportSetup:
     basis: OperatorBasis
     transfer_ops: np.ndarray
     transfer_abs: np.ndarray
-
-    @cached_property
-    def singular_value_profile(self) -> SingularValueProfile:
-        """The :class:`SingularValueProfile` of this setup.
-
-        One SVD of the resource, then one per basis element in xi order,
-        stopping at the first element that shows the basis is neither all
-        maximally entangled nor all rank one; so a generic custom basis
-        costs one or two SVDs, not d^2.  Lazy, because only special-case
-        detection needs it.
-        """
-        schmidt = np.linalg.svd(self.shared.operator_form, compute_uv=False)
-        schmidt.setflags(write=False)
-        shared_flat, shared_rank = schmidt_shape(schmidt)
-        all_flat = all_rank_one = True
-        for el in self.basis.elements:
-            flat, rank = schmidt_shape(np.linalg.svd(el, compute_uv=False))
-            all_flat &= flat
-            all_rank_one &= rank == 1
-            if not (all_flat or all_rank_one):
-                break
-        return SingularValueProfile(
-            schmidt_coefficients=schmidt,
-            shared_maxent=shared_flat,
-            shared_product=shared_rank == 1,
-            basis_maxent=all_flat,
-            basis_product=all_rank_one,
-        )
 
 
 @dataclass(frozen=True)
@@ -120,19 +77,26 @@ class TeleportOutcome:
     conditional_fidelity: float
 
 
+def require_setup_fits(local_dim: int) -> None:
+    """Raise :class:`DimensionError`, giving the estimate, when a setup's peak
+    of ``_PEAK_STACKS`` complex d^4-entry stacks exceeds the dense size limit."""
+    require_dense_size(_PEAK_STACKS * local_dim**4, f"a setup for d = {local_dim} at peak")
+
+
 def build_setup(shared: BipartiteState, basis: OperatorBasis, *,
                 validate: bool = True) -> TeleportSetup:
     """Derive the transfer operators for a resource state and basis.
 
-    The basis is validated first (skippable for bases already known
-    good); an invalid basis raises :class:`BasisStructureError` naming
-    the violated relation.
+    :func:`require_setup_fits` and the basis check (skippable for bases
+    known good) run before the transfer stack is allocated; an invalid
+    basis raises :class:`BasisStructureError` naming the relation.
     """
     if shared.local_dim != basis.local_dim:
         raise DimensionError(
             f"shared state dimension {shared.local_dim} does not match "
             f"basis dimension {basis.local_dim}"
         )
+    require_setup_fits(shared.local_dim)
     require_normalized(shared.vector, what="shared state")
     if validate:
         report = validate_basis(basis, trials=_VALIDATION_TRIALS)
@@ -177,11 +141,16 @@ def verify_identity(psi, setup: TeleportSetup) -> float:
     return float(np.linalg.norm(lhs - rhs))
 
 
-def outcome_probabilities(psi, setup: TeleportSetup) -> np.ndarray:
-    """p(xi | psi) = ||T_xi psi||^2 for every outcome; sums to 1."""
+def _input_state(psi, setup: TeleportSetup) -> np.ndarray:
     v = require_normalized(psi, what="input state")
     if v.size != setup.local_dim:
         raise DimensionError(f"input state must have dimension {setup.local_dim}")
+    return v
+
+
+def outcome_probabilities(psi, setup: TeleportSetup) -> np.ndarray:
+    """p(xi | psi) = ||T_xi psi||^2 for every outcome; sums to 1."""
+    v = _input_state(psi, setup)
     amplitudes = setup.transfer_ops @ v
     return np.einsum("xi,xi->x", amplitudes.conj(), amplitudes).real
 
@@ -200,9 +169,7 @@ def optimal_correction(transfer) -> np.ndarray:
 
 def realize_outcome(psi, setup: TeleportSetup, xi: int) -> TeleportOutcome:
     """Construct the full outcome record for measurement result ``xi``."""
-    v = require_normalized(psi, what="input state")
-    if v.size != setup.local_dim:
-        raise DimensionError(f"input state must have dimension {setup.local_dim}")
+    v = _input_state(psi, setup)
     if not 0 <= xi < len(setup.basis):
         raise DimensionError(f"outcome index {xi} out of range")
     t = setup.transfer_ops[xi]
@@ -275,9 +242,7 @@ def state_fidelity(psi, setup: TeleportSetup) -> float:
     each term being probability times conditional fidelity.  Evaluated
     by :func:`state_fidelity_batch` on a one-row batch.
     """
-    v = require_normalized(psi, what="input state")
-    if v.size != setup.local_dim:
-        raise DimensionError(f"input state must have dimension {setup.local_dim}")
+    v = _input_state(psi, setup)
     return float(state_fidelity_batch(v[None, :], setup)[0])
 
 

@@ -1,9 +1,9 @@
 """Default numerical tolerances.
 
 Chosen with double precision headroom for local dimensions up to a few
-dozen.  Operations that gate on a tolerance take these as defaults and
-accept overrides, except the rank and flatness rule, which has one form
-so that every classification agrees.
+dozen.  Library checks read these directly and take no overrides, so
+that every check and classification agrees; only the CLI's gates
+accept ``--tolerance``.
 """
 
 # State vectors must have unit Euclidean norm within this bound.

@@ -9,6 +9,7 @@ import pytest
 
 import oracles
 from teleportlab import (
+    DimensionError,
     basis_state,
     bell_basis,
     build_setup,
@@ -19,6 +20,8 @@ from teleportlab import (
 )
 from teleportlab import cli, teleport
 from teleportlab.cli import (
+    build_parser,
+    config_from_namespace,
     load_basis_file,
     load_state_file,
     main,
@@ -398,6 +401,18 @@ def test_unusable_configurations_exit_2(args, capsys):
     code = main(args + ["--no-timestamp"])
     capsys.readouterr()
     assert code == 2
+
+
+def test_oversized_dimension_is_refused_with_its_estimate():
+    # main exits 2 on a DimensionError from config_from_namespace, which runs
+    # before any basis or resource is built.  The refusal is checked on the
+    # config step alone, so that a missing guard cannot allocate gigabytes.
+    ns = build_parser().parse_args(["fidelity", "--d", "101", "--no-timestamp"])
+    with pytest.raises(DimensionError, match=r"d = 101 at peak needs 416,241,604 complex entries \(6\.2 GiB\)"):
+        config_from_namespace(ns)
+    ns = build_parser().parse_args(["fidelity", "--d", "32"])
+    assert config_from_namespace(ns) is ns
+    assert ns.samples == 0
 
 
 def test_missing_file_exits_2(capsys):

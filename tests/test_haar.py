@@ -11,6 +11,7 @@ from teleportlab import (
     DimensionError,
     SpecialCase,
     BipartiteState,
+    analyze_entanglement,
     average_fidelity_analytic,
     basis_state,
     bell_basis,
@@ -195,10 +196,7 @@ def test_detected_cases_agree_with_general_formula():
         assert value == pytest.approx(average_fidelity_analytic(setup).analytic, abs=1e-12)
 
 
-def test_fidelity_command_runs_each_svd_once(monkeypatch, capsys):
-    # d = 2, Bell basis, Haar resource: 4 transfer SVDs in build_setup,
-    # then 1 resource and 4 basis-element SVDs for the singular-value
-    # profile, which both routes and the closed form read.
+def _count_svds(monkeypatch) -> list:
     calls = []
     svd = np.linalg.svd
 
@@ -207,10 +205,43 @@ def test_fidelity_command_runs_each_svd_once(monkeypatch, capsys):
         return svd(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    return calls
+
+
+def test_fidelity_command_runs_each_svd_once(monkeypatch, capsys):
+    # d = 2, Bell basis, Haar resource: 4 transfer SVDs in build_setup,
+    # then 1 for the resource's Schmidt spectrum and 4 for the basis's
+    # element shape, which both routes and the closed form read.
+    calls = _count_svds(monkeypatch)
     code = main(["fidelity", "--d", "2", "--shared", "haar-random", "--no-timestamp"])
     capsys.readouterr()
     assert code == 0
     assert len(calls) == 9
+
+
+def test_setups_sharing_a_basis_decompose_its_elements_once(monkeypatch):
+    # The element shape is cached on the basis, not on each setup: two
+    # resources measured in one basis cost 2 resource SVDs and d^2 element
+    # SVDs, not 2 (1 + d^2).
+    d = 3
+    basis = bell_basis(d)
+    rng = np.random.default_rng(70)
+    setups = [build_setup(random_shared_state(d, rng), basis) for _ in range(2)]
+    calls = _count_svds(monkeypatch)
+    for setup in setups:
+        assert special_case_fidelity(setup)[0] is SpecialCase.MAXENT_BASIS
+    assert len(calls) == 2 + d * d
+
+
+def test_entanglement_report_reads_the_detected_spectrum(monkeypatch):
+    # The resource's Schmidt spectrum is cached on the state, so reporting
+    # on a setup's resource after the closed form runs no SVD.
+    setup = build_setup(random_shared_state(3, np.random.default_rng(71)), bell_basis(3))
+    special_case_fidelity(setup)
+    calls = _count_svds(monkeypatch)
+    report = analyze_entanglement(setup.shared)
+    assert calls == []
+    assert report.schmidt_coefficients is setup.shared.schmidt_coefficients
 
 
 @pytest.mark.parametrize("d", range(1, 6))

@@ -1,0 +1,99 @@
+"""Property-based checks of the paper's invariants on random setups.
+
+Setups span d in [1, 6], four kinds of resource (Haar-random, product,
+and spectra just either side of the rank-one and flat thresholds) and
+three kinds of basis (Bell, product, and a Haar rotation of Bell).  The
+search is derandomized and bounded, so every run checks the same cases.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracles
+from teleportlab import (
+    BipartiteState,
+    average_fidelity_analytic,
+    bell_basis,
+    build_setup,
+    closed_form_gap_bound,
+    haar_state,
+    haar_unitary,
+    outcome_probabilities,
+    product_basis,
+    product_state,
+    random_shared_state,
+    rotated_basis,
+    special_case_fidelity,
+    verify_identity,
+)
+
+RESOURCES = ("haar", "product", "near-product", "near-maxent")
+BASES = ("bell", "product", "rotated")
+
+bounded = settings(derandomize=True, max_examples=150, deadline=None, database=None)
+setups = st.tuples(
+    st.integers(1, 6),
+    st.sampled_from(RESOURCES),
+    st.sampled_from(BASES),
+    st.floats(0.5, 2.0),  # tail or spread in units of RANK_TOL, either side of 1
+    st.integers(0, 2**32 - 1),
+)
+
+
+def _resource(kind, d, k, rng):
+    if kind == "haar":
+        return random_shared_state(d, rng)
+    if kind == "product":
+        return product_state(oracles.random_complex(rng, d), oracles.random_complex(rng, d))
+    if kind == "near-product":
+        spectrum = np.full(d, k * oracles.RANK_TOL)
+        spectrum[0] = 1.0
+    else:
+        spectrum = np.linspace(1.0, 1.0 - k * oracles.RANK_TOL, d)
+    u, v = oracles.random_unitary(rng, d), oracles.random_unitary(rng, d)
+    return BipartiteState.from_operator(u @ np.diag(spectrum) @ v, normalize=True)
+
+
+def _basis(kind, d, rng):
+    if kind == "bell":
+        return bell_basis(d)
+    if kind == "product":
+        return product_basis(d)
+    return rotated_basis(bell_basis(d), haar_unitary(d * d, rng))
+
+
+def _build(params):
+    d, resource, basis, k, seed = params
+    rng = np.random.default_rng(seed)
+    return build_setup(_resource(resource, d, k, rng), _basis(basis, d, rng)), rng
+
+
+@bounded
+@given(setups)
+def test_protocol_invariants(params):
+    setup, rng = _build(params)
+    d = setup.local_dim
+    psi = haar_state(d, rng)
+    assert verify_identity(psi, setup) <= 1e-12
+    assert abs(outcome_probabilities(psi, setup).sum() - 1.0) <= 1e-12
+    # sum_xi Tr(T_xi^dag T_xi) = d for a normalized resource
+    assert abs(np.vdot(setup.transfer_ops, setup.transfer_ops).real - d) <= 1e-12 * d
+
+
+@bounded
+@given(setups)
+def test_average_fidelity_bracket_and_closed_forms(params):
+    setup, _ = _build(params)
+    d = setup.local_dim
+    analytic = average_fidelity_analytic(setup).analytic
+    assert 2 / (d + 1) - 1e-12 <= analytic <= 1 + 1e-12
+    case, closed = special_case_fidelity(setup)
+    assert abs(analytic - closed) <= closed_form_gap_bound(d)
+    assert case.value == oracles.special_case_label(setup.basis.elements, setup.shared.operator_form)
+    if params[2] == "bell" or d == 1:
+        # Horodecki^3 (PRA 60, 1888, 1999): for a maximally entangled basis,
+        # E(F) = (d f + 1) / (d + 1) with f = ||C||_1^2 / d.
+        trace_norm = np.linalg.svd(setup.shared.operator_form, compute_uv=False).sum()
+        f = trace_norm**2 / d
+        assert abs(analytic - (d * f + 1) / (d + 1)) <= 1e-12

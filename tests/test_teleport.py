@@ -14,6 +14,7 @@ from teleportlab import (
     OperatorBasis,
     BipartiteState,
     EntanglementClass,
+    SpecialCase,
     TeleportOutcome,
     analyze_entanglement,
     basis_state,
@@ -30,10 +31,12 @@ from teleportlab import (
     realize_outcome,
     rotated_basis,
     sample_outcome,
+    special_case_fidelity,
     state_fidelity,
     state_fidelity_batch,
     verify_identity,
 )
+from teleportlab import linalg, teleport
 from teleportlab.teleport import _BLOCK_BYTES
 
 
@@ -66,18 +69,36 @@ def _straddling_spectra(d):
 
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_profile_flags_agree_with_entanglement_classification(d):
-    # One rule for resources and basis elements: the profile's flags for a
-    # resource with spectrum s, and for a basis whose elements all have
-    # spectrum s, equal analyze_entanglement's verdict on that spectrum.
-    # (Only the flags are compared; the elements need not be orthonormal.)
+    # One rule for resources and basis elements.  A basis whose elements all
+    # have spectrum s has analyze_entanglement's flat and rank-one verdicts
+    # on s as its element_shape (the elements need not be orthonormal); a
+    # resource with spectrum s, measured in the Bell basis, is labelled ideal
+    # iff flat, product-shared iff rank one, and maxent-basis otherwise.
     for s in _straddling_spectra(d):
         state = BipartiteState.from_operator(np.diag(s.astype(complex)), normalize=True)
         report = analyze_entanglement(state)
         flat = report.classification is EntanglementClass.MAXIMALLY_ENTANGLED
-        basis = custom_basis([state.operator_form] * (d * d))
-        profile = build_setup(state, basis, validate=False).singular_value_profile
-        assert (profile.shared_maxent, profile.shared_product) == (flat, report.rank == 1)
-        assert (profile.basis_maxent, profile.basis_product) == (flat, report.rank == 1)
+        rank_one = report.rank == 1
+        assert custom_basis([state.operator_form] * (d * d)).element_shape == (flat, rank_one)
+        case, _ = special_case_fidelity(build_setup(state, bell_basis(d), validate=False))
+        assert (case is SpecialCase.IDEAL) == flat
+        assert (case is SpecialCase.PRODUCT_SHARED) == rank_one
+        assert (case is SpecialCase.MAXENT_BASIS) == (not flat and not rank_one)
+
+
+def test_build_setup_refuses_a_setup_over_the_dense_size_limit(monkeypatch):
+    # Four d^4-entry stacks at d = 4 are 1,024 entries.  Over a limit of
+    # 1,000 the setup is refused before the basis check and the transfer
+    # stack; at a limit of 1,024 it is built.
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the size guard must run first")
+
+    monkeypatch.setattr(linalg, "_MAX_ELEMENTS", 1000)
+    monkeypatch.setattr(teleport, "validate_basis", unreachable)
+    with pytest.raises(DimensionError, match="a setup for d = 4 at peak needs 1,024 complex"):
+        build_setup(maximally_entangled_state(4), bell_basis(4))
+    monkeypatch.setattr(linalg, "_MAX_ELEMENTS", 1024)
+    assert build_setup(maximally_entangled_state(4), bell_basis(4), validate=False).local_dim == 4
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
