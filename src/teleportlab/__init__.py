@@ -49,7 +49,6 @@ from .choi import (
     vec_to_op,
 )
 from .bases import (
-    BasisKind,
     BasisValidationReport,
     OperatorBasis,
     bell_basis,
@@ -99,8 +98,8 @@ __all__ = [
     "component_overlap", "hs_inner", "maximally_entangled_state", "op_to_vec",
     "product_state", "reduced_states", "schmidt_shape", "vec_to_op",
     # bases
-    "BasisKind", "BasisValidationReport", "OperatorBasis", "bell_basis", "custom_basis",
-    "product_basis", "rotated_basis", "validate_basis",
+    "BasisValidationReport", "OperatorBasis", "bell_basis", "custom_basis", "product_basis",
+    "rotated_basis", "validate_basis",
     # teleport
     "TeleportOutcome", "TeleportSetup", "build_setup", "enumerate_outcomes",
     "optimal_correction", "outcome_probabilities", "realize_outcome", "sample_outcome",

@@ -13,7 +13,6 @@ arbitrary custom bases and a numerical validator.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -22,7 +21,7 @@ import numpy as np
 
 from .choi import schmidt_shape
 from .errors import BasisStructureError, DimensionError
-from .linalg import as_square_matrix
+from .linalg import as_square_matrix, read_only, require_dense_size
 from .tolerances import BASIS_TOL
 
 # Seed of the completeness spot check's generator, so that validation is
@@ -30,28 +29,23 @@ from .tolerances import BASIS_TOL
 _VALIDATION_SEED = 0x0B5E5
 
 
-class BasisKind(enum.Enum):
-    BELL = "bell"
-    PRODUCT = "product"
-    CUSTOM = "custom"
-
-
 @dataclass(frozen=True)
 class OperatorBasis:
     """Ordered family of d^2 operators indexed by xi = j * d + k.
 
     ``elements`` has shape (d^2, d, d); ``elements[xi]`` is the operator
-    form of the xi-th measurement vector.
+    form of the xi-th measurement vector.  It is read-only, a writable input
+    being copied, so the cached element shape cannot go stale.
     """
 
     local_dim: int
     elements: np.ndarray
-    kind: BasisKind = BasisKind.CUSTOM
 
     def __post_init__(self):
         d = self.local_dim
         if d < 1:
             raise DimensionError("local dimension must be at least 1")
+        object.__setattr__(self, "elements", read_only(self.elements))
         if self.elements.shape != (d * d, d, d):
             raise BasisStructureError(
                 f"a basis for local dimension {d} needs {d * d} elements of shape "
@@ -72,7 +66,7 @@ class OperatorBasis:
     def element_shape(self) -> tuple[bool, bool]:
         """Cached ``(all_flat, all_rank_one)`` by :func:`~teleportlab.choi.schmidt_shape`:
         one SVD per element in xi order, stopping at the first that shows the
-        basis is neither.  Measured, since any elements may carry any ``kind``."""
+        basis is neither."""
         all_flat = all_rank_one = True
         for el in self.elements:
             flat, rank = schmidt_shape(np.linalg.svd(el, compute_uv=False))
@@ -98,6 +92,7 @@ def bell_basis(local_dim: int) -> OperatorBasis:
     d = local_dim
     if d < 1:
         raise DimensionError("local dimension must be at least 1")
+    require_dense_size(d**4, f"a basis for d = {d}")
     a = np.arange(d)
     elements = np.zeros((d * d, d, d), dtype=complex)
     for j in range(d):
@@ -106,7 +101,7 @@ def bell_basis(local_dim: int) -> OperatorBasis:
             phases = np.exp(2j * np.pi * k * a / d) / np.sqrt(d)
             elements[j * d + k][a, cols] = phases
     elements.setflags(write=False)
-    return OperatorBasis(local_dim=d, elements=elements, kind=BasisKind.BELL)
+    return OperatorBasis(local_dim=d, elements=elements)
 
 
 def product_basis(local_dim: int) -> OperatorBasis:
@@ -114,9 +109,10 @@ def product_basis(local_dim: int) -> OperatorBasis:
     d = local_dim
     if d < 1:
         raise DimensionError("local dimension must be at least 1")
+    require_dense_size(d**4, f"a basis for d = {d}")
     elements = np.eye(d * d, dtype=complex).reshape(d * d, d, d)
     elements.setflags(write=False)
-    return OperatorBasis(local_dim=d, elements=elements, kind=BasisKind.PRODUCT)
+    return OperatorBasis(local_dim=d, elements=elements)
 
 
 def custom_basis(elements, local_dim: Optional[int] = None) -> OperatorBasis:
@@ -125,12 +121,15 @@ def custom_basis(elements, local_dim: Optional[int] = None) -> OperatorBasis:
     Run :func:`validate_basis` (or build a teleportation setup, which
     does) before trusting the result.
     """
-    arr = np.array([as_square_matrix(e) for e in elements], dtype=complex)
+    matrices = [as_square_matrix(e) for e in elements]
+    if len({m.shape for m in matrices}) > 1:
+        raise BasisStructureError("elements must all have the same shape")
+    arr = np.array(matrices, dtype=complex)
     if arr.ndim != 3:
         raise BasisStructureError("elements must be a sequence of square matrices")
     d = local_dim if local_dim is not None else arr.shape[1]
     arr.setflags(write=False)
-    return OperatorBasis(local_dim=d, elements=arr, kind=BasisKind.CUSTOM)
+    return OperatorBasis(local_dim=d, elements=arr)
 
 
 def rotated_basis(basis: OperatorBasis, rotation: np.ndarray) -> OperatorBasis:
@@ -149,7 +148,7 @@ def rotated_basis(basis: OperatorBasis, rotation: np.ndarray) -> OperatorBasis:
     d = basis.local_dim
     elements = (basis.vectors() @ w.T).reshape(n, d, d)
     elements.setflags(write=False)
-    return OperatorBasis(local_dim=d, elements=elements, kind=BasisKind.CUSTOM)
+    return OperatorBasis(local_dim=d, elements=elements)
 
 
 @dataclass(frozen=True)
@@ -160,15 +159,17 @@ class BasisValidationReport:
     Hilbert-Schmidt Gram matrix from the identity (checked exhaustively).
     ``completeness_residual`` is the largest entrywise deviation of
     sum_xi B_xi^dag A B_xi from Tr(A) * identity over the seeded random
-    trial matrices A.  Both residuals are gated against the same
-    ``tolerance``; orthonormality is reported first when both fail.
+    trial matrices A.  Both residuals are gated against ``BASIS_TOL``;
+    ``failed_relation`` names orthonormality first when both fail.
     """
 
-    passed: bool
     orthonormality_residual: float
     completeness_residual: float
     failed_relation: Optional[str]
-    tolerance: float
+
+    @property
+    def passed(self) -> bool:
+        return self.failed_relation is None
 
 
 def validate_basis(basis: OperatorBasis, trials: int = 8) -> BasisValidationReport:
@@ -211,9 +212,7 @@ def validate_basis(basis: OperatorBasis, trials: int = 8) -> BasisValidationRepo
     elif comp_residual > BASIS_TOL:
         failed = "completeness"
     return BasisValidationReport(
-        passed=failed is None,
         orthonormality_residual=orth_residual,
         completeness_residual=comp_residual,
         failed_relation=failed,
-        tolerance=BASIS_TOL,
     )

@@ -16,9 +16,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionError, NormalizationError
-from .linalg import as_square_matrix, as_state, dagger, normalize_state
-from .tolerances import NORMALIZATION_TOL, RANK_TOL
+from .errors import DimensionError
+from .linalg import as_square_matrix, as_state, dagger, normalize_state, read_only, require_normalized
+from .tolerances import RANK_TOL
 
 
 def vec_to_op(vector, local_dim: int) -> np.ndarray:
@@ -80,32 +80,27 @@ class EntanglementClass(enum.Enum):
 class BipartiteState:
     """Normalized pure state of two d-level systems.
 
-    Fields:
-        local_dim: dimension d of each factor.
-        vector: length d^2 amplitude vector.
-        operator_form: the same amplitudes as a d x d matrix,
-            ``operator_form[j, k] == vector[j * d + k]`` exactly.
+    ``vector`` is the read-only length d^2 amplitude vector; a writable
+    input is copied, so the cached Schmidt spectrum cannot go stale.
     """
 
-    local_dim: int
     vector: np.ndarray
-    operator_form: np.ndarray
 
     def __post_init__(self):
-        d = self.local_dim
-        if d < 1:
-            raise DimensionError("local dimension must be at least 1")
-        if self.vector.shape != (d * d,):
-            raise DimensionError(f"vector must have length {d * d}")
-        if self.operator_form.shape != (d, d):
-            raise DimensionError(f"operator form must be {d} x {d}")
-        if not np.array_equal(self.operator_form, self.vector.reshape(d, d)):
-            raise ValueError("operator form disagrees with the amplitude vector")
-        norm = np.linalg.norm(self.vector)
-        if abs(norm - 1.0) > NORMALIZATION_TOL:
-            raise NormalizationError(
-                f"bipartite state must be normalized: |norm - 1| = {abs(norm - 1.0):.3e}"
-            )
+        v = as_state(self.vector)
+        if math.isqrt(v.size) ** 2 != v.size:
+            raise DimensionError(f"vector length {v.size} is not a perfect square")
+        object.__setattr__(self, "vector", read_only(require_normalized(v, what="bipartite state")))
+
+    @property
+    def local_dim(self) -> int:
+        """Dimension d of each factor."""
+        return math.isqrt(self.vector.size)
+
+    @property
+    def operator_form(self) -> np.ndarray:
+        """The amplitudes as a read-only d x d view, ``operator_form[j, k] == vector[j * d + k]``."""
+        return self.vector.reshape(self.local_dim, -1)
 
     @cached_property
     def schmidt_coefficients(self) -> np.ndarray:
@@ -122,13 +117,7 @@ class BipartiteState:
         With ``normalize=True`` the input is rescaled to unit norm;
         otherwise it must already be normalized.
         """
-        v = normalize_state(vector) if normalize else as_state(vector).copy()
-        d = math.isqrt(v.size)
-        if d * d != v.size:
-            raise DimensionError(f"vector length {v.size} is not a perfect square")
-        v.setflags(write=False)
-        op = v.reshape(d, d)
-        return cls(local_dim=d, vector=v, operator_form=op)
+        return cls(normalize_state(vector) if normalize else vector)
 
     @classmethod
     def from_operator(cls, operator, *, normalize: bool = False) -> "BipartiteState":
@@ -237,6 +226,3 @@ def reduced_states(state: BipartiteState) -> tuple[np.ndarray, np.ndarray]:
 def _require_state(state: BipartiteState) -> None:
     if not isinstance(state, BipartiteState):
         raise TypeError("expected a BipartiteState")
-    norm = np.linalg.norm(state.vector)
-    if abs(norm - 1.0) > NORMALIZATION_TOL:
-        raise NormalizationError("bipartite state is not normalized")

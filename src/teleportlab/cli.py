@@ -81,6 +81,8 @@ def config_from_namespace(ns: argparse.Namespace) -> argparse.Namespace:
         raise ConfigurationError("--seed must fit in an unsigned 64-bit integer")
     if ns.tolerance <= 0:
         raise ConfigurationError("--tolerance must be positive")
+    if not np.isfinite(ns.tolerance):
+        raise ConfigurationError("--tolerance must be finite")
     if ns.samples is None:
         ns.samples = _default_samples(ns.command, ns.d)
     if ns.samples < 0:
@@ -106,7 +108,17 @@ def _parse_complex_pairs(values, what: str) -> np.ndarray:
         raise ConfigurationError(f"{what}: entries must be [re, im] pairs ({exc})") from None
     if arr.ndim < 2 or arr.shape[-1] != 2:
         raise ConfigurationError(f"{what}: entries must be [re, im] pairs")
+    if not np.all(np.isfinite(arr)):
+        raise ConfigurationError(f"{what}: entries must be finite")
     return arr[..., 0] + 1j * arr[..., 1]
+
+
+def _file_dim(data: dict, path: str) -> int:
+    # A JSON integer only: int() would truncate 2.5 and accept true as 1.
+    d = data["d"]
+    if type(d) is not int or d < 1:
+        raise ConfigurationError(f"{path}: d must be an integer of at least 1, got {json.dumps(d)}")
+    return d
 
 
 def _load_json(path: str) -> dict:
@@ -126,7 +138,7 @@ def load_state_file(path: str) -> tuple[int, np.ndarray]:
     """Read a state file; returns (d, amplitudes) without normalizing."""
     data = _load_json(path)
     try:
-        d = int(data["d"])
+        d = _file_dim(data, path)
         amplitudes = _parse_complex_pairs(data["amplitudes"], path)
     except KeyError as exc:
         raise ConfigurationError(f"{path}: missing key {exc}") from None
@@ -149,7 +161,7 @@ def load_basis_file(path: str) -> OperatorBasis:
     """Read a basis file into an unvalidated custom basis."""
     data = _load_json(path)
     try:
-        d = int(data["d"])
+        d = _file_dim(data, path)
         raw = data["elements"]
     except KeyError as exc:
         raise ConfigurationError(f"{path}: missing key {exc}") from None

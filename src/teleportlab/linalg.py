@@ -66,6 +66,14 @@ def require_normalized(vector, what: str = "state") -> np.ndarray:
     return v
 
 
+def read_only(array: np.ndarray) -> np.ndarray:
+    """``array`` itself when it is already read-only, else a read-only copy."""
+    if array.flags.writeable:
+        array = array.copy()
+        array.setflags(write=False)
+    return array
+
+
 def basis_state(dim: int, index: int) -> np.ndarray:
     """Computational basis vector |index> in dimension ``dim``."""
     if dim < 1:

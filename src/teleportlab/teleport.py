@@ -27,7 +27,7 @@ from .bases import BasisStructureError, OperatorBasis, validate_basis
 from .choi import BipartiteState
 from .errors import DimensionError
 from .linalg import as_state, dagger, operator_abs, polar_decompose, require_dense_size, require_normalized
-from .tolerances import ZERO_OUTCOME_TOL
+from .tolerances import BASIS_TOL, ZERO_OUTCOME_TOL
 
 # Bytes of vec(|psi><psi|) that state_fidelity_batch forms at once.
 _BLOCK_BYTES = 1 << 20
@@ -51,11 +51,14 @@ class TeleportSetup:
     flatness are cached on ``shared`` and ``basis``, which they describe.
     """
 
-    local_dim: int
     shared: BipartiteState
     basis: OperatorBasis
     transfer_ops: np.ndarray
     transfer_abs: np.ndarray
+
+    @property
+    def local_dim(self) -> int:
+        return self.shared.local_dim
 
 
 @dataclass(frozen=True)
@@ -97,14 +100,13 @@ def build_setup(shared: BipartiteState, basis: OperatorBasis, *,
             f"basis dimension {basis.local_dim}"
         )
     require_setup_fits(shared.local_dim)
-    require_normalized(shared.vector, what="shared state")
     if validate:
         report = validate_basis(basis, trials=_VALIDATION_TRIALS)
         if not report.passed:
             raise BasisStructureError(
                 f"measurement basis violates {report.failed_relation}: residual "
                 f"{max(report.orthonormality_residual, report.completeness_residual):.3e} "
-                f"exceeds {report.tolerance:.1e}"
+                f"exceeds {BASIS_TOL:.1e}"
             )
     ct = shared.operator_form.T
     transfer_ops = np.matmul(ct, basis.elements.conj().transpose(0, 2, 1))
@@ -114,7 +116,6 @@ def build_setup(shared: BipartiteState, basis: OperatorBasis, *,
     transfer_ops.setflags(write=False)
     transfer_abs.setflags(write=False)
     return TeleportSetup(
-        local_dim=shared.local_dim,
         shared=shared,
         basis=basis,
         transfer_ops=transfer_ops,

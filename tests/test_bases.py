@@ -8,7 +8,6 @@ import pytest
 
 import oracles
 from teleportlab import (
-    BasisKind,
     BasisStructureError,
     BipartiteState,
     DimensionError,
@@ -21,6 +20,7 @@ from teleportlab import (
     rotated_basis,
     validate_basis,
 )
+from teleportlab import linalg
 from teleportlab.tolerances import BASIS_TOL
 
 
@@ -53,7 +53,6 @@ def test_product_element_structure():
     expected = np.zeros((2, 2))
     expected[0, 1] = 1.0  # (j, k) = (0, 1) -> |0><1|
     np.testing.assert_array_equal(basis.elements[1], expected)
-    assert basis.kind is BasisKind.PRODUCT
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -118,7 +117,6 @@ def test_rotated_basis_still_validates(d):
     rng = np.random.default_rng(23 + d)
     w = oracles.random_unitary(rng, d * d)
     rotated = rotated_basis(bell_basis(d), w)
-    assert rotated.kind is BasisKind.CUSTOM
     report = validate_basis(rotated)
     assert report.passed, report
 
@@ -214,3 +212,50 @@ def test_validate_basis_memory_is_bounded():
         tracemalloc.stop()
     assert report.passed
     assert peak - start < 40 * 2**20
+
+
+def test_cached_facts_ignore_later_writes_to_the_input_array():
+    # Reading the cache first, then writing into the array the object was
+    # built from, must leave the object agreeing with a fresh one over its
+    # own data.
+    data = bell_basis(2).elements.copy()
+    basis = OperatorBasis(local_dim=2, elements=data)
+    assert basis.element_shape == (True, False)
+    data[...] = product_basis(2).elements
+    assert basis.element_shape == OperatorBasis(local_dim=2, elements=basis.elements).element_shape
+    assert basis.element_shape == (True, False)
+
+    amplitudes = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / math.sqrt(2)
+    state = BipartiteState(amplitudes)
+    coeffs = state.schmidt_coefficients
+    amplitudes[...] = [1.0, 0.0, 0.0, 0.0]
+    fresh = BipartiteState(state.vector)
+    np.testing.assert_array_equal(coeffs, fresh.schmidt_coefficients)
+    np.testing.assert_allclose(coeffs, [1 / math.sqrt(2)] * 2, atol=1e-15)
+
+
+def test_writable_inputs_are_copied_and_read_only_ones_kept():
+    writable = bell_basis(3).elements.copy()
+    copied = OperatorBasis(local_dim=3, elements=writable).elements
+    assert copied is not writable and not copied.flags.writeable
+    np.testing.assert_array_equal(copied, writable)
+    writable.setflags(write=False)
+    assert OperatorBasis(local_dim=3, elements=writable).elements is writable
+    vector = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
+    vector.setflags(write=False)
+    assert BipartiteState(vector).vector is vector
+
+
+@pytest.mark.parametrize("make", [bell_basis, product_basis])
+def test_constructed_bases_refuse_a_stack_over_the_dense_size_limit(monkeypatch, make):
+    # d = 2 needs 16 entries: refused over a limit of 15, built at 16.
+    monkeypatch.setattr(linalg, "_MAX_ELEMENTS", 15)
+    with pytest.raises(DimensionError, match="a basis for d = 2 needs 16 complex entries"):
+        make(2)
+    monkeypatch.setattr(linalg, "_MAX_ELEMENTS", 16)
+    assert len(make(2)) == 4
+
+
+def test_custom_basis_rejects_elements_of_unequal_shape():
+    with pytest.raises(BasisStructureError, match="same shape"):
+        custom_basis([np.eye(2), np.eye(2), np.eye(2), np.eye(3)])

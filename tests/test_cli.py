@@ -485,6 +485,53 @@ def test_malformed_input_files_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+def _bell_payload(d=2):
+    return [[[[z.real, z.imag] for z in row] for row in el] for el in bell_basis(d).elements]
+
+
+_PHI_PLUS = [[0.5**0.5, 0.0], [0.0, 0.0], [0.0, 0.0], [0.5**0.5, 0.0]]
+
+
+@pytest.mark.parametrize(
+    "flag, payload",
+    [
+        # elements of unequal shape
+        ("--basis-file", {"d": 2, "elements": _bell_payload()[:3] + [[[[1.0, 0.0]] * 3] * 3]}),
+        # NaN and Infinity literals, which json.load accepts
+        ("--basis-file", {"d": 2, "elements": [[[[math.nan, 0.0]] * 2] * 2] * 4}),
+        ("--shared-file", {"d": 2, "amplitudes": [[math.inf, 0.0]] + _PHI_PLUS[1:]}),
+        ("--psi-file", {"d": 2, "amplitudes": [[math.nan, 0.0], [1.0, 0.0]]}),
+        # d that is not a JSON integer of at least 1
+        ("--shared-file", {"d": "x", "amplitudes": _PHI_PLUS}),
+        ("--basis-file", {"d": None, "elements": _bell_payload()}),
+        ("--shared-file", {"d": 2.5, "amplitudes": _PHI_PLUS}),
+        ("--basis-file", {"d": True, "elements": _bell_payload(1)}),
+    ],
+    ids=["unequal-shapes", "nan-basis", "inf-shared", "nan-psi",
+         "d-string", "d-null", "d-float", "d-bool"],
+)
+def test_malformed_file_entries_exit_2(tmp_path, capsys, flag, payload):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
+    d = "1" if payload["d"] is True else "2"
+    kind = {"--basis-file": "--basis", "--shared-file": "--shared"}.get(flag)
+    args = ["teleport", "--d", d, "--samples", "1", flag, str(path), "--no-timestamp"]
+    code = main(args + ([kind, "custom"] if kind else []))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {path}")
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [("nan", "finite"), ("inf", "finite"), ("-inf", "positive"), ("0", "positive")],
+)
+def test_tolerance_must_be_positive_and_finite(capsys, value, message):
+    code, out, err = run_cli(["verify", f"--tolerance={value}", "--no-timestamp"], capsys)
+    assert (code, out, err) == (2, "", f"error: --tolerance must be {message}\n")
+
+
 def test_unwritable_output_path_exits_2(capsys):
     code = main([
         "fidelity", "--d", "2", "--no-timestamp", "--out", "/nonexistent-dir/report.csv",

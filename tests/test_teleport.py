@@ -141,6 +141,19 @@ def test_transfer_operators_match_their_definition():
         np.testing.assert_allclose(setup.transfer_ops[xi], expected, atol=1e-15, rtol=0)
 
 
+def test_value_objects_hold_read_only_arrays():
+    # Built from writable inputs, none of the stored arrays can be written.
+    shared = BipartiteState(np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / math.sqrt(2))
+    basis = OperatorBasis(local_dim=2, elements=bell_basis(2).elements.copy())
+    setup = build_setup(shared, basis)
+    for arr in (shared.vector, shared.operator_form, basis.elements,
+                setup.transfer_ops, setup.transfer_abs):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr.flat[0] = 0.0
+    assert setup.local_dim == 2
+
+
 def test_build_setup_rejects_dimension_mismatch():
     with pytest.raises(DimensionError):
         build_setup(maximally_entangled_state(2), bell_basis(3))
