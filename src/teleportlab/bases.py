@@ -29,13 +29,15 @@ from .tolerances import BASIS_TOL
 _VALIDATION_SEED = 0x0B5E5
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OperatorBasis:
     """Ordered family of d^2 operators indexed by xi = j * d + k.
 
     ``elements`` has shape (d^2, d, d); ``elements[xi]`` is the operator
-    form of the xi-th measurement vector.  It is read-only, a writable input
-    being copied, so the cached element shape cannot go stale.
+    form of the xi-th measurement vector.  It is read-only, an input that
+    could still be written being copied (:func:`~teleportlab.linalg.read_only`),
+    so the cached element shape cannot go stale.  Bases compare and hash by
+    identity.
     """
 
     local_dim: int
@@ -64,17 +66,10 @@ class OperatorBasis:
 
     @cached_property
     def element_shape(self) -> tuple[bool, bool]:
-        """Cached ``(all_flat, all_rank_one)`` by :func:`~teleportlab.choi.schmidt_shape`:
-        one SVD per element in xi order, stopping at the first that shows the
-        basis is neither."""
-        all_flat = all_rank_one = True
-        for el in self.elements:
-            flat, rank = schmidt_shape(np.linalg.svd(el, compute_uv=False))
-            all_flat &= flat
-            all_rank_one &= rank == 1
-            if not (all_flat or all_rank_one):
-                break
-        return all_flat, all_rank_one
+        """Cached ``(all_flat, all_rank_one)`` by :func:`~teleportlab.choi.schmidt_shape`
+        over the spectra of the whole stack, from one stacked SVD."""
+        flat, rank = schmidt_shape(np.linalg.svd(self.elements, compute_uv=False))
+        return bool(flat.all()), bool((rank == 1).all())
 
 
 def bell_basis(local_dim: int) -> OperatorBasis:
@@ -93,15 +88,11 @@ def bell_basis(local_dim: int) -> OperatorBasis:
     if d < 1:
         raise DimensionError("local dimension must be at least 1")
     require_dense_size(d**4, f"a basis for d = {d}")
-    a = np.arange(d)
-    elements = np.zeros((d * d, d, d), dtype=complex)
-    for j in range(d):
-        cols = (a - j) % d
-        for k in range(d):
-            phases = np.exp(2j * np.pi * k * a / d) / np.sqrt(d)
-            elements[j * d + k][a, cols] = phases
+    j, k, a = np.ogrid[:d, :d, :d]
+    elements = np.zeros((d, d, d, d), dtype=complex)
+    elements[j, k, a, (a - j) % d] = np.exp(2j * np.pi * k * a / d) / np.sqrt(d)
     elements.setflags(write=False)
-    return OperatorBasis(local_dim=d, elements=elements)
+    return OperatorBasis(local_dim=d, elements=elements.reshape(d * d, d, d))
 
 
 def product_basis(local_dim: int) -> OperatorBasis:
@@ -110,9 +101,9 @@ def product_basis(local_dim: int) -> OperatorBasis:
     if d < 1:
         raise DimensionError("local dimension must be at least 1")
     require_dense_size(d**4, f"a basis for d = {d}")
-    elements = np.eye(d * d, dtype=complex).reshape(d * d, d, d)
-    elements.setflags(write=False)
-    return OperatorBasis(local_dim=d, elements=elements)
+    vectors = np.eye(d * d, dtype=complex)
+    vectors.setflags(write=False)
+    return OperatorBasis(local_dim=d, elements=vectors.reshape(d * d, d, d))
 
 
 def custom_basis(elements, local_dim: Optional[int] = None) -> OperatorBasis:
@@ -146,9 +137,9 @@ def rotated_basis(basis: OperatorBasis, rotation: np.ndarray) -> OperatorBasis:
     if np.max(np.abs(w.conj().T @ w - np.eye(n))) > BASIS_TOL:
         raise ValueError("rotation matrix is not unitary")
     d = basis.local_dim
-    elements = (basis.vectors() @ w.T).reshape(n, d, d)
-    elements.setflags(write=False)
-    return OperatorBasis(local_dim=d, elements=elements)
+    vectors = basis.vectors() @ w.T
+    vectors.setflags(write=False)
+    return OperatorBasis(local_dim=d, elements=vectors.reshape(n, d, d))
 
 
 @dataclass(frozen=True)

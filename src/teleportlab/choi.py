@@ -76,7 +76,7 @@ class EntanglementClass(enum.Enum):
     GENERIC = "generic"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BipartiteState:
     """Normalized pure state of two d-level systems.
 
@@ -144,7 +144,7 @@ def product_state(psi_a, psi_b) -> BipartiteState:
     return BipartiteState.from_operator(np.outer(a, b))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EntanglementReport:
     """Schmidt data of a bipartite pure state.
 
@@ -170,15 +170,16 @@ def _entropy_term(weights: np.ndarray) -> float:
     return float(-np.sum(positive * np.log(positive)))
 
 
-def schmidt_shape(coeffs: np.ndarray) -> tuple[bool, int]:
-    """The package's one rank and flatness rule, ``(flat, rank)``.
+def schmidt_shape(coeffs: np.ndarray) -> tuple[bool | np.ndarray, int | np.ndarray]:
+    """The package's one rank and flatness rule, ``(flat, rank)``, along the last axis.
 
-    For a descending spectrum: flat when s_max - s_min <= RANK_TOL * s_max;
-    rank counts the values above RANK_TOL.  Resources and basis elements
-    alike are classified by it.
+    For descending spectra: flat when s_max - s_min <= RANK_TOL * s_max; rank
+    counts the values above RANK_TOL.  It classifies resources and basis
+    elements alike, one spectrum (a ``bool`` and an ``int``) or a stack.
     """
-    flat = bool(coeffs[0] - coeffs[-1] <= RANK_TOL * coeffs[0])
-    return flat, int(np.count_nonzero(coeffs > RANK_TOL))
+    flat = coeffs[..., 0] - coeffs[..., -1] <= RANK_TOL * coeffs[..., 0]
+    rank = np.count_nonzero(coeffs > RANK_TOL, axis=-1)
+    return (bool(flat), int(rank)) if coeffs.ndim == 1 else (flat, rank)
 
 
 def analyze_entanglement(state: BipartiteState) -> EntanglementReport:

@@ -45,9 +45,9 @@ from .haar import (
     random_shared_state,
     special_case_fidelity,
 )
-from .linalg import basis_state
+from .linalg import basis_state, scaled_norm
 from .teleport import TeleportSetup, build_setup, require_setup_fits, sample_outcome, verify_identity
-from .tolerances import NORMALIZATION_TOL
+from .tolerances import NORMALIZATION_TOL, PROBABILITY_TOL
 
 REPORT_COLUMNS = (
     "experiment", "d", "basis", "shared", "quantity", "label",
@@ -151,10 +151,16 @@ def load_state_file(path: str) -> tuple[int, np.ndarray]:
     return d, amplitudes
 
 
-def save_state_file(path: str, d: int, amplitudes: np.ndarray) -> None:
-    payload = {"d": int(d), "amplitudes": [[z.real, z.imag] for z in np.asarray(amplitudes, complex)]}
+def _save_complex_file(path: str, d: int, key: str, values) -> None:
+    # Complex entries as [re, im] pairs, nested as ``values`` is.
+    values = np.asarray(values, complex)
+    payload = {"d": int(d), key: np.stack((values.real, values.imag), -1).tolist()}
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(payload, handle)
+
+
+def save_state_file(path: str, d: int, amplitudes: np.ndarray) -> None:
+    _save_complex_file(path, d, "amplitudes", amplitudes)
 
 
 def load_basis_file(path: str) -> OperatorBasis:
@@ -175,14 +181,7 @@ def load_basis_file(path: str) -> OperatorBasis:
 
 
 def save_basis_file(path: str, basis: OperatorBasis) -> None:
-    payload = {
-        "d": basis.local_dim,
-        "elements": [
-            [[[z.real, z.imag] for z in row] for row in element] for element in basis.elements
-        ],
-    }
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle)
+    _save_complex_file(path, basis.local_dim, "elements", basis.elements)
 
 
 def _state_from_file(path: str, d: int, size: int, what: str) -> np.ndarray:
@@ -191,12 +190,12 @@ def _state_from_file(path: str, d: int, size: int, what: str) -> np.ndarray:
     d_file, amplitudes = load_state_file(path)
     if d_file != d or amplitudes.size != size:
         raise ConfigurationError(f"{path}: {what} must have d = {d} and {size} amplitudes")
-    norm = np.linalg.norm(amplitudes)
+    scaled, scale, norm = scaled_norm(amplitudes)
     if norm == 0.0:
         raise ConfigurationError(f"{path}: amplitudes are identically zero")
-    if abs(norm - 1.0) > NORMALIZATION_TOL:
-        print(f"warning: normalizing {path} (norm was {norm:.12g})", file=sys.stderr)
-        return amplitudes / norm
+    if abs(scale * norm - 1.0) > NORMALIZATION_TOL:
+        print(f"warning: normalizing {path} (norm was {scale * norm:.12g})", file=sys.stderr)
+        return scaled / norm
     return amplitudes
 
 
@@ -271,17 +270,18 @@ def run_verify(cfg: argparse.Namespace):
 
 
 def run_teleport(cfg: argparse.Namespace):
-    """Shot-by-shot protocol transcript for one input state."""
+    """Shot-by-shot protocol transcript for one input state; exit 1 when a
+    probability or conditional fidelity leaves [0, 1 + PROBABILITY_TOL]."""
     rng, setup = _resolve_setup(cfg)
     psi = _resolve_psi(cfg, rng)
-    rows = []
-    sane = True
-    for shot, outcome in enumerate(sample_outcome(psi, setup, rng, size=cfg.samples)):
-        sane &= 0.0 <= outcome.probability <= 1.0 + 1e-12
-        sane &= 0.0 <= outcome.conditional_fidelity <= 1.0 + 1e-12
-        rows.append(_row(cfg, TRANSCRIPT_COLUMNS, shot=shot, xi=outcome.xi,
-                         probability=outcome.probability,
-                         conditional_fidelity=outcome.conditional_fidelity))
+    outcomes = sample_outcome(psi, setup, rng, size=cfg.samples)
+    # Shots with the same xi share one record, so each record is checked once.
+    sane = all(0.0 <= value <= 1.0 + PROBABILITY_TOL for outcome in set(outcomes)
+               for value in (outcome.probability, outcome.conditional_fidelity))
+    rows = [_row(cfg, TRANSCRIPT_COLUMNS, shot=shot, xi=outcome.xi,
+                 probability=outcome.probability,
+                 conditional_fidelity=outcome.conditional_fidelity)
+            for shot, outcome in enumerate(outcomes)]
     return (0 if sane else 1), rows
 
 

@@ -48,27 +48,49 @@ def as_state(vector) -> np.ndarray:
     return v
 
 
+def scaled_norm(vector: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """``(w, scale, norm)`` with ``vector == scale * w`` and ``norm == ||w||``,
+    so ``||vector|| = scale * norm`` without overflow or underflow.  ``w`` is
+    ``vector`` itself and ``scale`` 1 unless the plain norm is 0 or not
+    finite, so ordinary vectors keep their bits."""
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(vector))
+    if 0.0 < norm < np.inf:
+        return vector, 1.0, norm
+    # The zero vector keeps scale 1.  Divided part by part: complex division
+    # multiplies by 1/scale, which overflows for a subnormal scale.
+    scale = float(np.max(np.abs(np.stack((vector.real, vector.imag))), initial=0.0)) or 1.0
+    w = vector.real / scale + 1j * (vector.imag / scale)
+    return w, scale, float(np.linalg.norm(w))
+
+
 def normalize_state(vector) -> np.ndarray:
     """Return ``vector`` rescaled to unit Euclidean norm."""
-    v = as_state(vector)
-    norm = np.linalg.norm(v)
+    w, _, norm = scaled_norm(as_state(vector))
     if norm == 0.0:
         raise NormalizationError("cannot normalize the zero vector")
-    return v / norm
+    return w / norm
 
 
 def require_normalized(vector, what: str = "state") -> np.ndarray:
     """Validate that ``vector`` has unit norm within ``NORMALIZATION_TOL``."""
     v = as_state(vector)
-    norm = np.linalg.norm(v)
-    if abs(norm - 1.0) > NORMALIZATION_TOL:
-        raise NormalizationError(f"{what} must be normalized: |norm - 1| = {abs(norm - 1.0):.3e}")
+    _, scale, norm = scaled_norm(v)
+    deviation = abs(scale * norm - 1.0)
+    if deviation > NORMALIZATION_TOL:
+        raise NormalizationError(f"{what} must be normalized: |norm - 1| = {deviation:.3e}")
     return v
 
 
 def read_only(array: np.ndarray) -> np.ndarray:
-    """``array`` itself when it is already read-only, else a read-only copy."""
-    if array.flags.writeable:
+    """``array`` itself when it and every array in its ``.base`` chain are
+    read-only, the chain ending in an array that owns its data; else a
+    read-only copy.  A read-only view of a writable array is copied, since
+    writing the base would change it."""
+    base = array
+    while isinstance(base, np.ndarray) and not base.flags.writeable:
+        base = base.base
+    if base is not None:
         array = array.copy()
         array.setflags(write=False)
     return array

@@ -40,7 +40,7 @@ _VALIDATION_TRIALS = 4
 _PEAK_STACKS = 4
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TeleportSetup:
     """Immutable bundle of resource state, measurement basis and the
     derived transfer operators.
@@ -61,7 +61,7 @@ class TeleportSetup:
         return self.shared.local_dim
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TeleportOutcome:
     """One measurement event of the protocol.
 

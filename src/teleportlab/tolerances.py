@@ -17,6 +17,10 @@ RANK_TOL = 1e-10
 # Closed-form gap per unit of d that RANK_TOL admits (haar.closed_form_gap_bound).
 CLOSED_FORM_GAP_PER_DIM = 2 * RANK_TOL
 
+# Rounding slack above 1 that a probability or conditional fidelity may
+# show before the teleport command reports a failure (exit 1).
+PROBABILITY_TOL = 1e-12
+
 # Orthonormality / completeness residual bound for operator bases.
 BASIS_TOL = 1e-10
 

@@ -6,6 +6,7 @@ code path.
 """
 
 import cmath
+import json
 import math
 
 import numpy as np
@@ -178,3 +179,42 @@ def special_case_label(elements, shared_operator):
     if basis_maxent:
         return "maxent-basis"
     return "general"
+
+
+def element_shape_per_element(elements):
+    """``(spectra, all_flat, all_rank_one)`` of a basis, one SVD per element.
+
+    The classification as it stood before the stacked SVD: each element
+    decomposed on its own in xi order and judged by the package's rule
+    (flat when s_max - s_min <= RANK_TOL * s_max, rank one when exactly
+    one value exceeds RANK_TOL); the spectra are returned in xi order.
+    """
+    spectra = np.array([np.linalg.svd(el, compute_uv=False) for el in np.asarray(elements)])
+    all_flat = all(s[0] - s[-1] <= RANK_TOL * s[0] for s in spectra)
+    all_rank_one = all(np.count_nonzero(s > RANK_TOL) == 1 for s in spectra)
+    return spectra, all_flat, all_rank_one
+
+
+def bell_elements_double_loop(d):
+    """Generalized Bell stack filled element by element over (j, k): element
+    j * d + k has phase exp(2 pi i k a / d) / sqrt(d) at (a, a - j mod d)."""
+    a = np.arange(d)
+    elements = np.zeros((d * d, d, d), dtype=complex)
+    for j in range(d):
+        cols = (a - j) % d
+        for k in range(d):
+            elements[j * d + k][a, cols] = np.exp(2j * np.pi * k * a / d) / np.sqrt(d)
+    return elements
+
+
+def state_file_text(d, amplitudes):
+    """A state file's JSON text, each amplitude written as an [re, im] pair
+    by a per-entry comprehension."""
+    pairs = [[z.real, z.imag] for z in np.asarray(amplitudes, complex)]
+    return json.dumps({"d": int(d), "amplitudes": pairs})
+
+
+def basis_file_text(d, elements):
+    """A basis file's JSON text, built by nested per-entry comprehensions."""
+    matrices = [[[[z.real, z.imag] for z in row] for row in el] for el in np.asarray(elements)]
+    return json.dumps({"d": int(d), "elements": matrices})

@@ -20,7 +20,8 @@ from teleportlab import (
     rotated_basis,
     validate_basis,
 )
-from teleportlab import linalg
+from teleportlab import bases, linalg
+from teleportlab.choi import schmidt_shape
 from teleportlab.tolerances import BASIS_TOL
 
 
@@ -176,15 +177,18 @@ def _damaged_variants(elements):
     yield duplicated
 
 
+def _make_basis(kind, d):
+    if kind == "rotated":
+        w = oracles.random_unitary(np.random.default_rng(31 + d), d * d)
+        return rotated_basis(bell_basis(d), w)
+    return (bell_basis if kind == "bell" else product_basis)(d)
+
+
 @pytest.mark.parametrize("d", range(1, 7))
 @pytest.mark.parametrize("kind", ["bell", "product", "rotated"])
 def test_validate_basis_matches_einsum_oracle(d, kind):
     n = d * d
-    if kind == "rotated":
-        w = oracles.random_unitary(np.random.default_rng(31 + d), n)
-        base = rotated_basis(bell_basis(d), w)
-    else:
-        base = (bell_basis if kind == "bell" else product_basis)(d)
+    base = _make_basis(kind, d)
     for elements in _damaged_variants(base.elements):
         vecs = elements.reshape(n, n)
         orth = float(np.max(np.abs(vecs.conj() @ vecs.T - np.eye(n))))
@@ -259,3 +263,57 @@ def test_constructed_bases_refuse_a_stack_over_the_dense_size_limit(monkeypatch,
 def test_custom_basis_rejects_elements_of_unequal_shape():
     with pytest.raises(BasisStructureError, match="same shape"):
         custom_basis([np.eye(2), np.eye(2), np.eye(2), np.eye(3)])
+
+
+_STACK_GRID = [(kind, d) for kind in ("bell", "product", "rotated") for d in range(1, 7)]
+
+
+@pytest.mark.parametrize("kind, d", _STACK_GRID + [("bell", 32)])
+def test_stacked_element_shape_matches_per_element_oracle(kind, d):
+    # One stacked SVD gives the per-element spectra bit for bit, and the
+    # rule applied along the stack gives each element's flag and rank.
+    basis = _make_basis(kind, d)
+    spectra, all_flat, all_rank_one = oracles.element_shape_per_element(basis.elements)
+    stacked = np.linalg.svd(basis.elements, compute_uv=False)
+    assert stacked.tobytes() == spectra.tobytes()
+    flat, rank = schmidt_shape(stacked)
+    per_element = [schmidt_shape(s) for s in spectra]
+    np.testing.assert_array_equal(flat, [f for f, _ in per_element])
+    np.testing.assert_array_equal(rank, [r for _, r in per_element])
+    assert basis.element_shape == (all_flat, all_rank_one)
+    assert [type(x) for x in basis.element_shape] == [bool, bool]
+    assert [type(x) for x in per_element[0]] == [bool, int]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6, 8, 16, 32])
+def test_bell_stack_matches_double_loop_oracle(d):
+    assert bell_basis(d).elements.tobytes() == oracles.bell_elements_double_loop(d).tobytes()
+
+
+def test_read_only_view_of_a_writable_array_is_copied():
+    # Whoever holds the writable base could still change a read-only view
+    # of it, so the basis takes its own copy and its cache stays true.
+    base = bell_basis(2).elements.copy()
+    view = base[...]
+    view.setflags(write=False)
+    basis = OperatorBasis(local_dim=2, elements=view)
+    assert basis.element_shape == (True, False)
+    base[...] = product_basis(2).elements
+    assert OperatorBasis(local_dim=2, elements=basis.elements.copy()).element_shape == (True, False)
+    assert basis.element_shape == (True, False)
+
+
+def test_built_in_constructors_do_not_copy_their_stack(monkeypatch):
+    kept = []
+
+    def recording_read_only(array):
+        result = linalg.read_only(array)
+        kept.append(result is array)
+        return result
+
+    monkeypatch.setattr(bases, "read_only", recording_read_only)
+    bell_basis(3)
+    product_basis(3)
+    rotated_basis(bell_basis(3), np.eye(9))
+    custom_basis(np.eye(4).reshape(4, 2, 2))
+    assert kept == [True] * 5

@@ -1,8 +1,10 @@
 """Tests for the command-line front end."""
 
 import csv
+import hashlib
 import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from teleportlab import (
     product_basis,
     product_state,
     random_shared_state,
+    rotated_basis,
 )
 from teleportlab import cli, teleport
 from teleportlab.cli import (
@@ -81,6 +84,35 @@ def test_verify_fails_loudly_with_absurd_tolerance(tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("entries, norm_text", [
+    ([[1e308, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]], "1e+308"),
+    ([[0.0, 0.0], [1e-320, 0.0], [0.0, 0.0], [0.0, 0.0]], "9.99988867183e-321"),
+])
+def test_shared_file_with_extreme_norm_is_normalized(tmp_path, capsys, entries, norm_text):
+    # Neither the plain norm's overflow to inf nor its underflow to 0 may
+    # reach the warning, the rescaling or the zero-amplitude refusal.
+    path = tmp_path / "shared.json"
+    path.write_text(json.dumps({"d": 2, "amplitudes": entries}), encoding="utf-8")
+    code, out, err = run_cli(["fidelity", "--d", "2", "--shared", "custom",
+                              "--shared-file", str(path), "--no-timestamp"], capsys)
+    assert code == 0
+    assert err == f"warning: normalizing {path} (norm was {norm_text})\n"
+    assert out.count(",product-shared,0.66666666666666663,") == 2  # E(F) = 2/(d + 1)
+
+
+@pytest.mark.parametrize("kind", ["bell", "product", "rotated"])
+@pytest.mark.parametrize("d", range(1, 7))
+def test_saved_files_match_comprehension_oracle(tmp_path, kind, d):
+    rng = np.random.default_rng(60 + d)
+    basis = (rotated_basis(bell_basis(d), oracles.random_unitary(rng, d * d)) if kind == "rotated"
+             else (bell_basis if kind == "bell" else product_basis)(d))
+    save_basis_file(tmp_path / "basis.json", basis)
+    assert (tmp_path / "basis.json").read_text() == oracles.basis_file_text(d, basis.elements)
+    for amplitudes in (basis.vectors()[-1], oracles.random_complex(rng, d * d), -np.zeros(d)):
+        save_state_file(tmp_path / "state.json", d, amplitudes)
+        assert (tmp_path / "state.json").read_text() == oracles.state_file_text(d, amplitudes)
+
+
 def test_teleport_transcript_ideal(tmp_path):
     out = tmp_path / "teleport.csv"
     shots = 1000
@@ -114,6 +146,34 @@ def test_teleport_product_resource_rows_are_sane(tmp_path):
     for row in rows:
         assert 0.0 <= float(row["probability"]) <= 1.0 + 1e-12
         assert 0.0 <= float(row["conditional_fidelity"]) <= 1.0 + 1e-12
+
+
+def test_teleport_exit_gate_reads_its_stated_tolerance(monkeypatch, capsys):
+    # Probabilities of 1/4 pass a slack of 0 and fail an upper bound of 0.2.
+    argv = ["teleport", "--d", "2", "--samples", "5", "--no-timestamp"]
+    monkeypatch.setattr(cli, "PROBABILITY_TOL", 0.0)
+    assert run_cli(argv, capsys)[0] == 0
+    monkeypatch.setattr(cli, "PROBABILITY_TOL", -0.8)
+    assert run_cli(argv, capsys)[0] == 1
+
+
+# The bench's teleport-shots workload at seed 0; its transcript is pinned by
+# SHA-256 and length in bench/reference.json.
+_TELEPORT_SHOTS_ARGV = [
+    "teleport", "--d", "2", "--basis", "bell", "--shared", "haar-random",
+    "--samples", "20000", "--seed", "0", "--no-timestamp",
+]
+
+
+def test_teleport_shots_transcript_matches_the_bench_reference(capsys):
+    path = pathlib.Path(__file__).resolve().parents[1] / "bench" / "reference.json"
+    reference = json.loads(path.read_text(encoding="utf-8"))
+    assert reference["seed"] == 0
+    pinned = reference["outputs"]["teleport-shots"]
+    code, out, _ = run_cli(_TELEPORT_SHOTS_ARGV, capsys)
+    assert code == 0
+    data = out.encode()
+    assert (hashlib.sha256(data).hexdigest(), len(data)) == (pinned["sha256"], pinned["bytes"])
 
 
 @pytest.mark.parametrize("seed", [5, 11])

@@ -197,12 +197,14 @@ def test_detected_cases_agree_with_general_formula():
 
 
 def _count_svds(monkeypatch) -> list:
+    # One entry per np.linalg.svd call: the number of matrices it decomposed,
+    # so len() counts calls and sum() counts matrices.
     calls = []
     svd = np.linalg.svd
 
-    def counting_svd(*args, **kwargs):
-        calls.append(1)
-        return svd(*args, **kwargs)
+    def counting_svd(a, *args, **kwargs):
+        calls.append(math.prod(np.shape(a)[:-2]))
+        return svd(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
     return calls
@@ -211,18 +213,20 @@ def _count_svds(monkeypatch) -> list:
 def test_fidelity_command_runs_each_svd_once(monkeypatch, capsys):
     # d = 2, Bell basis, Haar resource: 4 transfer SVDs in build_setup,
     # then 1 for the resource's Schmidt spectrum and 4 for the basis's
-    # element shape, which both routes and the closed form read.
+    # element shape, which both routes and the closed form read.  The
+    # element shape is one stacked call, so 9 matrices take 6 calls.
     calls = _count_svds(monkeypatch)
     code = main(["fidelity", "--d", "2", "--shared", "haar-random", "--no-timestamp"])
     capsys.readouterr()
     assert code == 0
-    assert len(calls) == 9
+    assert sum(calls) == 9
+    assert len(calls) == 6
 
 
 def test_setups_sharing_a_basis_decompose_its_elements_once(monkeypatch):
     # The element shape is cached on the basis, not on each setup: two
     # resources measured in one basis cost 2 resource SVDs and d^2 element
-    # SVDs, not 2 (1 + d^2).
+    # SVDs, not 2 (1 + d^2); the d^2 in one stacked call, so 3 calls.
     d = 3
     basis = bell_basis(d)
     rng = np.random.default_rng(70)
@@ -230,7 +234,8 @@ def test_setups_sharing_a_basis_decompose_its_elements_once(monkeypatch):
     calls = _count_svds(monkeypatch)
     for setup in setups:
         assert special_case_fidelity(setup)[0] is SpecialCase.MAXENT_BASIS
-    assert len(calls) == 2 + d * d
+    assert sum(calls) == 2 + d * d
+    assert len(calls) == 3
 
 
 def test_entanglement_report_reads_the_detected_spectrum(monkeypatch):

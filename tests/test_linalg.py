@@ -14,6 +14,7 @@ from teleportlab import (
     polar_decompose,
     tensor_product,
 )
+from teleportlab.linalg import read_only, require_normalized, scaled_norm
 
 RECON_TOL = 1e-10
 
@@ -206,3 +207,47 @@ def test_state_helpers_reject_bad_inputs():
         basis_state(3, 3)
     with pytest.raises(DimensionError):
         basis_state(0, 0)
+
+
+def test_normalize_state_survives_overflow():
+    # The plain norm of these overflows to inf; the true norms are 1e308
+    # and 1.5e308 sqrt 2 (the second beyond the float range itself).
+    np.testing.assert_array_equal(normalize_state([1e308, 0.0]), [1.0, 0.0])
+    np.testing.assert_allclose(normalize_state([-1.5e308, 1.5e308j]),
+                               np.array([-1, 1j]) / np.sqrt(2), rtol=1e-15)
+
+
+def test_normalize_state_survives_underflow():
+    # The plain norm of a subnormal vector is 0.
+    np.testing.assert_array_equal(normalize_state([1e-320, 0.0]), [1.0, 0.0])
+    np.testing.assert_allclose(normalize_state([3e-320j, 4e-320]), [0.6j, 0.8], rtol=1e-15)
+
+
+def test_require_normalized_reports_huge_and_tiny_norms():
+    with pytest.raises(NormalizationError, match=r"\|norm - 1\| = 1\.000e\+308"):
+        require_normalized([1e308, 0.0])
+    with pytest.raises(NormalizationError, match=r"\|norm - 1\| = 1\.000e\+00"):
+        require_normalized([1e-320, 0.0])
+
+
+def test_scaled_norm_keeps_ordinary_vectors_bit_for_bit():
+    rng = np.random.default_rng(12)
+    for d in (1, 2, 5, 64):
+        v = oracles.random_complex(rng, d) * 10.0 ** rng.integers(-100, 100)
+        w, scale, norm = scaled_norm(v)
+        assert w is v and scale == 1.0 and norm == np.linalg.norm(v)
+        assert normalize_state(v).tobytes() == (v / np.linalg.norm(v)).tobytes()
+
+
+def test_read_only_keeps_only_arrays_nothing_can_write():
+    owner = np.arange(4.0)
+    owner.setflags(write=False)
+    view = owner[1:]
+    assert read_only(owner) is owner and read_only(view) is view
+    writable = np.arange(4.0)
+    ro_view = writable[1:]
+    ro_view.setflags(write=False)
+    for array in (writable, ro_view):
+        kept = read_only(array)
+        assert kept is not array and not kept.flags.writeable
+        np.testing.assert_array_equal(kept, array)

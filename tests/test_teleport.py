@@ -34,6 +34,7 @@ from teleportlab import (
     special_case_fidelity,
     state_fidelity,
     state_fidelity_batch,
+    validate_basis,
     verify_identity,
 )
 from teleportlab import linalg, teleport
@@ -152,6 +153,22 @@ def test_value_objects_hold_read_only_arrays():
         with pytest.raises(ValueError):
             arr.flat[0] = 0.0
     assert setup.local_dim == 2
+
+
+def test_value_objects_compare_and_hash_by_identity():
+    # Array-holding value objects compare and hash by identity, so they can
+    # be compared and collected in sets; scalar-only reports keep value
+    # equality.
+    state, other = maximally_entangled_state(2), maximally_entangled_state(2)
+    assert state == state and state != other and hash(state) == hash(state)
+    basis = bell_basis(2)
+    assert basis != bell_basis(2)
+    setup = build_setup(state, basis)
+    report = analyze_entanglement(state)
+    assert len({state, other, basis, setup, report, report}) == 5
+    outcomes = sample_outcome(basis_state(2, 0), setup, np.random.default_rng(3), size=3)
+    assert len(set(outcomes)) == len({outcome.xi for outcome in outcomes})
+    assert validate_basis(basis) == validate_basis(basis)
 
 
 def test_build_setup_rejects_dimension_mismatch():
