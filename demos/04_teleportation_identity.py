@@ -16,6 +16,7 @@ import numpy as np
 
 from teleportlab import (
     OperatorBasis,
+    TeleportSetup,
     bell_basis,
     build_setup,
     haar_state,
@@ -45,15 +46,13 @@ for d in (2, 3, 5, 8):
     print(f"  d={d}  " + "   ".join(line))
 
 # The identity needs a genuinely orthonormal basis.  Stretch one element
-# by 1% and the reconstruction misses by a comparable amount.
+# by 1% and the reconstruction misses by a comparable amount.  The
+# constructor, unlike build_setup, does not check the basis, so the broken
+# one goes through.
 d = 2
 elements = bell_basis(d).elements.copy()
 elements[0] = 1.01 * elements[0]
-skewed = build_setup(
-    maximally_entangled_state(d),
-    OperatorBasis(local_dim=d, elements=elements),
-    validate=False,  # force the broken basis through
-)
+skewed = TeleportSetup(maximally_entangled_state(d), OperatorBasis(local_dim=d, elements=elements))
 psi = np.array([1.0, 0.0])
 print(f"\nwith one element scaled by 1.01 the residual jumps to "
       f"{verify_identity(psi, skewed):.3e}")

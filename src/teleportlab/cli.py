@@ -231,14 +231,14 @@ def _resolve_setup(cfg: argparse.Namespace) -> tuple[np.random.Generator, Telepo
     """The run's seeded generator and the setup built from ``cfg``.
 
     The resource is drawn from the generator before anything else the
-    run draws.  A custom basis is validated once, by
-    :func:`_resolve_basis`, so that a failure names its file;
-    ``build_setup`` validates the built-in bases.
+    run draws.  A custom basis is validated once, by :func:`_resolve_basis`
+    so that a failure names its file, then goes to the ``TeleportSetup``
+    constructor as it is; ``build_setup`` validates the built-in bases.
     """
     rng = np.random.default_rng(cfg.seed)
     shared = _resolve_shared(cfg, rng)
     basis = _resolve_basis(cfg)
-    return rng, build_setup(shared, basis, validate=cfg.basis != "custom")
+    return rng, (TeleportSetup if cfg.basis == "custom" else build_setup)(shared, basis)
 
 
 def _resolve_psi(cfg: argparse.Namespace, rng: np.random.Generator) -> np.ndarray:

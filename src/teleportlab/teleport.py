@@ -20,6 +20,7 @@ polar factor of T_xi, leaving |T_xi| psi (normalized).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -42,23 +43,46 @@ _PEAK_STACKS = 4
 
 @dataclass(frozen=True, eq=False)
 class TeleportSetup:
-    """Immutable bundle of resource state, measurement basis and the
-    derived transfer operators.
+    """Immutable pair of resource state and measurement basis.
 
-    ``transfer_ops[xi]`` is T_xi; ``transfer_abs[xi]`` caches |T_xi|,
-    which drives both the optimal correction and every fidelity formula.
-    For a normalized resource, sum_xi Tr(T_xi^dag T_xi) = d.  Rank and
-    flatness are cached on ``shared`` and ``basis``, which they describe.
+    ``transfer_ops[xi]`` is T_xi and ``transfer_abs[xi]`` is |T_xi|, which
+    every fidelity formula reads; both are derived on first read and cached
+    read-only.  For a normalized resource, sum_xi Tr(T_xi^dag T_xi) = d.
+    Rank and flatness are cached on ``shared`` and ``basis``, which they
+    describe.  The constructor checks dimensions and size, not the basis.
     """
 
     shared: BipartiteState
     basis: OperatorBasis
-    transfer_ops: np.ndarray
-    transfer_abs: np.ndarray
+
+    def __post_init__(self):
+        if self.shared.local_dim != self.basis.local_dim:
+            raise DimensionError(
+                f"shared state dimension {self.shared.local_dim} does not match "
+                f"basis dimension {self.basis.local_dim}"
+            )
+        require_setup_fits(self.local_dim)
 
     @property
     def local_dim(self) -> int:
         return self.shared.local_dim
+
+    @cached_property
+    def transfer_ops(self) -> np.ndarray:
+        """T_xi = C^t B_xi^dag for every outcome, shape (d^2, d, d)."""
+        ct = self.shared.operator_form.T
+        transfer_ops = np.matmul(ct, self.basis.elements.conj().transpose(0, 2, 1))
+        transfer_ops.setflags(write=False)
+        return transfer_ops
+
+    @cached_property
+    def transfer_abs(self) -> np.ndarray:
+        """|T_xi| for every outcome, one :func:`operator_abs` per outcome."""
+        transfer_abs = np.empty_like(self.transfer_ops)
+        for xi, t in enumerate(self.transfer_ops):
+            transfer_abs[xi] = operator_abs(t)
+        transfer_abs.setflags(write=False)
+        return transfer_abs
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,7 +100,6 @@ class TeleportOutcome:
     probability: float
     raw_conditional_state: np.ndarray
     corrected_state: np.ndarray
-    correction: np.ndarray
     conditional_fidelity: float
 
 
@@ -86,41 +109,20 @@ def require_setup_fits(local_dim: int) -> None:
     require_dense_size(_PEAK_STACKS * local_dim**4, f"a setup for d = {local_dim} at peak")
 
 
-def build_setup(shared: BipartiteState, basis: OperatorBasis, *,
-                validate: bool = True) -> TeleportSetup:
-    """Derive the transfer operators for a resource state and basis.
-
-    :func:`require_setup_fits` and the basis check (skippable for bases
-    known good) run before the transfer stack is allocated; an invalid
-    basis raises :class:`BasisStructureError` naming the relation.
+def build_setup(shared: BipartiteState, basis: OperatorBasis) -> TeleportSetup:
+    """Construct the setup, then check the basis: an invalid one raises
+    :class:`BasisStructureError` naming the relation.  T and |T| are built
+    only when first read.
     """
-    if shared.local_dim != basis.local_dim:
-        raise DimensionError(
-            f"shared state dimension {shared.local_dim} does not match "
-            f"basis dimension {basis.local_dim}"
+    setup = TeleportSetup(shared, basis)
+    report = validate_basis(basis, trials=_VALIDATION_TRIALS)
+    if not report.passed:
+        raise BasisStructureError(
+            f"measurement basis violates {report.failed_relation}: residual "
+            f"{max(report.orthonormality_residual, report.completeness_residual):.3e} "
+            f"exceeds {BASIS_TOL:.1e}"
         )
-    require_setup_fits(shared.local_dim)
-    if validate:
-        report = validate_basis(basis, trials=_VALIDATION_TRIALS)
-        if not report.passed:
-            raise BasisStructureError(
-                f"measurement basis violates {report.failed_relation}: residual "
-                f"{max(report.orthonormality_residual, report.completeness_residual):.3e} "
-                f"exceeds {BASIS_TOL:.1e}"
-            )
-    ct = shared.operator_form.T
-    transfer_ops = np.matmul(ct, basis.elements.conj().transpose(0, 2, 1))
-    transfer_abs = np.empty_like(transfer_ops)
-    for xi in range(transfer_ops.shape[0]):
-        transfer_abs[xi] = operator_abs(transfer_ops[xi])
-    transfer_ops.setflags(write=False)
-    transfer_abs.setflags(write=False)
-    return TeleportSetup(
-        shared=shared,
-        basis=basis,
-        transfer_ops=transfer_ops,
-        transfer_abs=transfer_abs,
-    )
+    return setup
 
 
 def verify_identity(psi, setup: TeleportSetup) -> float:
@@ -176,7 +178,6 @@ def realize_outcome(psi, setup: TeleportSetup, xi: int) -> TeleportOutcome:
     t = setup.transfer_ops[xi]
     t_psi = t @ v
     norm = float(np.linalg.norm(t_psi))
-    correction = optimal_correction(t)
     if norm <= ZERO_OUTCOME_TOL:
         zero = np.zeros(setup.local_dim, dtype=complex)
         return TeleportOutcome(
@@ -184,18 +185,16 @@ def realize_outcome(psi, setup: TeleportSetup, xi: int) -> TeleportOutcome:
             probability=0.0,
             raw_conditional_state=zero,
             corrected_state=zero.copy(),
-            correction=correction,
             conditional_fidelity=0.0,
         )
     raw = t_psi / norm
-    corrected = correction @ raw
+    corrected = optimal_correction(t) @ raw
     fidelity = float(np.abs(np.vdot(v, corrected)) ** 2)
     return TeleportOutcome(
         xi=xi,
         probability=norm * norm,
         raw_conditional_state=raw,
         corrected_state=corrected,
-        correction=correction,
         conditional_fidelity=fidelity,
     )
 

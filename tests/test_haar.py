@@ -11,6 +11,7 @@ from teleportlab import (
     DimensionError,
     SpecialCase,
     BipartiteState,
+    TeleportSetup,
     analyze_entanglement,
     average_fidelity_analytic,
     basis_state,
@@ -32,7 +33,7 @@ from teleportlab import (
     state_fidelity_batch,
     transfer_trace_norms,
 )
-from teleportlab.cli import main
+from teleportlab.cli import main, save_basis_file
 
 
 def test_haar_states_are_normalized():
@@ -211,16 +212,39 @@ def _count_svds(monkeypatch) -> list:
 
 
 def test_fidelity_command_runs_each_svd_once(monkeypatch, capsys):
-    # d = 2, Bell basis, Haar resource: 4 transfer SVDs in build_setup,
-    # then 1 for the resource's Schmidt spectrum and 4 for the basis's
-    # element shape, which both routes and the closed form read.  The
-    # element shape is one stacked call, so 9 matrices take 6 calls.
+    # d = 2, Bell basis, Haar resource: 4 transfer SVDs when the trace norms
+    # first read |T|, 1 for the resource's Schmidt spectrum and 4 for the
+    # basis's element shape, which both routes and the closed form read.
+    # The element shape is one stacked call, so 9 matrices take 6 calls.
     calls = _count_svds(monkeypatch)
     code = main(["fidelity", "--d", "2", "--shared", "haar-random", "--no-timestamp"])
     capsys.readouterr()
     assert code == 0
     assert sum(calls) == 9
     assert len(calls) == 6
+
+
+def test_teleport_command_decomposes_each_drawn_outcome_once(monkeypatch, capsys):
+    # Only the correction of each distinct drawn xi needs an SVD; |T| is never
+    # read.  Seven shots at seed 0 draw two distinct outcomes.
+    calls = _count_svds(monkeypatch)
+    code = main(["teleport", "--d", "2", "--samples", "7", "--no-timestamp"])
+    out = capsys.readouterr().out
+    assert code == 0
+    rows = [line.split(",") for line in out.splitlines()[9:]]
+    assert len(rows) == 7
+    assert len(calls) == len({row[5] for row in rows}) == 2
+
+
+def test_verify_command_runs_no_svd(tmp_path, monkeypatch, capsys):
+    # The identity reads T only, and a custom basis is checked without an SVD.
+    path = tmp_path / "bell.json"
+    save_basis_file(str(path), bell_basis(3))
+    calls = _count_svds(monkeypatch)
+    code = main(["verify", "--d", "3", "--basis", "custom", "--basis-file", str(path), "--no-timestamp"])
+    capsys.readouterr()
+    assert code == 0
+    assert calls == []
 
 
 def test_setups_sharing_a_basis_decompose_its_elements_once(monkeypatch):
@@ -295,7 +319,7 @@ def test_closed_form_gap_stays_within_bound_near_thresholds(d):
     gaps = {}
     for basis in bases:
         for shared in resources:
-            setup = build_setup(shared, basis, validate=False)
+            setup = TeleportSetup(shared, basis)
             case, closed = special_case_fidelity(setup)
             gap = abs(average_fidelity_analytic(setup).analytic - closed)
             gaps[case] = max(gaps.get(case, 0.0), gap)

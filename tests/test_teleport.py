@@ -1,5 +1,6 @@
 """Tests for transfer operators, the identity, and the protocol."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -16,6 +17,7 @@ from teleportlab import (
     EntanglementClass,
     SpecialCase,
     TeleportOutcome,
+    TeleportSetup,
     analyze_entanglement,
     basis_state,
     bell_basis,
@@ -81,7 +83,7 @@ def test_profile_flags_agree_with_entanglement_classification(d):
         flat = report.classification is EntanglementClass.MAXIMALLY_ENTANGLED
         rank_one = report.rank == 1
         assert custom_basis([state.operator_form] * (d * d)).element_shape == (flat, rank_one)
-        case, _ = special_case_fidelity(build_setup(state, bell_basis(d), validate=False))
+        case, _ = special_case_fidelity(TeleportSetup(state, bell_basis(d)))
         assert (case is SpecialCase.IDEAL) == flat
         assert (case is SpecialCase.PRODUCT_SHARED) == rank_one
         assert (case is SpecialCase.MAXENT_BASIS) == (not flat and not rank_one)
@@ -89,17 +91,18 @@ def test_profile_flags_agree_with_entanglement_classification(d):
 
 def test_build_setup_refuses_a_setup_over_the_dense_size_limit(monkeypatch):
     # Four d^4-entry stacks at d = 4 are 1,024 entries.  Over a limit of
-    # 1,000 the setup is refused before the basis check and the transfer
-    # stack; at a limit of 1,024 it is built.
+    # 1,000 the setup is refused, by build_setup and by the constructor
+    # itself, before the basis check; at a limit of 1,024 it is built.
     def unreachable(*args, **kwargs):
         raise AssertionError("the size guard must run first")
 
     monkeypatch.setattr(linalg, "_MAX_ELEMENTS", 1000)
     monkeypatch.setattr(teleport, "validate_basis", unreachable)
-    with pytest.raises(DimensionError, match="a setup for d = 4 at peak needs 1,024 complex"):
-        build_setup(maximally_entangled_state(4), bell_basis(4))
+    for construct in (build_setup, TeleportSetup):
+        with pytest.raises(DimensionError, match="a setup for d = 4 at peak needs 1,024 complex"):
+            construct(maximally_entangled_state(4), bell_basis(4))
     monkeypatch.setattr(linalg, "_MAX_ELEMENTS", 1024)
-    assert build_setup(maximally_entangled_state(4), bell_basis(4), validate=False).local_dim == 4
+    assert TeleportSetup(maximally_entangled_state(4), bell_basis(4)).local_dim == 4
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
@@ -155,6 +158,17 @@ def test_value_objects_hold_read_only_arrays():
     assert setup.local_dim == 2
 
 
+def test_setup_stores_its_resource_and_basis_and_derives_the_rest():
+    # T and |T| are built from the two stored inputs on first read and cached.
+    setup = build_setup(maximally_entangled_state(2), bell_basis(2))
+    assert [field.name for field in dataclasses.fields(TeleportSetup)] == ["shared", "basis"]
+    assert "transfer_ops" not in vars(setup) and "transfer_abs" not in vars(setup)
+    assert setup.transfer_abs is setup.transfer_abs
+    assert setup.transfer_ops is setup.transfer_ops
+    expected = setup.shared.operator_form.T @ oracles.dagger(setup.basis.elements[1])
+    np.testing.assert_array_equal(setup.transfer_ops[1], expected)
+
+
 def test_value_objects_compare_and_hash_by_identity():
     # Array-holding value objects compare and hash by identity, so they can
     # be compared and collected in sets; scalar-only reports keep value
@@ -172,8 +186,9 @@ def test_value_objects_compare_and_hash_by_identity():
 
 
 def test_build_setup_rejects_dimension_mismatch():
-    with pytest.raises(DimensionError):
-        build_setup(maximally_entangled_state(2), bell_basis(3))
+    for construct in (build_setup, TeleportSetup):
+        with pytest.raises(DimensionError, match="dimension 2 does not match basis dimension 3"):
+            construct(maximally_entangled_state(2), bell_basis(3))
 
 
 def test_build_setup_rejects_invalid_basis():
@@ -231,7 +246,7 @@ def test_identity_fails_for_corrupted_basis():
     elements = bell_basis(2).elements.copy()
     elements[0] = 1.01 * elements[0]
     corrupted = OperatorBasis(local_dim=2, elements=elements)
-    setup = build_setup(maximally_entangled_state(2), corrupted, validate=False)
+    setup = TeleportSetup(maximally_entangled_state(2), corrupted)
     assert verify_identity(basis_state(2, 0), setup) > 1e-3
 
 
@@ -482,8 +497,9 @@ def test_state_fidelity_batch_memory_is_bounded_per_block():
     # 2000 inputs at d=32 are 1 MB; forming all their |psi><psi| at once
     # would take 32 MB, one block takes 1 MiB.
     d, n = 32, 2000
-    setup = build_setup(maximally_entangled_state(d), bell_basis(d), validate=False)
+    setup = TeleportSetup(maximally_entangled_state(d), bell_basis(d))
     psis = oracles.haar_states_gaussian(np.random.default_rng(32), d, n)
+    setup.transfer_abs  # built on first read, outside the measured kernel
     tracemalloc.start()
     try:
         baseline = tracemalloc.get_traced_memory()[0]
