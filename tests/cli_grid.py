@@ -11,10 +11,10 @@ code and the SHA-256 and length of stdout, stderr and any ``--out`` file.
 The input files' own digests are recorded too, so a change to how they
 are generated shows up as such and not as a moved report.
 
-    python tests/cli_grid.py            # regenerate tests/golden/cli_grid.json
-    python tests/cli_grid.py --check    # list the argvs that moved, write nothing
+    python tests/cli_grid.py    # list the moved records, regenerate tests/golden/cli_grid.json
 
-``tests/test_cli_grid.py`` replays the grid against the committed file.
+``tests/test_cli_grid.py`` replays the grid against the committed file;
+``python -m pytest tests/test_cli_grid.py`` is the check that writes nothing.
 A change that moves bytes by design regenerates the file and names the
 moved argvs in CHANGES.md.
 
@@ -24,7 +24,6 @@ instead; they would take most of the replay's time.
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import hashlib
 import io
@@ -217,10 +216,6 @@ def moved(old: dict, new: dict) -> list[str]:
 
 
 def _main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--check", action="store_true",
-                        help="list the records that differ from the committed file; write nothing")
-    args = parser.parse_args()
     with tempfile.TemporaryDirectory() as tmp:
         grid = generate(pathlib.Path(tmp))
     if GOLDEN.exists():
@@ -228,12 +223,9 @@ def _main() -> int:
         for name in changes:
             print(f"moved: {name}")
         print(f"{len(changes)} of {len(grid['inputs']) + len(grid['runs'])} records moved")
-        if args.check:
-            return 1 if changes else 0
-    if not args.check:
-        GOLDEN.parent.mkdir(exist_ok=True)
-        GOLDEN.write_text(dump(grid), encoding="utf-8")
-        print(f"wrote {len(grid['runs'])} runs to {GOLDEN}")
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(dump(grid), encoding="utf-8")
+    print(f"wrote {len(grid['runs'])} runs to {GOLDEN}")
     return 0
 
 
