@@ -271,12 +271,14 @@ def run_verify(cfg: argparse.Namespace):
 
 def run_teleport(cfg: argparse.Namespace):
     """Shot-by-shot protocol transcript for one input state; exit 1 when a
-    probability or conditional fidelity leaves [0, 1 + PROBABILITY_TOL]."""
+    probability or conditional fidelity leaves [0, 1 + max(PROBABILITY_TOL,
+    --tolerance)]."""
     rng, setup = _resolve_setup(cfg)
     psi = _resolve_psi(cfg, rng)
     outcomes = sample_outcome(psi, setup, rng, size=cfg.samples)
     # Shots with the same xi share one record, so each record is checked once.
-    sane = all(0.0 <= value <= 1.0 + PROBABILITY_TOL for outcome in set(outcomes)
+    bound = 1.0 + max(PROBABILITY_TOL, cfg.tolerance)
+    sane = all(0.0 <= value <= bound for outcome in set(outcomes)
                for value in (outcome.probability, outcome.conditional_fidelity))
     rows = [_row(cfg, TRANSCRIPT_COLUMNS, shot=shot, xi=outcome.xi,
                  probability=outcome.probability,

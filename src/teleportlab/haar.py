@@ -147,8 +147,9 @@ def _detect_special_case(setup: TeleportSetup) -> SpecialCase:
 
 
 def transfer_trace_norms(setup: TeleportSetup) -> np.ndarray:
-    """Tr |T_xi| for every outcome (the nuclear norms of the transfers)."""
-    return np.einsum("xii->x", setup.transfer_abs).real
+    """Tr |T_xi| for every outcome (the nuclear norms of the transfers): the
+    row sums of the cached singular values, so no |T_xi| is built."""
+    return setup.transfer_singular_values.sum(axis=1)
 
 
 def average_fidelity_analytic(setup: TeleportSetup) -> AverageFidelityResult:

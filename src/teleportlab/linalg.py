@@ -108,13 +108,14 @@ def basis_state(dim: int, index: int) -> np.ndarray:
 
 
 def dagger(matrix: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return matrix.conj().T
+    """Conjugate transpose of a matrix, or of each matrix in a stack."""
+    return matrix.conj().swapaxes(-1, -2)
 
 
 def _abs_from_svd(s: np.ndarray, vh: np.ndarray) -> np.ndarray:
-    # |M| = V S V^dagger from M = W S V^dagger, symmetrized to exact Hermiticity.
-    positive = dagger(vh) @ (s[:, None] * vh)
+    # |M| = V S V^dagger from M = W S V^dagger, symmetrized to exact Hermiticity;
+    # a stack of factors gives the stack of |M|, each with the bits of its own call.
+    positive = dagger(vh) @ (s[..., :, None] * vh)
     return 0.5 * (positive + dagger(positive))
 
 

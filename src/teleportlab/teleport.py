@@ -27,10 +27,11 @@ import numpy as np
 from .bases import BasisStructureError, OperatorBasis, validate_basis
 from .choi import BipartiteState
 from .errors import DimensionError
-from .linalg import as_state, dagger, operator_abs, polar_decompose, require_dense_size, require_normalized
+from .linalg import _abs_from_svd, as_state, dagger, polar_decompose, require_dense_size, require_normalized
 from .tolerances import BASIS_TOL, ZERO_OUTCOME_TOL
 
-# Bytes of vec(|psi><psi|) that state_fidelity_batch forms at once.
+# Bytes of d x d complex matrices processed at once: the vec(|psi><psi|) that
+# state_fidelity_batch forms, and the T_xi that transfer_abs decomposes.
 _BLOCK_BYTES = 1 << 20
 
 # Completeness trials run by build_setup's basis check.
@@ -38,6 +39,8 @@ _VALIDATION_TRIALS = 4
 
 # Complex d^4-entry stacks live at a setup's peak: elements, T_xi, |T_xi| and a
 # temporary (traced peaks of the CLI commands at d = 16 and 24: 3.0-4.3 stacks).
+# |T_xi| is assembled in blocks of outcomes, which add at most a few _BLOCK_BYTES
+# temporaries on top.
 _PEAK_STACKS = 4
 
 
@@ -45,9 +48,11 @@ _PEAK_STACKS = 4
 class TeleportSetup:
     """Immutable pair of resource state and measurement basis.
 
-    ``transfer_ops[xi]`` is T_xi and ``transfer_abs[xi]`` is |T_xi|, which
-    every fidelity formula reads; both are derived on first read and cached
-    read-only.  For a normalized resource, sum_xi Tr(T_xi^dag T_xi) = d.
+    ``transfer_ops[xi]`` is T_xi, ``transfer_singular_values[xi]`` its
+    singular values, whose sum Tr|T_xi| is all the analytic E(F) needs, and
+    ``transfer_abs[xi]`` is |T_xi|, read only by the Monte-Carlo kernel.  Each
+    is derived on first read and cached read-only.  For a normalized
+    resource, sum_xi Tr(T_xi^dag T_xi) = d.
     Rank and flatness are cached on ``shared`` and ``basis``, which they
     describe.  The constructor checks dimensions and size, not the basis.
     """
@@ -76,11 +81,23 @@ class TeleportSetup:
         return transfer_ops
 
     @cached_property
+    def transfer_singular_values(self) -> np.ndarray:
+        """Singular values of every T_xi, descending, shape (d^2, d); one
+        stacked call that computes no singular vectors."""
+        singular_values = np.linalg.svd(self.transfer_ops, compute_uv=False)
+        singular_values.setflags(write=False)
+        return singular_values
+
+    @cached_property
     def transfer_abs(self) -> np.ndarray:
-        """|T_xi| for every outcome, one :func:`operator_abs` per outcome."""
-        transfer_abs = np.empty_like(self.transfer_ops)
-        for xi, t in enumerate(self.transfer_ops):
-            transfer_abs[xi] = operator_abs(t)
+        """|T_xi| for every outcome, shape (d^2, d, d): one stacked SVD per
+        block of outcomes, bit-equal to :func:`operator_abs` of each T_xi."""
+        transfer_ops = self.transfer_ops
+        transfer_abs = np.empty_like(transfer_ops)
+        rows = _rows_per_block(self.local_dim)
+        for start in range(0, len(transfer_ops), rows):
+            _, s, vh = np.linalg.svd(transfer_ops[start:start + rows])
+            transfer_abs[start:start + rows] = _abs_from_svd(s, vh)
         transfer_abs.setflags(write=False)
         return transfer_abs
 
@@ -101,6 +118,11 @@ class TeleportOutcome:
     raw_conditional_state: np.ndarray
     corrected_state: np.ndarray
     conditional_fidelity: float
+
+
+def _rows_per_block(local_dim: int) -> int:
+    """How many complex d x d matrices fit in ``_BLOCK_BYTES`` (at least one)."""
+    return max(1, _BLOCK_BYTES // (np.dtype(complex).itemsize * local_dim**2))
 
 
 def require_setup_fits(local_dim: int) -> None:
@@ -267,7 +289,7 @@ def state_fidelity_batch(psis: np.ndarray, setup: TeleportSetup) -> np.ndarray:
     if psis.ndim != 2 or psis.shape[1] != d:
         raise DimensionError(f"expected shape (n, {d})")
     weights = setup.transfer_abs.reshape(-1, d * d).view(float).T
-    rows = max(1, _BLOCK_BYTES // (psis.itemsize * d * d))
+    rows = _rows_per_block(d)
     fidelities = np.empty(psis.shape[0])
     for start in range(0, psis.shape[0], rows):
         block = psis[start:start + rows]

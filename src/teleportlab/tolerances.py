@@ -18,7 +18,8 @@ RANK_TOL = 1e-10
 CLOSED_FORM_GAP_PER_DIM = 2 * RANK_TOL
 
 # Rounding slack above 1 that a probability or conditional fidelity may
-# show before the teleport command reports a failure (exit 1).
+# show before the teleport command reports a failure (exit 1); the command
+# allows --tolerance instead when that is larger.
 PROBABILITY_TOL = 1e-12
 
 # Orthonormality / completeness residual bound for operator bases.

@@ -1,6 +1,7 @@
 """Tests for the command-line front end."""
 
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -149,12 +150,22 @@ def test_teleport_product_resource_rows_are_sane(tmp_path):
 
 
 def test_teleport_exit_gate_reads_its_stated_tolerance(monkeypatch, capsys):
-    # Probabilities of 1/4 pass a slack of 0 and fail an upper bound of 0.2.
+    # The gate is 1 + max(PROBABILITY_TOL, --tolerance): a sound run passes
+    # even a --tolerance below the floor, and a probability of 1 + 1e-9 fails
+    # the default 1e-10 and the floor but passes --tolerance 1e-8.
     argv = ["teleport", "--d", "2", "--samples", "5", "--no-timestamp"]
-    monkeypatch.setattr(cli, "PROBABILITY_TOL", 0.0)
-    assert run_cli(argv, capsys)[0] == 0
-    monkeypatch.setattr(cli, "PROBABILITY_TOL", -0.8)
+    assert run_cli(argv + ["--tolerance", "1e-30"], capsys)[0] == 0
+    sample = cli.sample_outcome
+
+    def corrupted(*args, **kwargs):
+        outcomes = sample(*args, **kwargs)
+        bad = dataclasses.replace(outcomes[0], probability=1.0 + 1e-9)
+        return [bad] + outcomes[1:]
+
+    monkeypatch.setattr(cli, "sample_outcome", corrupted)
     assert run_cli(argv, capsys)[0] == 1
+    assert run_cli(argv + ["--tolerance", "1e-8"], capsys)[0] == 0
+    assert run_cli(argv + ["--tolerance", "1e-30"], capsys)[0] == 1
 
 
 # The bench's teleport-shots workload at seed 0; its transcript is pinned by

@@ -212,16 +212,36 @@ def _count_svds(monkeypatch) -> list:
 
 
 def test_fidelity_command_runs_each_svd_once(monkeypatch, capsys):
-    # d = 2, Bell basis, Haar resource: 4 transfer SVDs when the trace norms
-    # first read |T|, 1 for the resource's Schmidt spectrum and 4 for the
-    # basis's element shape, which both routes and the closed form read.
-    # The element shape is one stacked call, so 9 matrices take 6 calls.
+    # d = 2, Bell basis, Haar resource: 1 SVD for the resource's Schmidt
+    # spectrum, 4 for the basis's element shape and 4 for the transfers'
+    # singular values, whose row sums are the trace norms.  The element shape
+    # and the singular values are one stacked call each, so 9 matrices take
+    # 3 calls, and no |T| is built.
     calls = _count_svds(monkeypatch)
     code = main(["fidelity", "--d", "2", "--shared", "haar-random", "--no-timestamp"])
     capsys.readouterr()
     assert code == 0
     assert sum(calls) == 9
-    assert len(calls) == 6
+    assert len(calls) == 3
+
+
+def test_average_command_builds_abs_t_in_one_block_and_reads_trace_norms_apart(monkeypatch, capsys):
+    # The fidelity command's 3 calls over 9 matrices, plus one stacked SVD
+    # that builds |T| for the Monte-Carlo kernel: at d = 2 all 4 outcomes
+    # fit in one block, so 13 matrices take 4 calls.
+    calls = _count_svds(monkeypatch)
+    code = main(["average", "--d", "2", "--shared", "haar-random", "--samples", "100", "--no-timestamp"])
+    capsys.readouterr()
+    assert code == 0
+    assert sum(calls) == 13
+    assert len(calls) == 4
+
+
+def test_analytic_fidelity_builds_no_abs_t():
+    setup = build_setup(random_shared_state(3, np.random.default_rng(72)), bell_basis(3))
+    average_fidelity_analytic(setup)
+    assert "transfer_abs" not in vars(setup)
+    assert "transfer_singular_values" in vars(setup)
 
 
 def test_teleport_command_decomposes_each_drawn_outcome_once(monkeypatch, capsys):

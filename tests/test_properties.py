@@ -25,6 +25,7 @@ from teleportlab import (
     random_shared_state,
     rotated_basis,
     special_case_fidelity,
+    transfer_trace_norms,
     verify_identity,
 )
 
@@ -79,6 +80,18 @@ def test_protocol_invariants(params):
     assert abs(outcome_probabilities(psi, setup).sum() - 1.0) <= 1e-12
     # sum_xi Tr(T_xi^dag T_xi) = d for a normalized resource
     assert abs(np.vdot(setup.transfer_ops, setup.transfer_ops).real - d) <= 1e-12 * d
+    # the same sum rule on the singular values that the analytic E(F) reads
+    assert abs(np.sum(setup.transfer_singular_values**2) - d) <= 1e-12
+
+
+@bounded
+@given(setups)
+def test_trace_norms_match_the_trace_of_abs_t(params):
+    # Tr|T_xi| from the singular values agrees with the trace of the |T_xi|
+    # that the Monte-Carlo kernel reads.
+    setup, _ = _build(params)
+    traces = np.trace(setup.transfer_abs, axis1=1, axis2=2).real
+    np.testing.assert_allclose(transfer_trace_norms(setup), traces, rtol=0, atol=1e-13)
 
 
 @bounded

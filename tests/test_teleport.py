@@ -26,6 +26,7 @@ from teleportlab import (
     dagger,
     enumerate_outcomes,
     maximally_entangled_state,
+    operator_abs,
     optimal_correction,
     outcome_probabilities,
     product_basis,
@@ -145,13 +146,30 @@ def test_transfer_operators_match_their_definition():
         np.testing.assert_allclose(setup.transfer_ops[xi], expected, atol=1e-15, rtol=0)
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 8, 24])
+@pytest.mark.parametrize("rotated", [False, True], ids=["bell", "rotated"])
+def test_stacked_transfer_abs_equals_per_outcome_operator_abs(d, rotated):
+    # |T| comes from stacked SVDs over blocks of outcomes; each block must give
+    # the bits of one operator_abs call per T_xi.  At d = 24 the 576 outcomes
+    # end in a partial block.
+    rng = np.random.default_rng(50 + d)
+    basis = bell_basis(d)
+    if rotated:
+        basis = rotated_basis(basis, oracles.random_unitary(rng, d * d))
+    setup = TeleportSetup(_random_shared(rng, d), basis)
+    if d == 24:
+        assert (d * d) % teleport._rows_per_block(d) != 0
+    expected = np.array([operator_abs(t) for t in setup.transfer_ops])
+    np.testing.assert_array_equal(setup.transfer_abs, expected)
+
+
 def test_value_objects_hold_read_only_arrays():
     # Built from writable inputs, none of the stored arrays can be written.
     shared = BipartiteState(np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / math.sqrt(2))
     basis = OperatorBasis(local_dim=2, elements=bell_basis(2).elements.copy())
     setup = build_setup(shared, basis)
     for arr in (shared.vector, shared.operator_form, basis.elements,
-                setup.transfer_ops, setup.transfer_abs):
+                setup.transfer_ops, setup.transfer_abs, setup.transfer_singular_values):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr.flat[0] = 0.0
