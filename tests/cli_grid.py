@@ -129,6 +129,10 @@ def _extra_argvs() -> list[list[str]]:
         ["teleport", "--d", "3", "--samples", "40", "--out", "report.csv", ts],
         ["fidelity", "--d", "3", "--shared", "product", "--format", "json", "--out", "report.json", ts],
         ["verify", "--d", "2", "--samples", "10", "--out", "report.csv", ts],
+        # transcripts of zero shots (an empty rows block) and of one shot
+        ["teleport", "--d", "2", "--samples", "0", ts],
+        ["teleport", "--d", "2", "--samples", "0", "--format", "json", ts],
+        ["teleport", "--d", "2", "--samples", "1", ts],
         # tolerance gates
         ["verify", "--d", "3", "--samples", "10", "--tolerance", "1e-300", ts],
         ["fidelity", "--d", "3", "--shared", "haar-random", "--tolerance", "1", ts],
