@@ -52,7 +52,7 @@ for name, setup in setups.items():
     print(f"  analytic E(F)      : {result.analytic:.6f} (closed form {closed:.6f})")
     print(f"  monte carlo        : {result.monte_carlo_mean:.6f} "
           f"+- {result.monte_carlo_stderr:.6f} ({result.samples} samples)")
-    print(f"  within 4 std errs  : {result.within_statistical_bound()}\n")
+    print(f"  within 4 std errs  : {result.within_statistical_bound(d)}\n")
 
 # The classical strategy simulated directly lands on the same 2/(d+1).
 for dim in (2, 3, 9):

@@ -80,6 +80,7 @@ from .haar import (
     haar_states,
     haar_unitary,
     monte_carlo_fidelity,
+    monte_carlo_rounding_bound,
     pair_average_analytic,
     random_shared_state,
     special_case_fidelity,
@@ -107,6 +108,7 @@ __all__ = [
     # haar
     "AverageFidelityResult", "SpecialCase", "average_fidelity_analytic",
     "classical_baseline", "closed_form_gap_bound", "haar_state", "haar_states", "haar_unitary",
-    "monte_carlo_fidelity", "pair_average_analytic", "random_shared_state",
+    "monte_carlo_fidelity", "monte_carlo_rounding_bound", "pair_average_analytic",
+    "random_shared_state",
     "special_case_fidelity", "transfer_trace_norms",
 ]

@@ -42,6 +42,7 @@ from .haar import (
     closed_form_gap_bound,
     haar_state,
     monte_carlo_fidelity,
+    monte_carlo_rounding_bound,
     random_shared_state,
     special_case_fidelity,
 )
@@ -252,12 +253,8 @@ def _resolve_psi(cfg: argparse.Namespace, rng: np.random.Generator) -> np.ndarra
 
 
 def _row(cfg: argparse.Namespace, columns, **cells) -> dict:
-    # Context by item assignment, not keyword update: transcripts build one row per shot.
-    row = dict.fromkeys(columns)
-    row["experiment"], row["d"], row["seed"] = cfg.command, cfg.d, cfg.seed
-    row["basis"], row["shared"] = cfg.basis, cfg.shared
-    row.update(cells)
-    return row
+    context = dict(experiment=cfg.command, d=cfg.d, basis=cfg.basis, shared=cfg.shared, seed=cfg.seed)
+    return {**dict.fromkeys(columns), **context, **cells}
 
 
 def run_verify(cfg: argparse.Namespace):
@@ -272,19 +269,20 @@ def run_verify(cfg: argparse.Namespace):
 def run_teleport(cfg: argparse.Namespace):
     """Shot-by-shot protocol transcript for one input state; exit 1 when a
     probability or conditional fidelity leaves [0, 1 + max(PROBABILITY_TOL,
-    --tolerance)]."""
+    --tolerance)].  One row per shot; shots with the same xi share one dict."""
     rng, setup = _resolve_setup(cfg)
     psi = _resolve_psi(cfg, rng)
     outcomes = sample_outcome(psi, setup, rng, size=cfg.samples)
-    # Shots with the same xi share one record, so each record is checked once.
+    # Shots with the same xi share one record, so each record is checked and
+    # given a row once; the renderers write the shot cell.
+    distinct = {outcome: _row(cfg, TRANSCRIPT_COLUMNS, xi=outcome.xi,
+                              probability=outcome.probability,
+                              conditional_fidelity=outcome.conditional_fidelity)
+                for outcome in dict.fromkeys(outcomes)}
     bound = 1.0 + max(PROBABILITY_TOL, cfg.tolerance)
-    sane = all(0.0 <= value <= bound for outcome in set(outcomes)
+    sane = all(0.0 <= value <= bound for outcome in distinct
                for value in (outcome.probability, outcome.conditional_fidelity))
-    rows = [_row(cfg, TRANSCRIPT_COLUMNS, shot=shot, xi=outcome.xi,
-                 probability=outcome.probability,
-                 conditional_fidelity=outcome.conditional_fidelity)
-            for shot, outcome in enumerate(outcomes)]
-    return (0 if sane else 1), rows
+    return (0 if sane else 1), [distinct[outcome] for outcome in outcomes]
 
 
 def run_fidelity(cfg: argparse.Namespace):
@@ -303,7 +301,9 @@ def run_fidelity(cfg: argparse.Namespace):
 
 
 def run_average(cfg: argparse.Namespace):
-    """Monte-Carlo estimate against the analytic average fidelity."""
+    """Monte-Carlo estimate against the analytic average fidelity; exit 1 when
+    they differ by more than 4 standard errors plus
+    max(monte_carlo_rounding_bound(d), --tolerance)."""
     rng, setup = _resolve_setup(cfg)
     result = monte_carlo_fidelity(setup, cfg.samples, rng)
     row = _row(
@@ -311,7 +311,8 @@ def run_average(cfg: argparse.Namespace):
         analytic=result.analytic, mc_mean=result.monte_carlo_mean,
         mc_stderr=result.monte_carlo_stderr, samples=result.samples,
     )
-    return (0 if result.within_statistical_bound() else 1), [row]
+    gate = max(monte_carlo_rounding_bound(cfg.d), cfg.tolerance)
+    return (0 if result.sigma_excess() <= gate else 1), [row]
 
 
 _RUNNERS = {
@@ -354,24 +355,47 @@ def _format_scalar(value, null: str = "", text=str) -> str:
     return text(str(value))
 
 
+def _row_texts(columns, rows, cell, labels, sep: str) -> list[str]:
+    """The text of each row in order: ``labels[i] + cell(value)`` per column,
+    joined by ``sep``.  A ``shot`` cell is the row's position in ``rows``.
+    Each distinct row object is formatted once, into the text before and
+    after its shot cell, so rows that share one object cost a join each.
+    """
+    shot = columns.index("shot") if "shot" in columns else None
+    cached = {}
+    texts = []
+    for position, row in enumerate(rows):
+        parts = cached.get(id(row))
+        if parts is None:
+            items = [label + cell(row[c]) for label, c in zip(labels, columns)]
+            if shot is None:
+                parts = (sep.join(items), None)
+            else:
+                parts = (sep.join(items[:shot] + [labels[shot]]), sep.join([""] + items[shot + 1:]))
+            cached[id(row)] = parts
+        head, tail = parts
+        texts.append(head if tail is None else head + str(position) + tail)
+    return texts
+
+
 def render_csv(meta: dict, columns, rows) -> str:
+    """The CSV report: ``#`` meta lines, the header, one line per row.  A
+    ``shot`` cell is the row's position in ``rows``."""
     lines = [f"# {key}: {_format_scalar(value)}" for key, value in meta.items()]
     lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(_format_scalar(row[c]) for c in columns))
+    lines += _row_texts(columns, rows, _format_scalar, ("",) * len(columns), ",")
     return "\n".join(lines) + "\n"
 
 
 def render_json(meta: dict, columns, rows) -> str:
+    """The JSON report: a ``meta`` object and one ``rows`` object per line.
+    A ``shot`` cell is the row's position in ``rows``."""
     def cell(value) -> str:
         return _format_scalar(value, "null", json.dumps)
 
     meta_items = ", ".join(f"{json.dumps(k)}: {cell(v)}" for k, v in meta.items())
-    row_texts = []
-    for row in rows:
-        body = ", ".join(f"{json.dumps(c)}: {cell(row[c])}" for c in columns)
-        row_texts.append("    {" + body + "}")
-    rows_block = ",\n".join(row_texts)
+    labels = [f"{json.dumps(c)}: " for c in columns]
+    rows_block = ",\n".join("    {" + text + "}" for text in _row_texts(columns, rows, cell, labels, ", "))
     return (
         "{\n"
         f'  "meta": {{{meta_items}}},\n'

@@ -17,6 +17,10 @@ RANK_TOL = 1e-10
 # Closed-form gap per unit of d that RANK_TOL admits (haar.closed_form_gap_bound).
 CLOSED_FORM_GAP_PER_DIM = 2 * RANK_TOL
 
+# Monte-Carlo mean's rounding against the analytic value per unit of d^2,
+# 64 machine epsilons (haar.monte_carlo_rounding_bound).
+MC_ROUNDING_PER_DIM_SQ = 64 * 2.0**-52
+
 # Rounding slack above 1 that a probability or conditional fidelity may
 # show before the teleport command reports a failure (exit 1); the command
 # allows --tolerance instead when that is larger.

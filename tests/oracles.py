@@ -218,3 +218,43 @@ def basis_file_text(d, elements):
     """A basis file's JSON text, built by nested per-entry comprehensions."""
     matrices = [[[[z.real, z.imag] for z in row] for row in el] for el in np.asarray(elements)]
     return json.dumps({"d": int(d), "elements": matrices})
+
+
+def format_scalar(value, null="", text=str):
+    """One report cell by an isinstance chain: floats with 17 significant
+    digits, booleans ``true``/``false``, ``None`` as ``null``, strings
+    through ``text`` (CSV: bare; JSON: ``json.dumps``)."""
+    if value is None:
+        return null
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return format(float(value), ".17g")
+    return text(str(value))
+
+
+def render_csv_per_row(meta, columns, rows):
+    """The CSV report as it stood before rows were cached: every cell of
+    every row formatted from the row itself, ``shot`` included."""
+    lines = [f"# {key}: {format_scalar(value)}" for key, value in meta.items()]
+    lines.append(",".join(columns))
+    for row in rows:
+        lines.append(",".join(format_scalar(row[c]) for c in columns))
+    return "\n".join(lines) + "\n"
+
+
+def render_json_per_row(meta, columns, rows):
+    """The JSON report as it stood before rows were cached: every cell of
+    every row formatted from the row itself, ``shot`` included."""
+    def cell(value):
+        return format_scalar(value, "null", json.dumps)
+
+    meta_items = ", ".join(f"{json.dumps(k)}: {cell(v)}" for k, v in meta.items())
+    row_texts = []
+    for row in rows:
+        body = ", ".join(f"{json.dumps(c)}: {cell(row[c])}" for c in columns)
+        row_texts.append("    {" + body + "}")
+    rows_block = ",\n".join(row_texts)
+    return "{\n" f'  "meta": {{{meta_items}}},\n' '  "rows": [\n' + rows_block + "\n  ]\n" "}\n"

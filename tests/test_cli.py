@@ -168,6 +168,25 @@ def test_teleport_exit_gate_reads_its_stated_tolerance(monkeypatch, capsys):
     assert run_cli(argv + ["--tolerance", "1e-30"], capsys)[0] == 1
 
 
+def test_average_exit_gate_reads_its_stated_tolerance(monkeypatch, capsys):
+    # The gate is 4 standard errors + max(monte_carlo_rounding_bound(d),
+    # --tolerance).  Every sample of the ideal setup is exact, so a sound run
+    # passes even a --tolerance below the floor, and an estimate moved by 1e-9
+    # fails the default 1e-10 and the floor but passes --tolerance 1e-8.
+    argv = ["average", "--d", "2", "--samples", "1000", "--no-timestamp"]
+    assert run_cli(argv + ["--tolerance", "1e-30"], capsys)[0] == 0
+    estimate = cli.monte_carlo_fidelity
+
+    def corrupted(*args, **kwargs):
+        result = estimate(*args, **kwargs)
+        return dataclasses.replace(result, monte_carlo_mean=result.monte_carlo_mean - 1e-9)
+
+    monkeypatch.setattr(cli, "monte_carlo_fidelity", corrupted)
+    assert run_cli(argv, capsys)[0] == 1
+    assert run_cli(argv + ["--tolerance", "1e-8"], capsys)[0] == 0
+    assert run_cli(argv + ["--tolerance", "1e-30"], capsys)[0] == 1
+
+
 # The bench's teleport-shots workload at seed 0; its transcript is pinned by
 # SHA-256 and length in bench/reference.json.
 _TELEPORT_SHOTS_ARGV = [
@@ -236,6 +255,45 @@ def test_csv_and_json_scalar_formatting_is_pinned():
         "  ]\n"
         "}\n"
     )
+
+
+_RENDERERS = pytest.mark.parametrize("render, oracle", [
+    (render_csv, oracles.render_csv_per_row), (render_json, oracles.render_json_per_row),
+])
+_META = {"command": "teleport", "d": 2, "tolerance": 1e-10, "missing": None}
+
+
+def _fresh_rows(columns, rows):
+    # One new dict per row, its shot cell set to its position.
+    return [{**row, "shot": shot} if "shot" in columns else dict(row) for shot, row in enumerate(rows)]
+
+
+@_RENDERERS
+def test_renderers_match_the_per_row_oracle_on_a_transcript(render, oracle):
+    argv = ["teleport", "--d", "2", "--shared", "haar-random", "--samples", "50", "--seed", "4"]
+    _, rows = cli.run_teleport(config_from_namespace(build_parser().parse_args(argv)))
+    # Shots share one row object per distinct xi, the first and last shot too.
+    assert len({id(row) for row in rows}) < len(rows)
+    assert any(row is rows[0] for row in rows[1:]) and any(row is rows[-1] for row in rows[:-1])
+    columns = cli.TRANSCRIPT_COLUMNS
+    assert render(_META, columns, rows) == oracle(_META, columns, _fresh_rows(columns, rows))
+
+
+_A = {"shot": None, "xi": 3, "probability": 0.1, "label": "bell"}
+_B = {"shot": None, "xi": 0, "probability": 1 / 3, "label": None}
+
+
+@_RENDERERS
+@pytest.mark.parametrize("columns, rows", [
+    (cli.TRANSCRIPT_COLUMNS, []),
+    (("xi", "probability", "label"), [_A, _B]),
+    (("xi", "probability", "label"), [_A, _A, _A]),
+    (("shot", "xi", "probability"), [_A, _B, _A, _A]),
+    (("xi", "label", "shot"), [_B, _A, _B]),
+    (("shot",), [_A, _A]),
+], ids=["zero rows", "no shot column", "one row repeated", "shot first", "shot last", "shot only"])
+def test_renderers_match_the_per_row_oracle(render, oracle, columns, rows):
+    assert render(_META, columns, rows) == oracle(_META, columns, _fresh_rows(columns, rows))
 
 
 def test_verify_large_dimension_product_basis(tmp_path):
