@@ -109,8 +109,9 @@ def product_basis(local_dim: int) -> OperatorBasis:
 def custom_basis(elements, local_dim: Optional[int] = None) -> OperatorBasis:
     """Wrap user-supplied operators as a basis, checking shapes only.
 
-    Run :func:`validate_basis` (or build a teleportation setup, which
-    does) before trusting the result.
+    Run :func:`validate_basis` (or :func:`~teleportlab.teleport.build_setup`,
+    which does; the ``TeleportSetup`` constructor does not) before trusting
+    the result.
     """
     matrices = [as_square_matrix(e) for e in elements]
     if len({m.shape for m in matrices}) > 1:
@@ -150,13 +151,21 @@ class BasisValidationReport:
     Hilbert-Schmidt Gram matrix from the identity (checked exhaustively).
     ``completeness_residual`` is the largest entrywise deviation of
     sum_xi B_xi^dag A B_xi from Tr(A) * identity over the seeded random
-    trial matrices A.  Both residuals are gated against ``BASIS_TOL``;
-    ``failed_relation`` names orthonormality first when both fail.
+    trial matrices A.  Both residuals are gated against ``BASIS_TOL``.
     """
 
     orthonormality_residual: float
     completeness_residual: float
-    failed_relation: Optional[str]
+
+    @property
+    def failed_relation(self) -> Optional[str]:
+        """The relation whose residual exceeds ``BASIS_TOL``, orthonormality
+        first when both do; ``None`` when the basis passes."""
+        if self.orthonormality_residual > BASIS_TOL:
+            return "orthonormality"
+        if self.completeness_residual > BASIS_TOL:
+            return "completeness"
+        return None
 
     @property
     def passed(self) -> bool:
@@ -197,13 +206,4 @@ def validate_basis(basis: OperatorBasis, trials: int = 8) -> BasisValidationRepo
         total = left @ np.matmul(a, elements).reshape(n * d, d)
         comp_residual = max(comp_residual, float(np.max(np.abs(total - np.trace(a) * identity))))
 
-    failed = None
-    if orth_residual > BASIS_TOL:
-        failed = "orthonormality"
-    elif comp_residual > BASIS_TOL:
-        failed = "completeness"
-    return BasisValidationReport(
-        orthonormality_residual=orth_residual,
-        completeness_residual=comp_residual,
-        failed_relation=failed,
-    )
+    return BasisValidationReport(orth_residual, comp_residual)

@@ -22,7 +22,7 @@ from teleportlab import (
     random_shared_state,
     rotated_basis,
 )
-from teleportlab import cli, teleport
+from teleportlab import cli, linalg, teleport
 from teleportlab.cli import (
     build_parser,
     config_from_namespace,
@@ -187,6 +187,26 @@ def test_average_exit_gate_reads_its_stated_tolerance(monkeypatch, capsys):
     assert run_cli(argv + ["--tolerance", "1e-30"], capsys)[0] == 1
 
 
+@pytest.mark.parametrize("command, argv", [
+    ("verify", ["--samples", "1"]),
+    ("teleport", ["--samples", "3"]),
+    ("fidelity", []),
+    ("average", ["--samples", "100"]),
+])
+@pytest.mark.parametrize("floor", [0.0, 1e-6])
+def test_one_exit_rule_at_its_boundary(monkeypatch, capsys, command, argv, floor):
+    # Each runner returns (excess, floor, rows) and main alone decides: an
+    # excess equal to max(floor, --tolerance) passes, the next float up fails,
+    # and a floor above --tolerance is the bound.
+    tolerance = 1e-10
+    bound = max(floor, tolerance)
+    real, columns = cli._RUNNERS[command]
+    for excess, code in ((bound, 0), (math.nextafter(bound, math.inf), 1)):
+        fake = (lambda cfg, excess=excess: (excess, floor, real(cfg)[2]), columns)
+        monkeypatch.setitem(cli._RUNNERS, command, fake)
+        assert run_cli([command, *argv, "--tolerance", str(tolerance), "--no-timestamp"], capsys)[0] == code
+
+
 # The bench's teleport-shots workload at seed 0; its transcript is pinned by
 # SHA-256 and length in bench/reference.json.
 _TELEPORT_SHOTS_ARGV = [
@@ -204,6 +224,23 @@ def test_teleport_shots_transcript_matches_the_bench_reference(capsys):
     assert code == 0
     data = out.encode()
     assert (hashlib.sha256(data).hexdigest(), len(data)) == (pinned["sha256"], pinned["bytes"])
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_teleport_shots_format_each_distinct_row_once(monkeypatch, capsys, fmt):
+    # At d = 2 there are at most 4 distinct rows, each formatted once per
+    # column, plus the 8 meta lines of a run without a timestamp; shot cells
+    # are not formatted per shot.
+    calls = []
+    real = cli._format_scalar
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "_format_scalar", counting)
+    assert run_cli(_TELEPORT_SHOTS_ARGV + ["--format", fmt], capsys)[0] == 0
+    assert len(calls) <= 4 * len(cli.TRANSCRIPT_COLUMNS) + 8
 
 
 @pytest.mark.parametrize("seed", [5, 11])
@@ -271,7 +308,7 @@ def _fresh_rows(columns, rows):
 @_RENDERERS
 def test_renderers_match_the_per_row_oracle_on_a_transcript(render, oracle):
     argv = ["teleport", "--d", "2", "--shared", "haar-random", "--samples", "50", "--seed", "4"]
-    _, rows = cli.run_teleport(config_from_namespace(build_parser().parse_args(argv)))
+    _, _, rows = cli.run_teleport(config_from_namespace(build_parser().parse_args(argv)))
     # Shots share one row object per distinct xi, the first and last shot too.
     assert len({id(row) for row in rows}) < len(rows)
     assert any(row is rows[0] for row in rows[1:]) and any(row is rows[-1] for row in rows[:-1])
@@ -542,6 +579,31 @@ def test_oversized_dimension_is_refused_with_its_estimate():
     ns = build_parser().parse_args(["fidelity", "--d", "32"])
     assert config_from_namespace(ns) is ns
     assert ns.samples == 0
+
+
+def test_oversized_transcript_is_refused_before_sampling(monkeypatch, capsys):
+    # A shot costs _SHOT_BYTES of the dense budget, 16 bytes per entry.  With
+    # the limit shrunk to 100 shots' worth, 100 shots run and 101 exit 2 with
+    # the estimate, before anything is sampled; at the real limit a shot
+    # count that would need terabytes is refused the same way.
+    per_shot = cli._SHOT_BYTES // 16
+    argv = ["teleport", "--d", "2", "--no-timestamp", "--samples"]
+    monkeypatch.setattr(linalg, "_MAX_ELEMENTS", 100 * per_shot)
+    assert run_cli(argv + ["100"], capsys)[0] == 0
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the shot guard must run first")
+
+    monkeypatch.setattr(cli, "sample_outcome", unreachable)
+    code, _, err = run_cli(argv + ["101"], capsys)
+    assert code == 2
+    estimate = f"a transcript of 101 shots at {cli._SHOT_BYTES:,} bytes each needs {101 * per_shot:,}"
+    assert estimate in err
+    monkeypatch.undo()
+    monkeypatch.setattr(cli, "sample_outcome", unreachable)
+    code, _, err = run_cli(argv + ["10000000000000"], capsys)
+    assert code == 2
+    assert "a transcript of 10,000,000,000,000 shots" in err and "GiB" in err
 
 
 def test_missing_file_exits_2(capsys):
