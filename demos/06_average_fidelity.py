@@ -21,6 +21,7 @@ from teleportlab import (
     classical_baseline,
     maximally_entangled_state,
     monte_carlo_fidelity,
+    monte_carlo_rounding_bound,
     product_basis,
     product_state,
     random_shared_state,
@@ -52,7 +53,7 @@ for name, setup in setups.items():
     print(f"  analytic E(F)      : {result.analytic:.6f} (closed form {closed:.6f})")
     print(f"  monte carlo        : {result.monte_carlo_mean:.6f} "
           f"+- {result.monte_carlo_stderr:.6f} ({result.samples} samples)")
-    print(f"  within 4 std errs  : {result.within_statistical_bound(d)}\n")
+    print(f"  within 4 std errs  : {result.sigma_excess() <= monte_carlo_rounding_bound(d)}\n")
 
 # The classical strategy simulated directly lands on the same 2/(d+1).
 for dim in (2, 3, 9):

@@ -171,6 +171,14 @@ class BasisValidationReport:
     def passed(self) -> bool:
         return self.failed_relation is None
 
+    @property
+    def failure(self) -> Optional[str]:
+        """The failure text, with the larger residual; ``None`` when the basis passes."""
+        if self.passed:
+            return None
+        residual = max(self.orthonormality_residual, self.completeness_residual)
+        return f"basis violates {self.failed_relation} (residual {residual:.3e})"
+
 
 def validate_basis(basis: OperatorBasis, trials: int = 8) -> BasisValidationReport:
     """Check both defining relations of an orthonormal operator basis.

@@ -111,19 +111,15 @@ class BipartiteState:
         return coeffs
 
     @classmethod
-    def from_vector(cls, vector, *, normalize: bool = False) -> "BipartiteState":
-        """Build from a length d^2 amplitude vector.
-
-        With ``normalize=True`` the input is rescaled to unit norm;
-        otherwise it must already be normalized.
-        """
-        return cls(normalize_state(vector) if normalize else vector)
+    def from_vector(cls, vector) -> "BipartiteState":
+        """Build from a normalized length d^2 amplitude vector
+        (:func:`~teleportlab.linalg.normalize_state` rescales one that is not)."""
+        return cls(vector)
 
     @classmethod
-    def from_operator(cls, operator, *, normalize: bool = False) -> "BipartiteState":
-        """Build from the d x d operator form of the amplitudes."""
-        m = as_square_matrix(operator)
-        return cls.from_vector(m.reshape(-1), normalize=normalize)
+    def from_operator(cls, operator) -> "BipartiteState":
+        """Build from the normalized d x d operator form of the amplitudes."""
+        return cls.from_vector(as_square_matrix(operator).reshape(-1))
 
 
 def maximally_entangled_state(local_dim: int) -> BipartiteState:

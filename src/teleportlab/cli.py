@@ -20,6 +20,9 @@ File formats (JSON, complex scalars as [re, im] pairs):
     basis file:  {"d": 2, "elements": [matrix, ...]}
                  each matrix a row-major nested list of [re, im] pairs
 
+--basis-file and --shared-file are read only with ``custom``, --psi-file
+only by ``teleport``; a file flag nothing reads is refused.
+
 Exit codes: 0 pass, 2 unusable configuration, 1 when the excess a runner
 measures is above the larger of its floor and ``--tolerance`` (in ``main``).
 """
@@ -99,10 +102,14 @@ def config_from_namespace(ns: argparse.Namespace) -> argparse.Namespace:
                            f"a transcript of {ns.samples:,} shots at {_SHOT_BYTES:,} bytes each")
     if ns.command == "average" and ns.samples < MIN_SAMPLES:
         raise ConfigurationError(f"the average command needs --samples of at least {MIN_SAMPLES}")
-    if ns.basis == "custom" and not ns.basis_file:
-        raise ConfigurationError("--basis custom requires --basis-file")
-    if ns.shared == "custom" and not ns.shared_file:
-        raise ConfigurationError("--shared custom requires --shared-file")
+    for flag, kind, path in (("--basis", ns.basis, ns.basis_file),
+                             ("--shared", ns.shared, ns.shared_file)):
+        if kind == "custom" and not path:
+            raise ConfigurationError(f"{flag} custom requires {flag}-file")
+        if path and kind != "custom":
+            raise ConfigurationError(f"{flag}-file is read only with {flag} custom")
+    if ns.psi_file and ns.command != "teleport":
+        raise ConfigurationError("--psi-file is read only by the teleport command")
     require_setup_fits(ns.d)
     return ns
 
@@ -228,12 +235,9 @@ def _resolve_basis(cfg: argparse.Namespace) -> OperatorBasis:
     basis = load_basis_file(cfg.basis_file)
     if basis.local_dim != cfg.d:
         raise ConfigurationError(f"{cfg.basis_file}: basis has d = {basis.local_dim}, expected {cfg.d}")
-    report = validate_basis(basis)
-    if not report.passed:
-        raise ConfigurationError(
-            f"{cfg.basis_file}: basis violates {report.failed_relation} "
-            f"(residual {max(report.orthonormality_residual, report.completeness_residual):.3e})"
-        )
+    failure = validate_basis(basis).failure
+    if failure:
+        raise ConfigurationError(f"{cfg.basis_file}: {failure}")
     return basis
 
 

@@ -129,12 +129,6 @@ class AverageFidelityResult:
             return 0.0
         return abs(self.analytic - self.monte_carlo_mean) - _N_SIGMA * self.monte_carlo_stderr
 
-    def within_statistical_bound(self, local_dim: int) -> bool:
-        """Whether the estimate sits within ``_N_SIGMA`` standard errors of the
-        analytic value, plus :func:`monte_carlo_rounding_bound` for setups
-        whose every sample is exact."""
-        return self.sigma_excess() <= monte_carlo_rounding_bound(local_dim)
-
 
 def _detect_special_case(setup: TeleportSetup) -> SpecialCase:
     shared_flat, shared_rank = schmidt_shape(setup.shared.schmidt_coefficients)

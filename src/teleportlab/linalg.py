@@ -127,7 +127,7 @@ def polar_decompose(matrix) -> tuple[np.ndarray, np.ndarray]:
 
     Returns:
         (U, P) with ``U @ P`` equal to M up to rounding and P Hermitian
-        positive semidefinite, equal to :func:`operator_abs` of M.
+        positive semidefinite.
     """
     m = as_square_matrix(matrix)
     u, s, vh = np.linalg.svd(m)
@@ -135,14 +135,12 @@ def polar_decompose(matrix) -> tuple[np.ndarray, np.ndarray]:
 
 
 def operator_abs(matrix) -> np.ndarray:
-    """Operator absolute value |M| = sqrt(M^dag M).
+    """Operator absolute value |M| = sqrt(M^dag M), the factor P of :func:`polar_decompose`.
 
     Hermitian positive semidefinite, with eigenvalues equal to the
     singular values of M.
     """
-    m = as_square_matrix(matrix)
-    _, s, vh = np.linalg.svd(m)
-    return _abs_from_svd(s, vh)
+    return polar_decompose(matrix)[1]
 
 
 def require_dense_size(entries: int, what: str) -> None:

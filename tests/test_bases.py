@@ -15,13 +15,16 @@ from teleportlab import (
     OperatorBasis,
     analyze_entanglement,
     bell_basis,
+    build_setup,
     custom_basis,
+    maximally_entangled_state,
     product_basis,
     rotated_basis,
     validate_basis,
 )
 from teleportlab import bases, linalg
 from teleportlab.choi import schmidt_shape
+from teleportlab.cli import main, save_basis_file
 from teleportlab.tolerances import BASIS_TOL
 
 
@@ -102,15 +105,42 @@ def test_scaled_element_is_detected():
     assert report.failed_relation is not None
 
 
-def test_completeness_violation_detected_for_orthonormal_non_basis():
-    # orthonormal family that does not span: unitary rotations of a
-    # proper subset cannot be produced (count is checked), so distort a
-    # valid basis by replacing one element with a duplicate of another.
+def test_duplicated_element_fails_orthonormality():
+    # A family with one element repeated does not span; its Gram matrix has
+    # an off-diagonal 1, so orthonormality already fails.
     basis = product_basis(2)
     elements = basis.elements.copy()
     elements[3] = elements[0]
     report = validate_basis(OperatorBasis(local_dim=2, elements=elements))
-    assert not report.passed
+    assert report.failed_relation == "orthonormality"
+
+
+def _mixed_basis(basis, eps):
+    """The vectors of ``basis`` mixed by M = (I + eps J)^(1/2), J all-ones:
+    Gram matrix I + eps J, so the orthonormality residual is eps, while
+    sum_xi B_xi^dag A B_xi picks up eps S^dag A S, S = sum_xi B_xi."""
+    n = len(basis)
+    mix = np.eye(n) + (math.sqrt(1 + eps * n) - 1) / n * np.ones((n, n))
+    d = basis.local_dim
+    return OperatorBasis(local_dim=d, elements=(mix @ basis.vectors()).reshape(n, d, d))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("make", [bell_basis, product_basis], ids=["bell", "product"])
+@pytest.mark.parametrize("fraction", [0.5, 0.9])
+def test_completeness_catches_what_orthonormality_passes(tmp_path, capsys, d, make, fraction):
+    basis = _mixed_basis(make(d), fraction * BASIS_TOL)
+    for trials in (4, 8):
+        report = validate_basis(basis, trials=trials)
+        assert report.orthonormality_residual <= BASIS_TOL
+        assert report.failed_relation == "completeness"
+    with pytest.raises(BasisStructureError, match="^measurement basis violates completeness "):
+        build_setup(maximally_entangled_state(d), basis)
+    path = tmp_path / "basis.json"
+    save_basis_file(path, basis)
+    code = main(["verify", "--d", str(d), "--basis", "custom", "--basis-file", str(path)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}: basis violates completeness (residual ")
 
 
 @pytest.mark.parametrize("d", [2, 3])

@@ -16,6 +16,7 @@ from teleportlab import (
     component_overlap,
     hs_inner,
     maximally_entangled_state,
+    normalize_state,
     op_to_vec,
     product_state,
     reduced_states,
@@ -210,7 +211,7 @@ def test_reduced_states_match_brute_force_partial_trace(d):
 def test_bipartite_state_normalization_contract():
     with pytest.raises(NormalizationError):
         BipartiteState.from_vector(np.array([1.0, 0, 0, 1.0]))
-    state = BipartiteState.from_vector(np.array([1.0, 0, 0, 1.0]), normalize=True)
+    state = BipartiteState.from_vector(normalize_state(np.array([1.0, 0, 0, 1.0])))
     assert np.linalg.norm(state.vector) == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(DimensionError):
         BipartiteState.from_vector(np.ones(3) / math.sqrt(3))

@@ -509,8 +509,9 @@ def test_basis_is_validated_once(tmp_path, monkeypatch, basis, trials):
     monkeypatch.setattr(teleport, "validate_basis", recording_validate)
     basis_path = tmp_path / "basis.json"
     save_basis_file(basis_path, bell_basis(3))
+    file_args = ["--basis-file", str(basis_path)] if basis == "custom" else []
     code = main([
-        "verify", "--d", "3", "--basis", basis, "--basis-file", str(basis_path),
+        "verify", "--d", "3", "--basis", basis, *file_args,
         "--samples", "5", "--no-timestamp", "--out", str(tmp_path / "out.csv"),
     ])
     assert code == 0
@@ -567,6 +568,28 @@ def test_unusable_configurations_exit_2(args, capsys):
     code = main(args + ["--no-timestamp"])
     capsys.readouterr()
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["fidelity", "--basis-file"], "--basis-file is read only with --basis custom"),
+        (["verify", "--basis", "product", "--shared-file"],
+         "--shared-file is read only with --shared custom"),
+        (["average", "--psi-file"], "--psi-file is read only by the teleport command"),
+    ],
+    ids=["basis-file", "shared-file", "psi-file"],
+)
+def test_file_flag_the_chosen_kind_does_not_read_exits_2(tmp_path, monkeypatch, capsys, args, message):
+    # Refused before any file is read: reading one fails the test.
+    def no_read(path):
+        raise AssertionError(f"{path} was opened")
+
+    monkeypatch.setattr(cli, "_load_json", no_read)
+    code = main(args + [str(tmp_path / "missing.json"), "--no-timestamp"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
 
 
 def test_oversized_dimension_is_refused_with_its_estimate():

@@ -26,6 +26,7 @@ from teleportlab import (
     maximally_entangled_state,
     monte_carlo_fidelity,
     monte_carlo_rounding_bound,
+    normalize_state,
     pair_average_analytic,
     product_basis,
     product_state,
@@ -331,7 +332,7 @@ def test_closed_form_gap_stays_within_bound_near_thresholds(d):
     tail = np.full(d, 0.9 * oracles.RANK_TOL)
     tail[0] = 1.0
     spectra = (tail, np.linspace(1.0, 1.0 - 0.9 * oracles.RANK_TOL, d))
-    resources = [BipartiteState.from_operator(np.diag(s.astype(complex)), normalize=True)
+    resources = [BipartiteState.from_vector(normalize_state(np.diag(s.astype(complex)).ravel()))
                  for s in spectra] + [random_shared_state(d, rng)]
     bases = [bell_basis(d), product_basis(d),
              rotated_basis(bell_basis(d), _near_identity(rng, d * d, eps)),
@@ -371,7 +372,7 @@ def test_monte_carlo_ideal_setup_is_exact():
     result = monte_carlo_fidelity(setup, 10000, np.random.default_rng(11))
     assert result.monte_carlo_mean == pytest.approx(1.0, abs=1e-10)
     assert result.monte_carlo_stderr <= 1e-12
-    assert result.within_statistical_bound(setup.local_dim)
+    assert result.sigma_excess() <= monte_carlo_rounding_bound(setup.local_dim)
     assert result.samples == 10000
 
 
@@ -379,14 +380,14 @@ def test_monte_carlo_product_resource():
     setup = build_setup(product_state([1, 0], [1, 0]), bell_basis(2))
     result = monte_carlo_fidelity(setup, 40000, np.random.default_rng(12))
     assert abs(result.monte_carlo_mean - 2 / 3) <= 4 * result.monte_carlo_stderr
-    assert result.within_statistical_bound(setup.local_dim)
+    assert result.sigma_excess() <= monte_carlo_rounding_bound(setup.local_dim)
 
 
 def test_monte_carlo_matches_analytic_for_generic_setup():
     rng = np.random.default_rng(13)
     setup = build_setup(random_shared_state(3, rng), bell_basis(3))
     result = monte_carlo_fidelity(setup, 40000, rng)
-    assert result.within_statistical_bound(setup.local_dim)
+    assert result.sigma_excess() <= monte_carlo_rounding_bound(setup.local_dim)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 5, 8])
@@ -396,9 +397,9 @@ def test_monte_carlo_rounding_bound_covers_exact_setups_and_no_more(d):
     setup = build_setup(maximally_entangled_state(d), bell_basis(d))
     result = monte_carlo_fidelity(setup, 20000, np.random.default_rng(d))
     assert abs(result.analytic - result.monte_carlo_mean) <= monte_carlo_rounding_bound(d)
-    assert result.within_statistical_bound(d)
+    assert result.sigma_excess() <= monte_carlo_rounding_bound(d)
     moved = dataclasses.replace(result, monte_carlo_mean=result.monte_carlo_mean - 1e-12)
-    assert not moved.within_statistical_bound(d)
+    assert moved.sigma_excess() > monte_carlo_rounding_bound(d)
     # Up to the size guard's d = 64 the floor stays below the default --tolerance.
     assert monte_carlo_rounding_bound(64) < 1e-10
 

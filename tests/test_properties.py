@@ -19,6 +19,7 @@ from teleportlab import (
     closed_form_gap_bound,
     haar_state,
     haar_unitary,
+    normalize_state,
     outcome_probabilities,
     product_basis,
     product_state,
@@ -53,7 +54,7 @@ def _resource(kind, d, k, rng):
     else:
         spectrum = np.linspace(1.0, 1.0 - k * oracles.RANK_TOL, d)
     u, v = oracles.random_unitary(rng, d), oracles.random_unitary(rng, d)
-    return BipartiteState.from_operator(u @ np.diag(spectrum) @ v, normalize=True)
+    return BipartiteState.from_vector(normalize_state((u @ np.diag(spectrum) @ v).ravel()))
 
 
 def _basis(kind, d, rng):

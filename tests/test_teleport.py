@@ -26,6 +26,7 @@ from teleportlab import (
     dagger,
     enumerate_outcomes,
     maximally_entangled_state,
+    normalize_state,
     operator_abs,
     optimal_correction,
     outcome_probabilities,
@@ -79,7 +80,7 @@ def test_profile_flags_agree_with_entanglement_classification(d):
     # resource with spectrum s, measured in the Bell basis, is labelled ideal
     # iff flat, product-shared iff rank one, and maxent-basis otherwise.
     for s in _straddling_spectra(d):
-        state = BipartiteState.from_operator(np.diag(s.astype(complex)), normalize=True)
+        state = BipartiteState.from_vector(normalize_state(np.diag(s.astype(complex)).ravel()))
         report = analyze_entanglement(state)
         flat = report.classification is EntanglementClass.MAXIMALLY_ENTANGLED
         rank_one = report.rank == 1
