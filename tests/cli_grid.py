@@ -4,8 +4,10 @@
 d in {1, 2, 3, 5} x {Bell, product, custom basis} x all four resources in
 CSV, JSON at d = 2, ``--psi-file`` at every d, an unnormalized shared
 file, ``--out`` files, the default sample counts, tolerance gates, error
-paths and malformed input files.  Each argv runs in-process through
-``cli.main`` in a directory holding the input files that
+paths and malformed input files, plus ``verify`` at the benchmark's d = 8
+(a rotated custom basis with a custom resource, and Bell and product with
+a Haar-random resource) and at d = 16 (Bell and product, Haar-random).
+Each argv runs in-process through ``cli.main`` in a directory holding the input files that
 :func:`write_inputs` generates from fixed seeds; the record keeps the exit
 code and the SHA-256 and length of stdout, stderr and any ``--out`` file.
 The input files' own digests are recorded too, so a change to how they
@@ -45,6 +47,10 @@ SEEDS = (0, 1)
 COMMANDS = ("verify", "teleport", "fidelity", "average")
 BASES = ("bell", "product", "custom")
 RESOURCES = ("maximally-entangled", "product", "haar-random", "custom")
+# (basis, resource) pairs of verify at the benchmark's d = 8 and at d = 16;
+# custom files at d = 8 only, which keeps the replay fast.
+VERIFY_RUNS = {8: (("custom", "custom"), ("bell", "haar-random"), ("product", "haar-random")),
+               16: (("bell", "haar-random"), ("product", "haar-random"))}
 
 # Small sample counts keep the replay fast; the default counts run once per
 # command in _extra_argvs.
@@ -74,11 +80,12 @@ _MALFORMED_BASES = {"no_elements.json", "ragged_basis.json", "elements_not_list.
 def write_inputs(directory: pathlib.Path) -> dict:
     """Write every input file the grid reads into ``directory``; returns
     ``{name: digest}`` of the files' bytes."""
-    for d in DIMS:
+    for d in (*DIMS, 8):
         save_basis_file(str(directory / f"basis_d{d}.json"),
                         rotated_basis(bell_basis(d), haar_unitary(d * d, np.random.default_rng(100 + d))))
         shared = random_shared_state(d, np.random.default_rng(200 + d)).vector
         save_state_file(str(directory / f"shared_d{d}.json"), d, shared)
+    for d in DIMS:
         save_state_file(str(directory / f"psi_d{d}.json"), d, haar_state(d, np.random.default_rng(300 + d)))
     save_state_file(str(directory / "shared_unnormalized_d2.json"), 2,
                     3.0 * random_shared_state(2, np.random.default_rng(202)).vector)
@@ -108,6 +115,14 @@ def _grid_argvs() -> list[list[str]]:
                             if fmt == "json":
                                 argv += ["--format", "json"]
                             argvs.append(argv)
+    for seed in SEEDS:
+        for d, runs in VERIFY_RUNS.items():
+            for basis, shared in runs:
+                argv = ["verify", "--d", str(d), "--basis", basis, "--shared", shared,
+                        "--seed", str(seed), *_SAMPLES["verify"], "--no-timestamp"]
+                if basis == "custom":
+                    argv += ["--basis-file", f"basis_d{d}.json", "--shared-file", f"shared_d{d}.json"]
+                argvs.append(argv)
     return argvs
 
 
