@@ -36,8 +36,9 @@ class OperatorBasis:
     ``elements`` has shape (d^2, d, d); ``elements[xi]`` is the operator
     form of the xi-th measurement vector.  It is read-only, an input that
     could still be written being copied (:func:`~teleportlab.linalg.read_only`),
-    so the cached element shape cannot go stale.  Bases compare and hash by
-    identity.
+    so the cached facts cannot go stale: ``element_shape`` and
+    ``vectors_t``, the transposed vectors that ``verify_identity`` contracts
+    over xi.  Bases compare and hash by identity.
     """
 
     local_dim: int
@@ -63,6 +64,14 @@ class OperatorBasis:
         """The elements as rows of a (d^2, d^2) matrix of amplitude vectors."""
         n = len(self)
         return self.elements.reshape(n, n)
+
+    @cached_property
+    def vectors_t(self) -> np.ndarray:
+        """Cached read-only C-contiguous copy of ``vectors().T``: row i holds
+        amplitude i of every element, so a sum over xi runs along a row."""
+        vectors_t = self.vectors().T.copy()
+        vectors_t.setflags(write=False)
+        return vectors_t
 
     @cached_property
     def element_shape(self) -> tuple[bool, bool]:

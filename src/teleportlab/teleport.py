@@ -37,10 +37,13 @@ _BLOCK_BYTES = 1 << 20
 # Completeness trials run by build_setup's basis check.
 _VALIDATION_TRIALS = 4
 
-# Complex d^4-entry stacks live at a setup's peak: elements, T_xi, |T_xi| and a
-# temporary.  tracemalloc peaks of one cli.main (bell basis, haar-random resource,
-# seed 0), in stacks: average 9.07 (d = 16, --samples 100), 5.63 (d = 24), 3.99
-# (d = 32); verify 3.22 and 3.09, fidelity 3.18 and 3.06 (d = 24 and 32).  Fixed-size
+# Complex d^4-entry stacks live at a setup's peak: elements, T_xi, |T_xi| (average)
+# or the basis's vectors_t (verify), and a temporary.  tracemalloc peaks of one
+# cli.main (bell basis, haar-random resource, seed 0), in stacks: average 9.07
+# (d = 16, --samples 100), 5.63 (d = 24), 3.99 (d = 32); verify (--samples 20) 3.34
+# and 3.13, fidelity 3.02 and 3.01 (d = 24 and 32).  verify stays under 4 only
+# because verify_identity reads transfer_ops before vectors_t: the conjugated
+# elements that T is built from are freed before the copy is made.  Fixed-size
 # working sets (the 20,000-state draw chunk, _BLOCK_BYTES blocks) shrink against a
 # stack as d grows.  4 * 64^4 is 2^26, so the constant sets the d <= 64 limit.
 _PEAK_STACKS = 4
@@ -153,15 +156,31 @@ def verify_identity(psi, setup: TeleportSetup) -> float:
     Euclidean norm of their difference.  The identity is exact for any
     orthonormal basis and any shared state, so the residual is floating
     point noise unless the setup is corrupted.
+
+    The sum over xi runs along the last, contiguous axis of both einsum
+    operands: ``basis.vectors_t`` and the transposed copy of the T_xi psi.
+    Its bits are those of the strided ``einsum("xi,xm->im", vectors(),
+    transfer_ops @ psi)``, because numpy's einsum adds xi in the same
+    order in either layout; that is a property of numpy's loop, not of
+    the formula, and a test pins it.
     """
     v = as_state(psi)
     d = setup.local_dim
     if v.size != d:
         raise DimensionError(f"input state must have dimension {d}")
     lhs = np.outer(v, setup.shared.vector).ravel()
-    t_psi = setup.transfer_ops @ v
-    rhs = np.einsum("xi,xm->im", setup.basis.vectors(), t_psi).reshape(-1)
+    # transfer_ops is read before vectors_t, so that T's conjugated temporary
+    # is freed before the copy is made (see _PEAK_STACKS).
+    t_psi = np.ascontiguousarray(_transfer_images(v, setup).T)
+    rhs = np.einsum("ix,mx->im", setup.basis.vectors_t, t_psi).reshape(-1)
     return float(np.linalg.norm(lhs - rhs))
+
+
+def _transfer_images(v: np.ndarray, setup: TeleportSetup) -> np.ndarray:
+    """T_xi v for every xi, shape (d^2, d), as one flat (d^3, d) matrix-vector
+    product; bit-equal to the stacked ``transfer_ops @ v``."""
+    d = setup.local_dim
+    return (setup.transfer_ops.reshape(-1, d) @ v).reshape(d * d, d)
 
 
 def _input_state(psi, setup: TeleportSetup) -> np.ndarray:
@@ -173,8 +192,7 @@ def _input_state(psi, setup: TeleportSetup) -> np.ndarray:
 
 def outcome_probabilities(psi, setup: TeleportSetup) -> np.ndarray:
     """p(xi | psi) = ||T_xi psi||^2 for every outcome; sums to 1."""
-    v = _input_state(psi, setup)
-    amplitudes = setup.transfer_ops @ v
+    amplitudes = _transfer_images(_input_state(psi, setup), setup)
     return np.einsum("xi,xi->x", amplitudes.conj(), amplitudes).real
 
 

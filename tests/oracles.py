@@ -130,6 +130,20 @@ def state_fidelity_batch_per_outcome(psis, transfer_abs):
     return fidelities
 
 
+def identity_residual_strided(psi, vectors, transfer_ops, shared_vector):
+    """||psi ⊗ |C> - sum_xi |B_xi> ⊗ T_xi psi|| by the strided contraction.
+
+    The identity residual as it stood before the contiguous form: the
+    stacked T_xi psi, and one einsum that sums xi down the rows of the
+    (d^2, d^2) element vectors and of the (d^2, d) images.  The arithmetic
+    is the package's, so the residual can be compared bit for bit.
+    """
+    v = np.asarray(psi, dtype=complex)
+    lhs = np.outer(v, shared_vector).ravel()
+    rhs = np.einsum("xi,xm->im", vectors, transfer_ops @ v).reshape(-1)
+    return float(np.linalg.norm(lhs - rhs))
+
+
 # Copy of teleportlab.bases._VALIDATION_SEED.
 VALIDATION_SEED = 0x0B5E5
 

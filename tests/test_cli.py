@@ -6,6 +6,7 @@ import hashlib
 import json
 import math
 import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -602,6 +603,21 @@ def test_oversized_dimension_is_refused_with_its_estimate():
     ns = build_parser().parse_args(["fidelity", "--d", "32"])
     assert config_from_namespace(ns) is ns
     assert ns.samples == 0
+
+
+def test_verify_peaks_below_the_setup_estimate(capsys):
+    # require_setup_fits budgets _PEAK_STACKS complex d^4-entry stacks.  verify
+    # adds the basis's vectors_t to the elements and T, and stays under the
+    # budget because it reads T first, after T's temporary is freed.
+    d = 24
+    tracemalloc.start()
+    try:
+        code = main(["verify", "--d", str(d), "--shared", "haar-random", "--samples", "20", "--no-timestamp"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < teleport._PEAK_STACKS * 16 * d**4
 
 
 def test_oversized_transcript_is_refused_before_sampling(monkeypatch, capsys):

@@ -234,6 +234,28 @@ def test_identity_holds_for_random_setups(d):
             assert verify_identity(_random_psi(rng, d), setup) < 1e-10
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 8, 16])
+def test_identity_residual_is_bit_equal_to_the_strided_contraction(d):
+    # The contiguous contraction over xi adds in the order the strided one
+    # did; that is numpy's einsum loop, not a formula, so it is pinned here.
+    rng = np.random.default_rng(600 + d)
+    bases = [
+        bell_basis(d),
+        product_basis(d),
+        rotated_basis(bell_basis(d), oracles.random_unitary(rng, d * d)),
+    ]
+    for basis in bases:
+        setup = TeleportSetup(_random_shared(rng, d), basis)
+        for psi in oracles.haar_states_gaussian(rng, d, 200):
+            expected = oracles.identity_residual_strided(
+                psi, basis.vectors(), setup.transfer_ops, setup.shared.vector)
+            assert verify_identity(psi, setup) == expected
+        vectors_t = basis.vectors_t
+        assert vectors_t.flags.c_contiguous and not vectors_t.flags.writeable
+        assert basis.vectors_t is vectors_t
+        assert np.array_equal(vectors_t, basis.vectors().T)
+
+
 def test_identity_ideal_qubit_case_tight():
     setup = _ideal_setup(2)
     assert verify_identity(basis_state(2, 0), setup) < 1e-12
