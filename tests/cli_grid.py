@@ -184,29 +184,38 @@ def _digest(data: bytes) -> dict:
     return {"sha256": hashlib.sha256(data).hexdigest(), "bytes": len(data)}
 
 
-def run(argv: list[str]) -> dict:
-    """Run one argv in the current directory and return its record."""
+def capture(argv: list[str]) -> tuple[int, str, str, bytes | None]:
+    """Run one argv in the current directory: its exit code, stdout, stderr
+    and the bytes of its ``--out`` file (``None`` if none was written), which
+    is removed."""
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         code = main(list(argv))
-    record = {"argv": list(argv), "exit": code,
-              "stdout": _digest(stdout.getvalue().encode("utf-8")),
-              "stderr": _digest(stderr.getvalue().encode("utf-8")), "out": None}
+    out = None
     if "--out" in argv:
-        out = pathlib.Path(argv[argv.index("--out") + 1])
-        if out.exists():
-            record["out"] = _digest(out.read_bytes())
-            out.unlink()
-    return record
+        path = pathlib.Path(argv[argv.index("--out") + 1])
+        if path.exists():
+            out = path.read_bytes()
+            path.unlink()
+    return code, stdout.getvalue(), stderr.getvalue(), out
 
 
-def generate(directory: pathlib.Path) -> dict:
-    """Write the inputs into ``directory`` and run the whole grid there."""
+def run(argv: list[str]) -> dict:
+    """Run one argv in the current directory and return its record."""
+    code, stdout, stderr, out = capture(argv)
+    return {"argv": list(argv), "exit": code,
+            "stdout": _digest(stdout.encode("utf-8")), "stderr": _digest(stderr.encode("utf-8")),
+            "out": None if out is None else _digest(out)}
+
+
+def generate(directory: pathlib.Path, record=run) -> dict:
+    """Write the inputs into ``directory`` and run the whole grid there,
+    keeping ``record(argv)`` of each argv (by default its digest record)."""
     inputs = write_inputs(directory)
     cwd = os.getcwd()
     os.chdir(directory)
     try:
-        runs = [run(argv) for argv in GRID]
+        runs = [record(argv) for argv in GRID]
     finally:
         os.chdir(cwd)
     return {"inputs": inputs, "runs": runs}
