@@ -203,14 +203,17 @@ def monte_carlo_rounding_bound(d: int) -> float:
 
     The bound decides only where the standard error vanishes, that is where
     every sample equals E(F): the ideal setup, |T_xi| = I/d.  There each
-    overlap <psi| |T_xi| |psi> = 1/d is a dot product of 2 d^2 terms whose
-    magnitudes sum to 1/d, so it is off by at most 2 d eps; F(psi), the sum
-    of the d^2 squared overlaps, is then off by at most 4 d^2 eps from the
-    overlaps and d^2 eps from the sum.  The analytic value adds O(d eps)
-    (d^2 trace norms of 1, each a sum of d singular values), and the mean of
-    n samples at most (24 + n / _CHUNK) eps from numpy's pairwise sum in a
-    block and the running total across blocks.  All of it is within
-    64 d^2 eps for n up to 600,000 at d = 1 and 4 million at d = 2.
+    overlap <psi| |T_xi| |psi> = 1/d is a dot product of the d^2 packed
+    features and weights of :func:`~teleportlab.teleport.state_fidelity_batch`,
+    whose products' magnitudes sum to 1/d; each feature is off by at most
+    2 eps relative (a product and a sum), and doubling a weight is exact.  So
+    an overlap is off by at most (d^2 + 2) eps / d, and F(psi), the sum of the
+    d^2 squared overlaps, by at most 2 (d^2 + 2) eps from the overlaps and
+    d^2 eps from the sum.  The analytic value adds O(d eps) (d^2 trace norms
+    of 1, each a sum of d singular values), and the mean of n samples at
+    most (24 + n / _CHUNK) eps from numpy's pairwise sum in a block and the
+    running total across blocks.  All of it is within 64 d^2 eps for n up to
+    500,000 at d = 1 and 4 million at d = 2, and the margin grows with d.
     """
     return d * d * MC_ROUNDING_PER_DIM_SQ
 

@@ -30,22 +30,26 @@ from .errors import DimensionError
 from .linalg import _abs_from_svd, as_state, dagger, polar_decompose, require_dense_size, require_normalized
 from .tolerances import ZERO_OUTCOME_TOL
 
-# Bytes of d x d complex matrices processed at once: the vec(|psi><psi|) that
-# state_fidelity_batch forms, and the T_xi that transfer_abs decomposes.
+# Bytes of d x d complex matrices processed at once: the T_xi that transfer_abs
+# decomposes and the |T_xi| that transfer_abs_packed packs.  state_fidelity_batch
+# takes as many input rows a block; their d^2 real features fill half of it.
 _BLOCK_BYTES = 1 << 20
 
 # Completeness trials run by build_setup's basis check.
 _VALIDATION_TRIALS = 4
 
-# Complex d^4-entry stacks live at a setup's peak: elements, T_xi, |T_xi| (average)
-# or the basis's vectors_t (verify), and a temporary.  tracemalloc peaks of one
-# cli.main (bell basis, haar-random resource, seed 0), in stacks: average 9.07
-# (d = 16, --samples 100), 5.63 (d = 24), 3.99 (d = 32); verify (--samples 20) 3.34
-# and 3.13, fidelity 3.02 and 3.01 (d = 24 and 32).  verify stays under 4 only
-# because verify_identity reads transfer_ops before vectors_t: the conjugated
-# elements that T is built from are freed before the copy is made.  Fixed-size
-# working sets (the 20,000-state draw chunk, _BLOCK_BYTES blocks) shrink against a
-# stack as d grows.  4 * 64^4 is 2^26, so the constant sets the d <= 64 limit.
+# Complex d^4-entry stacks live at a setup's peak: elements, T_xi, then |T_xi| and
+# its packed weights (half a stack; average) or the basis's vectors_t (verify),
+# and temporaries.  tracemalloc peaks of one cli.main (bell basis, haar-random
+# resource, seed 0), in stacks: average (--samples 100) 9.07, 4.03 and 3.63 at
+# d = 16, 24 and 32; verify (--samples 20) 3.18 and 3.13, fidelity 3.02 and 3.01
+# (d = 24 and 32).  verify stays under 4 only because verify_identity reads
+# transfer_ops before vectors_t: the conjugated elements that T is built from
+# are freed before the copy is made.  Below d = 32 average's peak is the
+# fixed-size working sets (the 20,000-state draw chunk, _BLOCK_BYTES blocks),
+# which shrink against a stack as d grows; they pass 4 stacks only while a stack
+# is small (5.3 MB at d = 24).  4 * 64^4 is 2^26, so the constant sets the
+# d <= 64 limit.
 _PEAK_STACKS = 4
 
 
@@ -55,9 +59,13 @@ class TeleportSetup:
 
     ``transfer_ops[xi]`` is T_xi, ``transfer_singular_values[xi]`` its
     singular values, whose sum Tr|T_xi| is all the analytic E(F) needs, and
-    ``transfer_abs[xi]`` is |T_xi|, read only by the Monte-Carlo kernel.  Each
-    is derived on first read and cached read-only.  For a normalized
-    resource, sum_xi Tr(T_xi^dag T_xi) = d.
+    ``transfer_abs[xi]`` is |T_xi|.  ``transfer_abs_packed[xi]``, the
+    Monte-Carlo kernel's weights, packs the Hermitian |T_xi| into d^2 reals:
+    its diagonal, then twice the (re, im) of each entry above the diagonal
+    (:func:`_upper_pairs`).  <psi| |T_xi| |psi> is the dot product of that
+    row with the same packing of |psi><psi| without the factor 2 (see
+    :func:`state_fidelity_batch`).  Each is derived on first read and cached
+    read-only.  For a normalized resource, sum_xi Tr(T_xi^dag T_xi) = d.
     Rank and flatness are cached on ``shared`` and ``basis``, which they
     describe.  The constructor checks dimensions and size, not the basis.
     """
@@ -106,6 +114,29 @@ class TeleportSetup:
         transfer_abs.setflags(write=False)
         return transfer_abs
 
+    @cached_property
+    def transfer_abs_packed(self) -> np.ndarray:
+        """|T_xi| packed as real weights, C-contiguous shape (d^2, d^2).
+
+        Row xi holds the diagonal A_ii of A = |T_xi|, then 2 Re A_ij and
+        2 Im A_ij, interleaved, for each pair i < j of :func:`_upper_pairs`;
+        the lower triangle is the conjugate of the upper and is not stored.
+        Filled one ``_rows_per_block`` block of outcomes at a time, so the
+        temporaries stay within ``_BLOCK_BYTES`` on top of the result.
+        """
+        d = self.local_dim
+        transfer_abs = self.transfer_abs.reshape(d * d, d * d)
+        i, j = _upper_pairs(d)
+        upper = i * d + j
+        packed = np.empty(transfer_abs.shape)
+        rows = _rows_per_block(d)
+        for start in range(0, len(packed), rows):
+            block = transfer_abs[start:start + rows]
+            packed[start:start + rows, :d] = block[:, ::d + 1].real
+            np.multiply(block.take(upper, axis=1).view(float), 2.0, out=packed[start:start + rows, d:])
+        packed.setflags(write=False)
+        return packed
+
 
 @dataclass(frozen=True, eq=False)
 class TeleportOutcome:
@@ -126,8 +157,23 @@ class TeleportOutcome:
 
 
 def _rows_per_block(local_dim: int) -> int:
-    """How many complex d x d matrices fit in ``_BLOCK_BYTES`` (at least one)."""
+    """How many complex d x d matrices fit in ``_BLOCK_BYTES`` (at least one).
+
+    Also the input rows of one block of :func:`state_fidelity_batch`: a row's
+    packed features, |psi_i|^2 and then the (re, im) of psi_i conj(psi_j) for
+    i < j, are d^2 reals, half the bytes of a complex d x d matrix.
+    """
     return max(1, _BLOCK_BYTES // (np.dtype(complex).itemsize * local_dim**2))
+
+
+def _upper_pairs(local_dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices (i, j), i < j, of the strict upper triangle in
+    ``np.triu_indices`` order: the off-diagonal order of the packed layout.
+
+    A Hermitian d x d matrix packs into d^2 reals: its d diagonal entries,
+    then the (re, im) pairs of its d (d - 1) / 2 entries above the diagonal.
+    """
+    return np.triu_indices(local_dim, 1)
 
 
 def require_setup_fits(local_dim: int) -> None:
@@ -287,29 +333,35 @@ def state_fidelity(psi, setup: TeleportSetup) -> float:
 def state_fidelity_batch(psis: np.ndarray, setup: TeleportSetup) -> np.ndarray:
     """Vectorized :func:`state_fidelity` for rows of ``psis`` (n, d).
 
-    Rows are assumed normalized; this is the Monte-Carlo hot path.  For
-    Hermitian A,
+    Rows are assumed normalized; this is the Monte-Carlo hot path.  With
+    rho = |psi><psi| and A Hermitian, both matrices are fixed by their
+    diagonal and upper triangle, and
 
-        <psi|A|psi> = Re sum_ij conj(rho_ij) A_ij,   rho = |psi><psi|,
+        <psi|A|psi> = sum_i rho_ii A_ii
+                      + 2 sum_{i<j} (Re rho_ij Re A_ij + Im rho_ij Im A_ij).
 
-    which is the real dot product of vec(rho) and vec(A) with both viewed
-    as interleaved (re, im) float pairs.  All d^2 overlaps of a row are
-    therefore one real GEMM of the rows' vec(rho), shape (rows, 2 d^2),
-    against the float view of ``transfer_abs``, shape (d^2, 2 d^2),
-    which is used in place, not copied.  Rows go through in blocks whose
-    vec(rho) take at most ``_BLOCK_BYTES``, so the working memory does
-    not grow with n.
+    A row's features are therefore the d^2 reals |psi_i|^2, then the
+    interleaved (re, im) of psi_i conj(psi_j) for the pairs i < j of
+    :func:`_upper_pairs`: the layout of ``transfer_abs_packed``, whose rows
+    carry the factor 2.  All d^2 overlaps of a row are one real GEMM of
+    the features, shape (rows, d^2), against the transposed view of the
+    packed weights, shape (d^2, d^2), which is not copied.  Rows go through
+    in ``_rows_per_block`` blocks, so the working memory does not grow
+    with n.
     """
     psis = np.asarray(psis, dtype=complex)
     d = setup.local_dim
     if psis.ndim != 2 or psis.shape[1] != d:
         raise DimensionError(f"expected shape (n, {d})")
-    weights = setup.transfer_abs.reshape(-1, d * d).view(float).T
+    weights = setup.transfer_abs_packed.T
+    i, j = _upper_pairs(d)
     rows = _rows_per_block(d)
     fidelities = np.empty(psis.shape[0])
     for start in range(0, psis.shape[0], rows):
         block = psis[start:start + rows]
-        rho = (block[:, :, None] * block.conj()[:, None, :]).reshape(len(block), -1)
-        overlaps = rho.view(float) @ weights
+        features = np.empty((len(block), d * d))
+        features[:, :d] = block.real**2 + block.imag**2
+        features[:, d:] = (block.take(i, axis=1) * block.take(j, axis=1).conj()).view(float)
+        overlaps = features @ weights
         fidelities[start:start + rows] = np.einsum("nx,nx->n", overlaps, overlaps)
     return fidelities

@@ -620,6 +620,21 @@ def test_verify_peaks_below_the_setup_estimate(capsys):
     assert peak < teleport._PEAK_STACKS * 16 * d**4
 
 
+def test_average_peaks_below_the_setup_estimate(capsys):
+    # average holds |T| and its packed weights (half a stack) next to the
+    # elements and T; the packing is filled block by block, so its
+    # temporaries stay small against the budget.
+    d = 32
+    tracemalloc.start()
+    try:
+        code = main(["average", "--d", str(d), "--shared", "haar-random", "--samples", "100", "--no-timestamp"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < teleport._PEAK_STACKS * 16 * d**4
+
+
 def test_oversized_transcript_is_refused_before_sampling(monkeypatch, capsys):
     # A shot costs _SHOT_BYTES of the dense budget, 16 bytes per entry.  With
     # the limit shrunk to 100 shots' worth, 100 shots run and 101 exit 2 with

@@ -169,12 +169,15 @@ def test_value_objects_hold_read_only_arrays():
     shared = BipartiteState(np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / math.sqrt(2))
     basis = OperatorBasis(local_dim=2, elements=bell_basis(2).elements.copy())
     setup = build_setup(shared, basis)
-    for arr in (shared.vector, shared.operator_form, basis.elements,
-                setup.transfer_ops, setup.transfer_abs, setup.transfer_singular_values):
+    for arr in (shared.vector, shared.operator_form, basis.elements, setup.transfer_ops,
+                setup.transfer_abs, setup.transfer_abs_packed, setup.transfer_singular_values):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr.flat[0] = 0.0
     assert setup.local_dim == 2
+    assert setup.transfer_abs_packed is setup.transfer_abs_packed
+    assert setup.transfer_abs_packed.shape == (4, 4)
+    assert setup.transfer_abs_packed.dtype == float and setup.transfer_abs_packed.flags.c_contiguous
 
 
 def test_setup_stores_its_resource_and_basis_and_derives_the_rest():
@@ -532,13 +535,41 @@ def test_state_fidelity_batch_matches_per_outcome_oracle(d, basis_kind, resource
         state_fidelity_batch(np.ones((2, d + 1)), setup)
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 16])
+def test_packed_weights_give_each_outcome_overlap(d):
+    # Features |psi_i|^2, then (re, im) of psi_i conj(psi_j) for i < j in row
+    # order, dotted with the packed |T_xi|, give Re <psi| |T_xi| |psi>.
+    rng = np.random.default_rng(60 + d)
+    basis = rotated_basis(bell_basis(d), oracles.random_unitary(rng, d * d))
+    setup = TeleportSetup(_random_shared(rng, d), basis)
+    psis = oracles.haar_states_gaussian(rng, d, 20)
+    pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
+    for psi in psis:
+        off_diagonal = [psi[i] * psi[j].conj() for i, j in pairs]
+        features = np.concatenate([np.abs(psi) ** 2, np.array(off_diagonal, dtype=complex).view(float)])
+        assert features.shape == (d * d,)
+        expected = ((setup.transfer_abs @ psi) @ psi.conj()).real
+        np.testing.assert_allclose(features @ setup.transfer_abs_packed.T, expected, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("basis_kind", ["bell", "rotated"])
+@pytest.mark.parametrize("d", [16, 32])
+def test_state_fidelity_batch_matches_per_outcome_oracle_at_bench_sizes(d, basis_kind):
+    # The benchmark's d = 16 and the d = 32 limit case, over a few hundred
+    # rows: several blocks and a partial one.
+    setup, _ = _sampler_setup(d, basis_kind, "haar")
+    psis = oracles.haar_states_gaussian(np.random.default_rng(d), d, 300)
+    expected = oracles.state_fidelity_batch_per_outcome(psis, setup.transfer_abs)
+    np.testing.assert_allclose(state_fidelity_batch(psis, setup), expected, rtol=0, atol=1e-14)
+
+
 def test_state_fidelity_batch_memory_is_bounded_per_block():
     # 2000 inputs at d=32 are 1 MB; forming all their |psi><psi| at once
     # would take 32 MB, one block takes 1 MiB.
     d, n = 32, 2000
     setup = TeleportSetup(maximally_entangled_state(d), bell_basis(d))
     psis = oracles.haar_states_gaussian(np.random.default_rng(32), d, n)
-    setup.transfer_abs  # built on first read, outside the measured kernel
+    setup.transfer_abs_packed  # |T| and its packing, built on first read, outside the measured kernel
     tracemalloc.start()
     try:
         baseline = tracemalloc.get_traced_memory()[0]
