@@ -182,11 +182,14 @@ class BasisValidationReport:
 
     @property
     def failure(self) -> Optional[str]:
-        """The failure text, with the larger residual; ``None`` when the basis passes."""
-        if self.passed:
+        """The failure text, with the failed relation's own residual; ``None``
+        when the basis passes."""
+        relation = self.failed_relation
+        if relation is None:
             return None
-        residual = max(self.orthonormality_residual, self.completeness_residual)
-        return f"basis violates {self.failed_relation} (residual {residual:.3e})"
+        residual = (self.orthonormality_residual if relation == "orthonormality"
+                    else self.completeness_residual)
+        return f"basis violates {relation} (residual {residual:.3e})"
 
 
 def validate_basis(basis: OperatorBasis, trials: int = 8) -> BasisValidationReport:

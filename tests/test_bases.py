@@ -107,12 +107,15 @@ def test_scaled_element_is_detected():
 
 def test_duplicated_element_fails_orthonormality():
     # A family with one element repeated does not span; its Gram matrix has
-    # an off-diagonal 1, so orthonormality already fails.
+    # an off-diagonal 1, so orthonormality already fails, and the failure
+    # quotes that residual, not the larger completeness residual (2.18).
     basis = product_basis(2)
     elements = basis.elements.copy()
     elements[3] = elements[0]
     report = validate_basis(OperatorBasis(local_dim=2, elements=elements))
     assert report.failed_relation == "orthonormality"
+    assert report.completeness_residual > report.orthonormality_residual
+    assert report.failure == "basis violates orthonormality (residual 1.000e+00)"
 
 
 def _mixed_basis(basis, eps):
