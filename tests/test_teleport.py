@@ -555,8 +555,8 @@ def test_packed_weights_give_each_outcome_overlap(d):
 @pytest.mark.parametrize("basis_kind", ["bell", "rotated"])
 @pytest.mark.parametrize("d", [16, 32])
 def test_state_fidelity_batch_matches_per_outcome_oracle_at_bench_sizes(d, basis_kind):
-    # The benchmark's d = 16 and the d = 32 limit case, over a few hundred
-    # rows: several blocks and a partial one.
+    # The benchmark's sizes, d = 16 (average-mc) and d = 32 (fidelity-setup),
+    # over a few hundred rows: more than one block, the last one partial.
     setup, _ = _sampler_setup(d, basis_kind, "haar")
     psis = oracles.haar_states_gaussian(np.random.default_rng(d), d, 300)
     expected = oracles.state_fidelity_batch_per_outcome(psis, setup.transfer_abs)
