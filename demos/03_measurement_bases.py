@@ -3,7 +3,9 @@
 
 A joint measurement on two d-level systems is a family of d^2 operators
 that is orthonormal under Tr(B_xi^dag B_eta) and complete in the sense
-sum_xi B_xi^dag A B_xi = Tr(A) 1.  The generalized Bell family consists
+sum_xi B_xi^dag A B_xi = Tr(A) 1.  With the vectorized elements as the rows
+of a square matrix V the two relations are V V^dag = I and V^dag V = I,
+which share one residual ||V V^dag - I||_F.  The generalized Bell family consists
 of maximally entangled elements; the product family of rank-one ones.
 """
 
@@ -30,9 +32,7 @@ for name, basis in (("bell", bell_basis(d)), ("product", product_basis(d))):
         for el in basis.elements
     }
     print(f"{name} basis: {len(basis)} elements, classes {sorted(kinds)}")
-    print(f"  orthonormality residual {report.orthonormality_residual:.2e}, "
-          f"completeness residual {report.completeness_residual:.2e}, "
-          f"passed={report.passed}")
+    print(f"  residual ||V V^dag - I||_F {report.residual:.2e}, passed={report.passed}")
 
 # Element (j, k) of the Bell family is (1/sqrt d) Z^k X^j; the first one
 # is the uniform diagonal, the generalized phi+.
@@ -43,9 +43,9 @@ print("\nbell element (0,0) * sqrt(d):\n", np.round(bell_basis(d).elements[0] * 
 custom = rotated_basis(bell_basis(d), haar_unitary(d * d, rng))
 print("\nrotated custom basis passes:", validate_basis(custom).passed)
 
-# Corrupt a single element and the validator names the broken relation.
+# Corrupt a single element and the one residual, which covers both
+# relations, catches it.
 elements = bell_basis(d).elements.copy()
 elements[4] = 1.02 * elements[4]
 bad = validate_basis(OperatorBasis(local_dim=d, elements=elements))
-print(f"corrupted basis: passed={bad.passed}, violated relation: {bad.failed_relation}, "
-      f"residual {bad.orthonormality_residual:.2e}")
+print(f"corrupted basis: passed={bad.passed}, {bad.failure}")

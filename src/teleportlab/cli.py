@@ -37,7 +37,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .bases import OperatorBasis, bell_basis, custom_basis, product_basis, validate_basis
+from .bases import OperatorBasis, bell_basis, custom_basis, product_basis
 from .choi import BipartiteState, maximally_entangled_state, product_state
 from .errors import BasisStructureError, ConfigurationError, DimensionError, NormalizationError
 from .haar import (
@@ -235,9 +235,6 @@ def _resolve_basis(cfg: argparse.Namespace) -> OperatorBasis:
     basis = load_basis_file(cfg.basis_file)
     if basis.local_dim != cfg.d:
         raise ConfigurationError(f"{cfg.basis_file}: basis has d = {basis.local_dim}, expected {cfg.d}")
-    failure = validate_basis(basis).failure
-    if failure:
-        raise ConfigurationError(f"{cfg.basis_file}: {failure}")
     return basis
 
 
@@ -245,14 +242,18 @@ def _resolve_setup(cfg: argparse.Namespace) -> tuple[np.random.Generator, Telepo
     """The run's seeded generator and the setup built from ``cfg``.
 
     The resource is drawn from the generator before anything else the
-    run draws.  A custom basis is validated once, by :func:`_resolve_basis`
-    so that a failure names its file, then goes to the ``TeleportSetup``
-    constructor as it is; ``build_setup`` validates the built-in bases.
+    run draws.  Every basis is validated once, by ``build_setup``; a basis
+    file that fails is named in the error.
     """
     rng = np.random.default_rng(cfg.seed)
     shared = _resolve_shared(cfg, rng)
     basis = _resolve_basis(cfg)
-    return rng, (TeleportSetup if cfg.basis == "custom" else build_setup)(shared, basis)
+    try:
+        return rng, build_setup(shared, basis)
+    except BasisStructureError as exc:
+        if not cfg.basis_file:
+            raise
+        raise ConfigurationError(f"{cfg.basis_file}: {exc}") from None
 
 
 def _resolve_psi(cfg: argparse.Namespace, rng: np.random.Generator) -> np.ndarray:

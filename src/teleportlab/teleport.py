@@ -35,9 +35,6 @@ from .tolerances import ZERO_OUTCOME_TOL
 # takes as many input rows a block; their d^2 real features fill half of it.
 _BLOCK_BYTES = 1 << 20
 
-# Completeness trials run by build_setup's basis check.
-_VALIDATION_TRIALS = 4
-
 # Complex d^4-entry stacks live at a setup's peak: elements, T_xi, then |T_xi| and
 # its packed weights (half a stack; average) or the basis's vectors_t (verify),
 # and temporaries.  tracemalloc peaks of one cli.main (bell basis, haar-random
@@ -184,13 +181,13 @@ def require_setup_fits(local_dim: int) -> None:
 
 def build_setup(shared: BipartiteState, basis: OperatorBasis) -> TeleportSetup:
     """Construct the setup, then check the basis: an invalid one raises
-    :class:`BasisStructureError` naming the relation.  T and |T| are built
-    only when first read.
+    :class:`BasisStructureError` with the report's failure text.  T and |T|
+    are built only when first read.
     """
     setup = TeleportSetup(shared, basis)
-    failure = validate_basis(basis, trials=_VALIDATION_TRIALS).failure
+    failure = validate_basis(basis).failure
     if failure:
-        raise BasisStructureError(f"measurement {failure}")
+        raise BasisStructureError(failure)
     return setup
 
 

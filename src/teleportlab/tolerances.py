@@ -26,7 +26,9 @@ MC_ROUNDING_PER_DIM_SQ = 64 * 2.0**-52
 # allows --tolerance instead when that is larger.
 PROBABILITY_TOL = 1e-12
 
-# Orthonormality / completeness residual bound for operator bases.
+# Bound on the residual ||V V^dag - I||_F of an operator basis (its vectorized
+# elements as the rows of V), which covers orthonormality and completeness at
+# once, and of a rotation's rows (bases.validate_basis, bases.rotated_basis).
 BASIS_TOL = 1e-10
 
 # Conditional states for outcomes with ||T psi|| at or below this norm

@@ -144,26 +144,17 @@ def identity_residual_strided(psi, vectors, transfer_ops, shared_vector):
     return float(np.linalg.norm(lhs - rhs))
 
 
-# Copy of teleportlab.bases._VALIDATION_SEED.
-VALIDATION_SEED = 0x0B5E5
-
-
-def completeness_residual_einsum(elements, trials, seed=VALIDATION_SEED):
-    """Largest entrywise |sum_xi B_xi^dag A B_xi - Tr(A) I| over seeded trials.
-
-    The completeness check as it stood before the two-product form: the
-    same trial matrices A, drawn from ``default_rng(seed)``, each
-    contracted by one three-operand einsum.
+def completeness_residual_einsum(elements):
+    """The completeness residual summed over all d^2 matrix units A = |b><c|:
+    sqrt(sum_{b,c} ||sum_xi B_xi^dag A B_xi - Tr(A) I||_F^2), each sum by one
+    einsum.  Independent of the Gram matrix the package reads its residual from.
     """
     elements = np.asarray(elements, dtype=complex)
     d = elements.shape[1]
-    rng = np.random.default_rng(seed)
-    residual = 0.0
-    for _ in range(trials):
-        a = random_complex(rng, (d, d))
-        total = np.einsum("xba,bc,xcd->ad", elements.conj(), a, elements, optimize=True)
-        residual = max(residual, float(np.max(np.abs(total - np.trace(a) * np.eye(d)))))
-    return residual
+    # total[b, c] is sum_xi B_xi^dag |b><c| B_xi, entry (a, e) = sum_xi conj(B_xi[b, a]) B_xi[c, e].
+    total = np.einsum("xba,xce->bcae", elements.conj(), elements)
+    total -= np.einsum("bc,ae->bcae", np.eye(d), np.eye(d))
+    return float(np.sqrt(np.sum(np.abs(total) ** 2)))
 
 
 # Copy of teleportlab.tolerances.RANK_TOL.

@@ -190,13 +190,11 @@ def test_criterion_07_basis_validity_and_corruption_detection():
             basis = make(d)
             report = validate_basis(basis)
             assert report.passed, f"{make.__name__}({d}) failed validation"
-            worst = max(worst, report.orthonormality_residual, report.completeness_residual)
+            worst = max(worst, report.residual)
             for xi in range(d * d):
                 corrupted = basis.elements.copy()
                 corrupted[xi] = 1.01 * corrupted[xi]
-                bad = validate_basis(
-                    OperatorBasis(local_dim=d, elements=corrupted), trials=2
-                )
+                bad = validate_basis(OperatorBasis(local_dim=d, elements=corrupted))
                 checked += 1
                 if bad.passed:
                     missed += 1

@@ -17,6 +17,7 @@ from teleportlab import (
     bell_basis,
     build_setup,
     custom_basis,
+    haar_unitary,
     maximally_entangled_state,
     product_basis,
     rotated_basis,
@@ -81,9 +82,8 @@ def test_constructed_bases_validate(d):
     for make in (bell_basis, product_basis):
         report = validate_basis(make(d))
         assert report.passed
-        assert report.orthonormality_residual < 1e-10
-        assert report.completeness_residual < 1e-10
-        assert report.failed_relation is None
+        assert report.residual < 1e-10
+        assert report.failure is None
 
 
 def test_zeroed_element_is_detected():
@@ -92,8 +92,8 @@ def test_zeroed_element_is_detected():
     elements[4] = 0.0
     report = validate_basis(OperatorBasis(local_dim=3, elements=elements))
     assert not report.passed
-    assert report.failed_relation == "orthonormality"
-    assert report.orthonormality_residual > 0.5
+    # One Gram diagonal entry drops from 1 to 0.
+    assert report.residual == pytest.approx(1.0)
 
 
 def test_scaled_element_is_detected():
@@ -102,20 +102,18 @@ def test_scaled_element_is_detected():
     elements[7] = 1.01 * elements[7]
     report = validate_basis(OperatorBasis(local_dim=4, elements=elements))
     assert not report.passed
-    assert report.failed_relation is not None
+    assert report.failure is not None
 
 
 def test_duplicated_element_fails_orthonormality():
     # A family with one element repeated does not span; its Gram matrix has
-    # an off-diagonal 1, so orthonormality already fails, and the failure
-    # quotes that residual, not the larger completeness residual (2.18).
+    # an off-diagonal 1 in each of two places, so the residual is sqrt(2).
     basis = product_basis(2)
     elements = basis.elements.copy()
     elements[3] = elements[0]
     report = validate_basis(OperatorBasis(local_dim=2, elements=elements))
-    assert report.failed_relation == "orthonormality"
-    assert report.completeness_residual > report.orthonormality_residual
-    assert report.failure == "basis violates orthonormality (residual 1.000e+00)"
+    assert report.residual == pytest.approx(math.sqrt(2))
+    assert report.failure == "basis is not orthonormal and complete (residual 1.414e+00)"
 
 
 def _mixed_basis(basis, eps):
@@ -132,18 +130,54 @@ def _mixed_basis(basis, eps):
 @pytest.mark.parametrize("make", [bell_basis, product_basis], ids=["bell", "product"])
 @pytest.mark.parametrize("fraction", [0.5, 0.9])
 def test_completeness_catches_what_orthonormality_passes(tmp_path, capsys, d, make, fraction):
+    # Every Gram entry is within BASIS_TOL of the identity's, so a max-entry
+    # orthonormality check passes; the residual, eps d^2 in the Frobenius
+    # norm, does not.
     basis = _mixed_basis(make(d), fraction * BASIS_TOL)
-    for trials in (4, 8):
-        report = validate_basis(basis, trials=trials)
-        assert report.orthonormality_residual <= BASIS_TOL
-        assert report.failed_relation == "completeness"
-    with pytest.raises(BasisStructureError, match="^measurement basis violates completeness "):
+    vecs = basis.vectors()
+    assert np.max(np.abs(vecs.conj() @ vecs.T - np.eye(d * d))) <= BASIS_TOL
+    report = validate_basis(basis)
+    assert report.residual == pytest.approx(fraction * BASIS_TOL * d * d, rel=1e-3)
+    assert not report.passed
+    with pytest.raises(BasisStructureError, match=r"^basis is not orthonormal and complete \(residual "):
         build_setup(maximally_entangled_state(d), basis)
     path = tmp_path / "basis.json"
     save_basis_file(path, basis)
     code = main(["verify", "--d", str(d), "--basis", "custom", "--basis-file", str(path)])
     assert code == 2
-    assert capsys.readouterr().err.startswith(f"error: {path}: basis violates completeness (residual ")
+    assert capsys.readouterr().err == f"error: {path}: {report.failure}\n"
+
+
+def _write_rounded_basis_file(path, d, digits):
+    """Write the grid's rotated Bell basis for ``d`` (rotation seeded 100 + d)
+    as a basis file whose entries are printed with ``digits`` significant
+    digits, one %-format per matrix row."""
+    basis = rotated_basis(bell_basis(d), haar_unitary(d * d, np.random.default_rng(100 + d)))
+    row = "[" + ", ".join([f"[%.{digits}g, %.{digits}g]"] * d) + "]"
+    pairs = np.stack((basis.elements.real, basis.elements.imag), -1).reshape(d * d, d, 2 * d)
+    elements = ", ".join("[" + ", ".join(row % tuple(r) for r in m) + "]" for m in pairs)
+    path.write_text(f'{{"d": {d}, "elements": [{elements}]}}', encoding="utf-8")
+
+
+def test_rotated_basis_file_with_12_digits_passes_at_d32(tmp_path, capsys):
+    # Rounding to 12 digits leaves a residual of 4.8e-11 at d = 32.
+    path = tmp_path / "basis.json"
+    _write_rounded_basis_file(path, 32, 12)
+    code = main(["verify", "--d", "32", "--basis", "custom", "--basis-file", str(path),
+                 "--samples", "1", "--no-timestamp"])
+    assert code == 0, capsys.readouterr().err
+
+
+def test_rotated_basis_file_with_11_digits_fails_at_d8(tmp_path, capsys):
+    # Rounding to 11 digits leaves a residual of 1.89e-10 at d = 8, above
+    # BASIS_TOL, although no single Gram entry is off by as much.
+    path = tmp_path / "basis.json"
+    _write_rounded_basis_file(path, 8, 11)
+    code = main(["verify", "--d", "8", "--basis", "custom", "--basis-file", str(path),
+                 "--samples", "1", "--no-timestamp"])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: {path}: basis is not orthonormal and complete (residual 1.890e-10)\n")
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -188,11 +222,9 @@ def test_dimension_one_bases():
         assert validate_basis(basis).passed
 
 
-def test_rotation_shape_and_trials_validation():
+def test_rotation_shape_is_validated():
     with pytest.raises(DimensionError):
         rotated_basis(bell_basis(2), np.eye(9))
-    with pytest.raises(ValueError):
-        validate_basis(bell_basis(2), trials=0)
 
 
 def _damaged_variants(elements):
@@ -220,30 +252,30 @@ def _make_basis(kind, d):
 @pytest.mark.parametrize("d", range(1, 7))
 @pytest.mark.parametrize("kind", ["bell", "product", "rotated"])
 def test_validate_basis_matches_einsum_oracle(d, kind):
+    # The residual is both the exhaustive completeness residual over the
+    # matrix units and ||V V^dag - I||_F, and the gate follows the oracle on
+    # either side of BASIS_TOL.
     n = d * d
     base = _make_basis(kind, d)
     for elements in _damaged_variants(base.elements):
         vecs = elements.reshape(n, n)
-        orth = float(np.max(np.abs(vecs.conj() @ vecs.T - np.eye(n))))
-        for trials in (1, 2, 8):
-            report = validate_basis(OperatorBasis(local_dim=d, elements=elements), trials=trials)
-            comp = oracles.completeness_residual_einsum(elements, trials)
-            expected = ("orthonormality" if orth > BASIS_TOL
-                        else "completeness" if comp > BASIS_TOL else None)
-            assert report.failed_relation == expected
-            assert report.passed is (expected is None)
-            assert abs(report.orthonormality_residual - orth) <= 1e-13 + 1e-12 * orth
-            assert abs(report.completeness_residual - comp) <= 1e-13 + 1e-12 * comp
+        gram_residual = float(np.linalg.norm(vecs @ vecs.conj().T - np.eye(n)))
+        oracle = oracles.completeness_residual_einsum(elements)
+        report = validate_basis(OperatorBasis(local_dim=d, elements=elements))
+        assert abs(report.residual - oracle) <= 1e-13
+        assert abs(report.residual - gram_residual) <= 1e-13
+        assert report.passed is (oracle <= BASIS_TOL)
 
 
 def test_validate_basis_memory_is_bounded():
-    # Each completeness trial may hold two arrays the size of the element
-    # stack (16 MiB at d = 32), not a three-operand contraction's worth.
+    # The check holds the conjugated vectors and the Gram matrix, each the
+    # size of the element stack (16 MiB at d = 32); an identity matrix (8 MiB)
+    # or a G - I temporary on top of them would break the bound.
     basis = bell_basis(32)
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        report = validate_basis(basis, trials=4)
+        report = validate_basis(basis)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

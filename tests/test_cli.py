@@ -495,19 +495,21 @@ def test_custom_state_and_basis_files(tmp_path, capsys):
     assert float(rows[0]["residual"]) < 1e-10
 
 
-@pytest.mark.parametrize("basis, trials", [("custom", [8]), ("bell", [4])])
-def test_basis_is_validated_once(tmp_path, monkeypatch, basis, trials):
-    # A custom basis is checked by the CLI with 8 trials and not again by
-    # build_setup, whose 4 trials would repeat the first four.
-    seen = []
-    validate = cli.validate_basis
+@pytest.mark.parametrize("basis", ["bell", "product", "custom"])
+def test_basis_is_validated_once(tmp_path, monkeypatch, basis):
+    # Every basis kind is checked once, inside build_setup, and the CLI holds
+    # no check of its own.
+    assert not hasattr(cli, "validate_basis")
+    calls = []
 
-    def recording_validate(b, trials=8, **kwargs):
-        seen.append(trials)
-        return validate(b, trials, **kwargs)
+    def recording(name, function):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return function(*args, **kwargs)
+        return wrapper
 
-    monkeypatch.setattr(cli, "validate_basis", recording_validate)
-    monkeypatch.setattr(teleport, "validate_basis", recording_validate)
+    monkeypatch.setattr(cli, "build_setup", recording("build_setup", teleport.build_setup))
+    monkeypatch.setattr(teleport, "validate_basis", recording("validate_basis", teleport.validate_basis))
     basis_path = tmp_path / "basis.json"
     save_basis_file(basis_path, bell_basis(3))
     file_args = ["--basis-file", str(basis_path)] if basis == "custom" else []
@@ -516,7 +518,7 @@ def test_basis_is_validated_once(tmp_path, monkeypatch, basis, trials):
         "--samples", "5", "--no-timestamp", "--out", str(tmp_path / "out.csv"),
     ])
     assert code == 0
-    assert seen == trials
+    assert calls == ["build_setup", "validate_basis"]
 
 
 def test_custom_psi_file_fixes_the_input(tmp_path):
@@ -552,7 +554,8 @@ def test_invalid_custom_basis_exits_2_naming_the_relation(tmp_path, capsys):
     ])
     err = capsys.readouterr().err
     assert code == 2
-    assert "orthonormality" in err or "completeness" in err
+    # One Gram diagonal entry is 1.5^2 = 2.25 instead of 1.
+    assert err == f"error: {basis_path}: basis is not orthonormal and complete (residual 1.250e+00)\n"
 
 
 @pytest.mark.parametrize(

@@ -215,7 +215,9 @@ def test_build_setup_rejects_invalid_basis():
     elements = bell_basis(2).elements.copy()
     elements[1] = 1.01 * elements[1]
     broken = OperatorBasis(local_dim=2, elements=elements)
-    with pytest.raises(BasisStructureError, match="orthonormality"):
+    # One Gram diagonal entry is 1.01^2; the message carries no prefix.
+    with pytest.raises(BasisStructureError,
+                       match=r"^basis is not orthonormal and complete \(residual 2\.010e-02\)$"):
         build_setup(maximally_entangled_state(2), broken)
 
 
@@ -579,6 +581,24 @@ def test_state_fidelity_batch_memory_is_bounded_per_block():
         tracemalloc.stop()
     assert peak - baseline - fidelities.nbytes < 4 * 2**20
     np.testing.assert_allclose(fidelities, 1.0, atol=1e-12)
+
+
+def test_transfer_abs_packed_temporaries_are_bounded_per_block():
+    # The packing fills its (d^2, d^2) result, 8 MiB at d = 32, one
+    # _rows_per_block block of outcomes at a time; a whole-stack gather,
+    # concatenate and transpose would hold about two results' worth on top.
+    d = 32
+    setup = TeleportSetup(maximally_entangled_state(d), bell_basis(d))
+    setup.transfer_abs  # |T|, built on first read, outside the measured packing
+    tracemalloc.start()
+    try:
+        baseline = tracemalloc.get_traced_memory()[0]
+        packed = setup.transfer_abs_packed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert packed.nbytes == 8 * d**4
+    assert peak - baseline - packed.nbytes < 2 * _BLOCK_BYTES
 
 
 def test_input_contract_violations_are_rejected():
