@@ -30,23 +30,23 @@ from .errors import DimensionError
 from .linalg import _abs_from_svd, as_state, dagger, polar_decompose, require_dense_size, require_normalized
 from .tolerances import ZERO_OUTCOME_TOL
 
-# Bytes of d x d complex matrices processed at once: the T_xi that transfer_abs
-# decomposes and the |T_xi| that transfer_abs_packed packs.  state_fidelity_batch
-# takes as many input rows a block; their d^2 real features fill half of it.
+# Bytes of d x d complex matrices processed at once: the T_xi whose |T_xi|
+# transfer_abs_packed forms and packs.  state_fidelity_batch takes as many
+# input rows a block; their d^2 real features fill half of it.
 _BLOCK_BYTES = 1 << 20
 
-# Complex d^4-entry stacks live at a setup's peak: elements, T_xi, then |T_xi| and
-# its packed weights (half a stack; average) or the basis's vectors_t (verify),
-# and temporaries.  tracemalloc peaks of one cli.main (bell basis, haar-random
-# resource, seed 0), in stacks: average (--samples 100) 9.07, 4.03 and 3.63 at
-# d = 16, 24 and 32; verify (--samples 20) 3.18 and 3.13, fidelity 3.02 and 3.01
-# (d = 24 and 32).  verify stays under 4 only because verify_identity reads
-# transfer_ops before vectors_t: the conjugated elements that T is built from
-# are freed before the copy is made.  Below d = 32 average's peak is the
-# fixed-size working sets (the 20,000-state draw chunk, _BLOCK_BYTES blocks),
-# which shrink against a stack as d grows; they pass 4 stacks only while a stack
-# is small (5.3 MB at d = 24).  4 * 64^4 is 2^26, so the constant sets the
-# d <= 64 limit.
+# Complex d^4-entry stacks live at a setup's peak: elements, T_xi, then the
+# packed |T_xi| weights (half a stack; average) or the basis's vectors_t
+# (verify), and temporaries.  tracemalloc peaks of one cli.main (bell basis,
+# haar-random resource, seed 0), in stacks: average (--samples 100) 7.57, 3.69
+# and 3.06 at d = 16, 24 and 32; verify (--samples 20) 3.18 and 3.13, fidelity
+# 3.02 and 3.01 (d = 24 and 32).  verify stays under 4 only because
+# verify_identity reads transfer_ops before vectors_t: the conjugated elements
+# that T is built from are freed before the copy is made.  Below d = 24
+# average's peak is the fixed-size working sets (the 20,000-state draw chunk,
+# _BLOCK_BYTES blocks), which shrink against a stack as d grows; they pass 4
+# stacks only while a stack is small (1 MiB at d = 16).  4 * 64^4 is 2^26, so
+# the constant sets the d <= 64 limit.
 _PEAK_STACKS = 4
 
 
@@ -55,9 +55,9 @@ class TeleportSetup:
     """Immutable pair of resource state and measurement basis.
 
     ``transfer_ops[xi]`` is T_xi, ``transfer_singular_values[xi]`` its
-    singular values, whose sum Tr|T_xi| is all the analytic E(F) needs, and
-    ``transfer_abs[xi]`` is |T_xi|.  ``transfer_abs_packed[xi]``, the
-    Monte-Carlo kernel's weights, packs the Hermitian |T_xi| into d^2 reals:
+    singular values, whose sum Tr|T_xi| is all the analytic E(F) needs.
+    |T_xi| is held only as ``transfer_abs_packed[xi]``, the Monte-Carlo
+    kernel's weights, which packs the Hermitian |T_xi| into d^2 reals:
     its diagonal, then twice the (re, im) of each entry above the diagonal
     (:func:`_upper_pairs`).  <psi| |T_xi| |psi> is the dot product of that
     row with the same packing of |psi><psi| without the factor 2 (see
@@ -99,36 +99,26 @@ class TeleportSetup:
         return singular_values
 
     @cached_property
-    def transfer_abs(self) -> np.ndarray:
-        """|T_xi| for every outcome, shape (d^2, d, d): one stacked SVD per
-        block of outcomes, bit-equal to :func:`operator_abs` of each T_xi."""
-        transfer_ops = self.transfer_ops
-        transfer_abs = np.empty_like(transfer_ops)
-        rows = _rows_per_block(self.local_dim)
-        for start in range(0, len(transfer_ops), rows):
-            _, s, vh = np.linalg.svd(transfer_ops[start:start + rows])
-            transfer_abs[start:start + rows] = _abs_from_svd(s, vh)
-        transfer_abs.setflags(write=False)
-        return transfer_abs
-
-    @cached_property
     def transfer_abs_packed(self) -> np.ndarray:
         """|T_xi| packed as real weights, C-contiguous shape (d^2, d^2).
 
         Row xi holds the diagonal A_ii of A = |T_xi|, then 2 Re A_ij and
         2 Im A_ij, interleaved, for each pair i < j of :func:`_upper_pairs`;
         the lower triangle is the conjugate of the upper and is not stored.
-        Filled one ``_rows_per_block`` block of outcomes at a time, so the
-        temporaries stay within ``_BLOCK_BYTES`` on top of the result.
+        One ``_rows_per_block`` block of outcomes at a time takes one stacked
+        SVD of its T_xi, forms their |T_xi| (bit-equal to :func:`operator_abs`
+        of each) and packs them, so no complex |T| stack is ever held and the
+        temporaries stay within a few ``_BLOCK_BYTES`` on top of the result.
         """
         d = self.local_dim
-        transfer_abs = self.transfer_abs.reshape(d * d, d * d)
         i, j = _upper_pairs(d)
         upper = i * d + j
-        packed = np.empty(transfer_abs.shape)
+        packed = np.empty((d * d, d * d))
         rows = _rows_per_block(d)
         for start in range(0, len(packed), rows):
-            block = transfer_abs[start:start + rows]
+            # U is freed as soon as the call returns, not held through the block.
+            s, vh = np.linalg.svd(self.transfer_ops[start:start + rows])[1:]
+            block = _abs_from_svd(s, vh).reshape(-1, d * d)
             packed[start:start + rows, :d] = block[:, ::d + 1].real
             np.multiply(block.take(upper, axis=1).view(float), 2.0, out=packed[start:start + rows, d:])
         packed.setflags(write=False)
@@ -181,8 +171,8 @@ def require_setup_fits(local_dim: int) -> None:
 
 def build_setup(shared: BipartiteState, basis: OperatorBasis) -> TeleportSetup:
     """Construct the setup, then check the basis: an invalid one raises
-    :class:`BasisStructureError` with the report's failure text.  T and |T|
-    are built only when first read.
+    :class:`BasisStructureError` with the report's failure text.  T and the
+    packed |T| are built only when first read.
     """
     setup = TeleportSetup(shared, basis)
     failure = validate_basis(basis).failure

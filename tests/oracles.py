@@ -114,6 +114,29 @@ def sample_outcome_per_shot(psi, transfer_ops, rng):
     return xi, norm * norm, float(np.abs(np.vdot(v, corrected)) ** 2)
 
 
+def transfer_abs(transfer_ops):
+    """|T_xi| for every T_xi, one SVD per matrix, shape (d^2, d, d).
+
+    V S V^dag from T = W S V^dag, symmetrized to exact Hermiticity: the
+    package's ``operator_abs`` operation for operation, so the Monte-Carlo
+    weights built from it can be compared bit for bit.
+    """
+    stack = []
+    for t in transfer_ops:
+        _, s, vh = np.linalg.svd(t)
+        positive = dagger(vh) @ (s[:, None] * vh)
+        stack.append(0.5 * (positive + dagger(positive)))
+    return np.array(stack)
+
+
+def pack_hermitian(a):
+    """The d^2 reals of a Hermitian d x d matrix in the kernel's layout: the
+    diagonal, then 2 Re a_ij and 2 Im a_ij, interleaved, for i < j in row order."""
+    d = len(a)
+    upper = np.array([a[i, j] for i in range(d) for j in range(i + 1, d)], dtype=complex)
+    return np.concatenate([a.diagonal().real, 2 * upper.view(float)])
+
+
 def state_fidelity_batch_per_outcome(psis, transfer_abs):
     """F(psi) = sum_xi <psi| |T_xi| |psi>^2 for each row of ``psis``.
 

@@ -315,6 +315,14 @@ def test_writable_inputs_are_copied_and_read_only_ones_kept():
     assert BipartiteState(vector).vector is vector
 
 
+def test_elements_of_any_array_like_are_stored_as_complex():
+    # A nested list and an int array are converted, then made read-only.
+    for elements in ([[[1.0]]], np.array([[[1]]])):
+        stored = OperatorBasis(local_dim=1, elements=elements).elements
+        assert stored.dtype == complex and not stored.flags.writeable
+        np.testing.assert_array_equal(stored, [[[1.0]]])
+
+
 @pytest.mark.parametrize("make", [bell_basis, product_basis])
 def test_constructed_bases_refuse_a_stack_over_the_dense_size_limit(monkeypatch, make):
     # d = 2 needs 16 entries: refused over a limit of 15, built at 16.

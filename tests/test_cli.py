@@ -623,11 +623,12 @@ def test_verify_peaks_below_the_setup_estimate(capsys):
     assert peak < teleport._PEAK_STACKS * 16 * d**4
 
 
-def test_average_peaks_below_the_setup_estimate(capsys):
-    # average holds |T| and its packed weights (half a stack) next to the
-    # elements and T; the packing is filled block by block, so its
-    # temporaries stay small against the budget.
-    d = 32
+@pytest.mark.parametrize("d", [24, 32])
+def test_average_peaks_below_the_setup_estimate(d, capsys):
+    # average holds the packed |T| weights (half a stack) next to the elements
+    # and T; each block's |T_xi| is packed as soon as it is formed, so no
+    # complex |T| stack is held and the temporaries stay small against the
+    # budget.  At d = 24 the fixed-size working sets weigh the most.
     tracemalloc.start()
     try:
         code = main(["average", "--d", str(d), "--shared", "haar-random", "--samples", "100", "--no-timestamp"])

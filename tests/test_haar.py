@@ -243,7 +243,7 @@ def test_average_command_builds_abs_t_in_one_block_and_reads_trace_norms_apart(m
 def test_analytic_fidelity_builds_no_abs_t():
     setup = build_setup(random_shared_state(3, np.random.default_rng(72)), bell_basis(3))
     average_fidelity_analytic(setup)
-    assert "transfer_abs" not in vars(setup)
+    assert "transfer_abs_packed" not in vars(setup)
     assert "transfer_singular_values" in vars(setup)
 
 
@@ -432,10 +432,11 @@ def test_monte_carlo_replays_the_chunked_draw_stream(samples):
     setup = build_setup(random_shared_state(3, np.random.default_rng(16)), bell_basis(3))
     rng, oracle_rng = np.random.default_rng(samples), np.random.default_rng(samples)
     result = monte_carlo_fidelity(setup, samples, rng)
+    transfer_abs = oracles.transfer_abs(setup.transfer_ops)
     fids = np.concatenate([
         oracles.state_fidelity_batch_per_outcome(
             oracles.haar_states_gaussian(oracle_rng, 3, min(20000, samples - start)),
-            setup.transfer_abs,
+            transfer_abs,
         )
         for start in range(0, samples, 20000)
     ])

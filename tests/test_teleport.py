@@ -104,13 +104,13 @@ def test_build_setup_refuses_a_setup_over_the_dense_size_limit(monkeypatch):
         with pytest.raises(DimensionError, match="a setup for d = 4 at peak needs 1,024 complex"):
             construct(maximally_entangled_state(4), bell_basis(4))
     monkeypatch.setattr(linalg, "_MAX_ELEMENTS", 1024)
-    assert TeleportSetup(maximally_entangled_state(4), bell_basis(4)).transfer_abs.shape == (16, 4, 4)
+    assert TeleportSetup(maximally_entangled_state(4), bell_basis(4)).transfer_abs_packed.shape == (16, 16)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_ideal_transfers_have_flat_absolute_value(d):
     setup = _ideal_setup(d)
-    for t_abs in setup.transfer_abs:
+    for t_abs in oracles.transfer_abs(setup.transfer_ops):
         np.testing.assert_allclose(t_abs, np.eye(d) / d, atol=1e-12)
 
 
@@ -150,9 +150,9 @@ def test_transfer_operators_match_their_definition():
 @pytest.mark.parametrize("d", [1, 2, 3, 5, 8, 24])
 @pytest.mark.parametrize("rotated", [False, True], ids=["bell", "rotated"])
 def test_stacked_transfer_abs_equals_per_outcome_operator_abs(d, rotated):
-    # |T| comes from stacked SVDs over blocks of outcomes; each block must give
-    # the bits of one operator_abs call per T_xi.  At d = 24 the 576 outcomes
-    # end in a partial block.
+    # The packed |T| comes from stacked SVDs over blocks of outcomes; each
+    # block must give the bits of one operator_abs call per T_xi, packed row by
+    # row.  At d = 24 the 576 outcomes end in a partial block.
     rng = np.random.default_rng(50 + d)
     basis = bell_basis(d)
     if rotated:
@@ -160,8 +160,10 @@ def test_stacked_transfer_abs_equals_per_outcome_operator_abs(d, rotated):
     setup = TeleportSetup(_random_shared(rng, d), basis)
     if d == 24:
         assert (d * d) % teleport._rows_per_block(d) != 0
-    expected = np.array([operator_abs(t) for t in setup.transfer_ops])
-    np.testing.assert_array_equal(setup.transfer_abs, expected)
+    transfer_abs = oracles.transfer_abs(setup.transfer_ops)
+    np.testing.assert_array_equal(transfer_abs, [operator_abs(t) for t in setup.transfer_ops])
+    expected = np.array([oracles.pack_hermitian(t_abs) for t_abs in transfer_abs])
+    np.testing.assert_array_equal(setup.transfer_abs_packed, expected)
 
 
 def test_value_objects_hold_read_only_arrays():
@@ -170,7 +172,7 @@ def test_value_objects_hold_read_only_arrays():
     basis = OperatorBasis(local_dim=2, elements=bell_basis(2).elements.copy())
     setup = build_setup(shared, basis)
     for arr in (shared.vector, shared.operator_form, basis.elements, setup.transfer_ops,
-                setup.transfer_abs, setup.transfer_abs_packed, setup.transfer_singular_values):
+                setup.transfer_abs_packed, setup.transfer_singular_values):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr.flat[0] = 0.0
@@ -184,8 +186,9 @@ def test_setup_stores_its_resource_and_basis_and_derives_the_rest():
     # T and |T| are built from the two stored inputs on first read and cached.
     setup = build_setup(maximally_entangled_state(2), bell_basis(2))
     assert [field.name for field in dataclasses.fields(TeleportSetup)] == ["shared", "basis"]
-    assert "transfer_ops" not in vars(setup) and "transfer_abs" not in vars(setup)
-    assert setup.transfer_abs is setup.transfer_abs
+    assert "transfer_ops" not in vars(setup) and "transfer_abs_packed" not in vars(setup)
+    assert setup.transfer_abs_packed is setup.transfer_abs_packed
+    assert not hasattr(setup, "transfer_abs")
     assert setup.transfer_ops is setup.transfer_ops
 
 
@@ -440,10 +443,11 @@ def test_correction_consistency_raw_vs_absolute_value():
     for d in (2, 3, 5):
         setup = build_setup(_random_shared(rng, d), bell_basis(d))
         psi = _random_psi(rng, d)
+        transfer_abs = oracles.transfer_abs(setup.transfer_ops)
         for outcome in enumerate_outcomes(psi, setup):
             if outcome.probability <= 1e-24:
                 continue
-            t_abs = setup.transfer_abs[outcome.xi]
+            t_abs = transfer_abs[outcome.xi]
             reference = t_abs @ psi
             reference = reference / np.linalg.norm(reference)
             overlap = abs(np.vdot(reference, outcome.corrected_state)) ** 2
@@ -526,9 +530,10 @@ def test_state_fidelity_batch_matches_per_outcome_oracle(d, basis_kind, resource
     setup, _ = _sampler_setup(d, basis_kind, resource_kind)
     rows = _BLOCK_BYTES // (16 * d * d)
     psis = oracles.haar_states_gaussian(np.random.default_rng(d), d, 3 * rows + 7)
+    transfer_abs = oracles.transfer_abs(setup.transfer_ops)
     for n in (0, 1, rows - 1, rows, rows + 1, 3 * rows + 7):
         batch = state_fidelity_batch(psis[:n], setup)
-        expected = oracles.state_fidelity_batch_per_outcome(psis[:n], setup.transfer_abs)
+        expected = oracles.state_fidelity_batch_per_outcome(psis[:n], transfer_abs)
         assert batch.shape == (n,)
         np.testing.assert_allclose(batch, expected, rtol=0, atol=1e-14)
     with pytest.raises(DimensionError):
@@ -546,11 +551,12 @@ def test_packed_weights_give_each_outcome_overlap(d):
     setup = TeleportSetup(_random_shared(rng, d), basis)
     psis = oracles.haar_states_gaussian(rng, d, 20)
     pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
+    transfer_abs = oracles.transfer_abs(setup.transfer_ops)
     for psi in psis:
         off_diagonal = [psi[i] * psi[j].conj() for i, j in pairs]
         features = np.concatenate([np.abs(psi) ** 2, np.array(off_diagonal, dtype=complex).view(float)])
         assert features.shape == (d * d,)
-        expected = ((setup.transfer_abs @ psi) @ psi.conj()).real
+        expected = ((transfer_abs @ psi) @ psi.conj()).real
         np.testing.assert_allclose(features @ setup.transfer_abs_packed.T, expected, rtol=0, atol=1e-14)
 
 
@@ -561,7 +567,7 @@ def test_state_fidelity_batch_matches_per_outcome_oracle_at_bench_sizes(d, basis
     # over a few hundred rows: more than one block, the last one partial.
     setup, _ = _sampler_setup(d, basis_kind, "haar")
     psis = oracles.haar_states_gaussian(np.random.default_rng(d), d, 300)
-    expected = oracles.state_fidelity_batch_per_outcome(psis, setup.transfer_abs)
+    expected = oracles.state_fidelity_batch_per_outcome(psis, oracles.transfer_abs(setup.transfer_ops))
     np.testing.assert_allclose(state_fidelity_batch(psis, setup), expected, rtol=0, atol=1e-14)
 
 
@@ -571,7 +577,7 @@ def test_state_fidelity_batch_memory_is_bounded_per_block():
     d, n = 32, 2000
     setup = TeleportSetup(maximally_entangled_state(d), bell_basis(d))
     psis = oracles.haar_states_gaussian(np.random.default_rng(32), d, n)
-    setup.transfer_abs_packed  # |T| and its packing, built on first read, outside the measured kernel
+    setup.transfer_abs_packed  # the packed |T|, built on first read, outside the measured kernel
     tracemalloc.start()
     try:
         baseline = tracemalloc.get_traced_memory()[0]
@@ -584,12 +590,13 @@ def test_state_fidelity_batch_memory_is_bounded_per_block():
 
 
 def test_transfer_abs_packed_temporaries_are_bounded_per_block():
-    # The packing fills its (d^2, d^2) result, 8 MiB at d = 32, one
-    # _rows_per_block block of outcomes at a time; a whole-stack gather,
-    # concatenate and transpose would hold about two results' worth on top.
+    # The packed |T| is filled one _rows_per_block block of outcomes at a
+    # time: an SVD of the block's T_xi, their |T_xi|, then the packing, about
+    # 5 MiB of temporaries at d = 32 on top of the 8 MiB result.  A whole
+    # complex |T| stack is 16 MiB there, so building it before packing fails.
     d = 32
     setup = TeleportSetup(maximally_entangled_state(d), bell_basis(d))
-    setup.transfer_abs  # |T|, built on first read, outside the measured packing
+    setup.transfer_ops  # T, built on first read, outside the measured packing
     tracemalloc.start()
     try:
         baseline = tracemalloc.get_traced_memory()[0]
@@ -598,7 +605,7 @@ def test_transfer_abs_packed_temporaries_are_bounded_per_block():
     finally:
         tracemalloc.stop()
     assert packed.nbytes == 8 * d**4
-    assert peak - baseline - packed.nbytes < 2 * _BLOCK_BYTES
+    assert peak - baseline - packed.nbytes < 8 * _BLOCK_BYTES
 
 
 def test_input_contract_violations_are_rejected():
