@@ -41,12 +41,12 @@ class OperatorBasis:
     """Ordered family of d^2 operators indexed by xi = j * d + k.
 
     ``elements`` has shape (d^2, d, d); ``elements[xi]`` is the operator
-    form of the xi-th measurement vector.  It is a read-only complex array,
-    an input of another dtype or one that could still be written being
-    copied (:func:`~teleportlab.linalg.read_only`), so the cached facts
-    cannot go stale: ``element_shape`` and
-    ``vectors_t``, the transposed vectors that ``verify_identity`` contracts
-    over xi.  Bases compare and hash by identity.
+    form of the xi-th measurement vector.  It is a read-only complex array
+    (:func:`~teleportlab.linalg.read_only`: an input of another dtype is
+    converted once, a complex one that could still be written is copied), so
+    the cached facts cannot go stale: ``element_shape`` and ``vectors_t``,
+    the transposed vectors that ``verify_identity`` contracts over xi.
+    Bases compare and hash by identity.
     """
 
     local_dim: int
@@ -56,7 +56,7 @@ class OperatorBasis:
         d = self.local_dim
         if d < 1:
             raise DimensionError("local dimension must be at least 1")
-        object.__setattr__(self, "elements", read_only(np.asarray(self.elements, dtype=complex)))
+        object.__setattr__(self, "elements", read_only(self.elements))
         if self.elements.shape != (d * d, d, d):
             raise BasisStructureError(
                 f"a basis for local dimension {d} needs {d * d} elements of shape "

@@ -80,17 +80,18 @@ class EntanglementClass(enum.Enum):
 class BipartiteState:
     """Normalized pure state of two d-level systems.
 
-    ``vector`` is the read-only length d^2 amplitude vector; a writable
-    input is copied, so the cached Schmidt spectrum cannot go stale.
+    ``vector`` is the read-only complex length d^2 amplitude vector
+    (:func:`~teleportlab.linalg.read_only`), so the cached Schmidt spectrum
+    cannot go stale.
     """
 
     vector: np.ndarray
 
     def __post_init__(self):
-        v = as_state(self.vector)
+        v = as_state(read_only(self.vector))
         if math.isqrt(v.size) ** 2 != v.size:
             raise DimensionError(f"vector length {v.size} is not a perfect square")
-        object.__setattr__(self, "vector", read_only(require_normalized(v, what="bipartite state")))
+        object.__setattr__(self, "vector", require_normalized(v, what="bipartite state"))
 
     @property
     def local_dim(self) -> int:

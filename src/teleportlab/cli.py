@@ -303,14 +303,13 @@ def run_fidelity(cfg: argparse.Namespace):
     """Analytic average fidelity and the detected closed form; its excess is
     their gap, with floor ``closed_form_gap_bound(d)``."""
     _, setup = _resolve_setup(cfg)
-    result = average_fidelity_analytic(setup)
+    analytic = average_fidelity_analytic(setup)
     case, closed = special_case_fidelity(setup)
     rows = [
         _row(cfg, REPORT_COLUMNS, quantity=quantity, label=case.value, analytic=value, samples=0)
-        for quantity, value in (("average_fidelity", result.analytic),
-                                ("special_case_fidelity", closed))
+        for quantity, value in (("average_fidelity", analytic), ("special_case_fidelity", closed))
     ]
-    return abs(result.analytic - closed), closed_form_gap_bound(cfg.d), rows
+    return abs(analytic - closed), closed_form_gap_bound(cfg.d), rows
 
 
 def run_average(cfg: argparse.Namespace):

@@ -22,7 +22,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import partial
-from typing import Optional
 
 import numpy as np
 
@@ -110,23 +109,18 @@ class SpecialCase(enum.Enum):
 
 @dataclass(frozen=True)
 class AverageFidelityResult:
-    """Analytic average fidelity, optionally with a Monte-Carlo estimate.
-
-    ``samples`` is 0 and the Monte-Carlo fields are None for purely
-    analytic results.
-    """
+    """Monte-Carlo estimate of the average fidelity next to the analytic value
+    and the detected structure of the setup."""
 
     analytic: float
     special_case: SpecialCase
-    monte_carlo_mean: Optional[float] = None
-    monte_carlo_stderr: Optional[float] = None
-    samples: int = 0
+    monte_carlo_mean: float
+    monte_carlo_stderr: float
+    samples: int
 
     def sigma_excess(self) -> float:
         """|analytic - estimate| less ``_N_SIGMA`` standard errors: at most 0
-        inside the statistical band, and 0 for a purely analytic result."""
-        if self.monte_carlo_mean is None or self.monte_carlo_stderr is None:
-            return 0.0
+        inside the statistical band."""
         return abs(self.analytic - self.monte_carlo_mean) - _N_SIGMA * self.monte_carlo_stderr
 
 
@@ -150,12 +144,11 @@ def transfer_trace_norms(setup: TeleportSetup) -> np.ndarray:
     return setup.transfer_singular_values.sum(axis=1)
 
 
-def average_fidelity_analytic(setup: TeleportSetup) -> AverageFidelityResult:
+def average_fidelity_analytic(setup: TeleportSetup) -> float:
     """Haar-average fidelity of a setup from the trace-norm formula."""
     d = setup.local_dim
     trace_norms = transfer_trace_norms(setup)
-    value = (d + float(np.sum(trace_norms**2))) / (d * (d + 1))
-    return AverageFidelityResult(analytic=value, special_case=_detect_special_case(setup))
+    return (d + float(np.sum(trace_norms**2))) / (d * (d + 1))
 
 
 def special_case_fidelity(setup: TeleportSetup) -> tuple[SpecialCase, float]:
@@ -177,7 +170,7 @@ def special_case_fidelity(setup: TeleportSetup) -> tuple[SpecialCase, float]:
     if case is SpecialCase.MAXENT_BASIS:
         shared_trace_norm = float(np.sum(setup.shared.schmidt_coefficients))
         return case, (1.0 + shared_trace_norm**2) / (d + 1)
-    return case, average_fidelity_analytic(setup).analytic
+    return case, average_fidelity_analytic(setup)
 
 
 def closed_form_gap_bound(d: int) -> float:
@@ -253,10 +246,9 @@ def monte_carlo_fidelity(
     mean = total / samples
     variance = sq_dev / max(samples - 1, 1)
     stderr = float(np.sqrt(variance / samples))
-    base = average_fidelity_analytic(setup)
     return AverageFidelityResult(
-        analytic=base.analytic,
-        special_case=base.special_case,
+        analytic=average_fidelity_analytic(setup),
+        special_case=_detect_special_case(setup),
         monte_carlo_mean=mean,
         monte_carlo_stderr=stderr,
         samples=samples,

@@ -82,18 +82,21 @@ def require_normalized(vector, what: str = "state") -> np.ndarray:
     return v
 
 
-def read_only(array: np.ndarray) -> np.ndarray:
-    """``array`` itself when it and every array in its ``.base`` chain are
-    read-only, the chain ending in an array that owns its data; else a
-    read-only copy.  A read-only view of a writable array is copied, since
-    writing the base would change it."""
-    base = array
-    while isinstance(base, np.ndarray) and not base.flags.writeable:
-        base = base.base
-    if base is not None:
-        array = array.copy()
-        array.setflags(write=False)
-    return array
+def read_only(array) -> np.ndarray:
+    """``array`` as a complex array that nothing can write.  A conversion to
+    complex is fresh and frozen in place.  A complex array is kept when it and
+    every array in its ``.base`` chain are read-only, the chain ending in an
+    array that owns its data, and copied read-only otherwise: writing the base
+    of a read-only view would change it."""
+    converted = np.asarray(array, dtype=complex)
+    if converted is array or converted.base is not None:
+        base = converted
+        while isinstance(base, np.ndarray) and not base.flags.writeable:
+            base = base.base
+        if base is not None:
+            converted = converted.copy()
+    converted.setflags(write=False)
+    return converted
 
 
 def basis_state(dim: int, index: int) -> np.ndarray:

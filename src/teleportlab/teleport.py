@@ -35,18 +35,18 @@ from .tolerances import ZERO_OUTCOME_TOL
 # input rows a block; their d^2 real features fill half of it.
 _BLOCK_BYTES = 1 << 20
 
-# Complex d^4-entry stacks live at a setup's peak: elements, T_xi, then the
-# packed |T_xi| weights (half a stack; average) or the basis's vectors_t
-# (verify), and temporaries.  tracemalloc peaks of one cli.main (bell basis,
-# haar-random resource, seed 0), in stacks: average (--samples 100) 7.57, 3.69
-# and 3.06 at d = 16, 24 and 32; verify (--samples 20) 3.18 and 3.13, fidelity
-# 3.02 and 3.01 (d = 24 and 32).  verify stays under 4 only because
-# verify_identity reads transfer_ops before vectors_t: the conjugated elements
-# that T is built from are freed before the copy is made.  Below d = 24
-# average's peak is the fixed-size working sets (the 20,000-state draw chunk,
-# _BLOCK_BYTES blocks), which shrink against a stack as d grows; they pass 4
-# stacks only while a stack is small (1 MiB at d = 16).  4 * 64^4 is 2^26, so
-# the constant sets the d <= 64 limit.
+# Complex d^4-entry stacks live at a setup's peak.  No command holds more
+# than 3 at once, whatever order it reads T_xi and the rest in: the basis
+# check holds the elements, their conjugate and the Gram matrix; later verify
+# holds the elements, T and the basis's vectors_t, and average the elements,
+# T and the packed |T_xi| weights (half a stack).  tracemalloc peaks of one
+# cli.main (bell basis, haar-random resource, seed 0), in stacks, at d = 16,
+# 24 and 32: verify (--samples 20) 3.98, 3.31 and 3.17; teleport (--samples
+# 20) and fidelity 3.73, 3.15 and 3.05; average (--samples 100) 7.42, 3.66
+# and 3.05.  The rest is fixed-size working sets (average's 20,000-state draw
+# chunk, _BLOCK_BYTES blocks), which shrink against a stack as d grows and
+# pass 4 stacks only while a stack is small (1 MiB at d = 16).  4 * 64^4 is
+# 2^26, so the constant sets the d <= 64 limit.
 _PEAK_STACKS = 4
 
 
@@ -84,9 +84,12 @@ class TeleportSetup:
 
     @cached_property
     def transfer_ops(self) -> np.ndarray:
-        """T_xi = C^t B_xi^dag for every outcome, shape (d^2, d, d)."""
-        ct = self.shared.operator_form.T
-        transfer_ops = np.matmul(ct, self.basis.elements.conj().transpose(0, 2, 1))
+        """T_xi = C^t B_xi^dag for every outcome, shape (d^2, d, d): C^dag B_xi^t
+        over a transposed view of the elements, conjugated in place, so no
+        conjugated copy of the elements is made.  Negation is exact, so the
+        bits are those of C^t conj(B_xi)^t."""
+        transfer_ops = np.matmul(dagger(self.shared.operator_form), self.basis.elements.transpose(0, 2, 1))
+        np.conjugate(transfer_ops, out=transfer_ops)
         transfer_ops.setflags(write=False)
         return transfer_ops
 
@@ -202,8 +205,6 @@ def verify_identity(psi, setup: TeleportSetup) -> float:
     if v.size != d:
         raise DimensionError(f"input state must have dimension {d}")
     lhs = np.outer(v, setup.shared.vector).ravel()
-    # transfer_ops is read before vectors_t, so that T's conjugated temporary
-    # is freed before the copy is made (see _PEAK_STACKS).
     t_psi = np.ascontiguousarray(_transfer_images(v, setup).T)
     rhs = np.einsum("ix,mx->im", setup.basis.vectors_t, t_psi).reshape(-1)
     return float(np.linalg.norm(lhs - rhs))

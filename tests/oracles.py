@@ -114,6 +114,12 @@ def sample_outcome_per_shot(psi, transfer_ops, rng):
     return xi, norm * norm, float(np.abs(np.vdot(v, corrected)) ** 2)
 
 
+def transfer_ops(shared_operator, elements):
+    """T_xi = C^t B_xi^dag for every outcome, as one stacked product of C^t
+    with the conjugate-transposed elements."""
+    return np.matmul(shared_operator.T, elements.conj().transpose(0, 2, 1))
+
+
 def transfer_abs(transfer_ops):
     """|T_xi| for every T_xi, one SVD per matrix, shape (d^2, d, d).
 

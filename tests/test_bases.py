@@ -323,6 +323,23 @@ def test_elements_of_any_array_like_are_stored_as_complex():
         np.testing.assert_array_equal(stored, [[[1.0]]])
 
 
+def test_a_real_stack_is_converted_with_one_copy():
+    # The conversion to complex is the stored stack itself: building a basis
+    # from a float64 stack at d = 32 allocates one complex stack, not two.
+    d = 32
+    elements = bell_basis(d).elements.real.copy()
+    tracemalloc.start()
+    try:
+        baseline = tracemalloc.get_traced_memory()[0]
+        stored = OperatorBasis(local_dim=d, elements=elements).elements
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stored.dtype == complex and not stored.flags.writeable
+    np.testing.assert_array_equal(stored, elements)
+    assert peak - baseline < 1.5 * 16 * d**4
+
+
 @pytest.mark.parametrize("make", [bell_basis, product_basis])
 def test_constructed_bases_refuse_a_stack_over_the_dense_size_limit(monkeypatch, make):
     # d = 2 needs 16 entries: refused over a limit of 15, built at 16.

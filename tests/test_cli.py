@@ -610,8 +610,7 @@ def test_oversized_dimension_is_refused_with_its_estimate():
 
 def test_verify_peaks_below_the_setup_estimate(capsys):
     # require_setup_fits budgets _PEAK_STACKS complex d^4-entry stacks.  verify
-    # adds the basis's vectors_t to the elements and T, and stays under the
-    # budget because it reads T first, after T's temporary is freed.
+    # adds the basis's vectors_t to the elements and T.
     d = 24
     tracemalloc.start()
     try:
@@ -621,6 +620,26 @@ def test_verify_peaks_below_the_setup_estimate(capsys):
         tracemalloc.stop()
     assert code == 0
     assert peak < teleport._PEAK_STACKS * 16 * d**4
+
+
+@pytest.mark.parametrize("d", [24, 32])
+def test_verify_peak_does_not_depend_on_read_order(d):
+    # T is built without a conjugated copy of the elements, so reading the
+    # basis's vectors_t before T adds nothing to the peak.
+    peaks = {}
+    for first in ("vectors_t", "transfer_ops"):
+        rng = np.random.default_rng(d)
+        tracemalloc.start()
+        try:
+            setup = build_setup(random_shared_state(d, rng), bell_basis(d))
+            getattr(setup.basis if first == "vectors_t" else setup, first)
+            for _ in range(20):
+                teleport.verify_identity(haar_state(d, rng), setup)
+            peaks[first] = tracemalloc.get_traced_memory()[1] / (16 * d**4)
+        finally:
+            tracemalloc.stop()
+    assert max(peaks.values()) < teleport._PEAK_STACKS
+    assert abs(peaks["vectors_t"] - peaks["transfer_ops"]) <= 0.05
 
 
 @pytest.mark.parametrize("d", [24, 32])

@@ -240,14 +240,26 @@ def test_scaled_norm_keeps_ordinary_vectors_bit_for_bit():
 
 
 def test_read_only_keeps_only_arrays_nothing_can_write():
-    owner = np.arange(4.0)
+    owner = np.arange(4.0).astype(complex)
     owner.setflags(write=False)
     view = owner[1:]
     assert read_only(owner) is owner and read_only(view) is view
-    writable = np.arange(4.0)
+    writable = np.arange(4.0).astype(complex)
     ro_view = writable[1:]
     ro_view.setflags(write=False)
     for array in (writable, ro_view):
         kept = read_only(array)
         assert kept is not array and not kept.flags.writeable
         np.testing.assert_array_equal(kept, array)
+
+
+def test_read_only_converts_other_inputs_once_and_freezes_the_result():
+    # A list or a real array is converted to a fresh complex array, which is
+    # made read-only in place; writing the input does not reach it.
+    for raw in ([1.0, 2.0], np.array([1, 2]), np.array([1.0, 2.0])):
+        converted = read_only(raw)
+        assert converted.dtype == complex and not converted.flags.writeable
+        assert converted.base is None
+        if isinstance(raw, np.ndarray):
+            raw[0] = 5
+        np.testing.assert_array_equal(converted, [1.0, 2.0])

@@ -102,7 +102,7 @@ def test_trace_norms_match_the_trace_of_abs_t(params):
 def test_average_fidelity_bracket_and_closed_forms(params):
     setup, _ = _build(params)
     d = setup.local_dim
-    analytic = average_fidelity_analytic(setup).analytic
+    analytic = average_fidelity_analytic(setup)
     assert 2 / (d + 1) - 1e-12 <= analytic <= 1 + 1e-12
     case, closed = special_case_fidelity(setup)
     assert abs(analytic - closed) <= closed_form_gap_bound(d)

@@ -147,6 +147,36 @@ def test_transfer_operators_match_their_definition():
         np.testing.assert_allclose(setup.transfer_ops[xi], expected, atol=1e-15, rtol=0)
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 8, 16, 24, 32])
+@pytest.mark.parametrize("kind", ["bell", "product", "rotated"])
+def test_transfer_operators_are_bit_equal_to_the_conjugated_product(d, kind):
+    # T is conjugated in place from C^dag B^t; negation is exact, so it keeps
+    # the bits of C^t times the conjugate-transposed elements.
+    rng = np.random.default_rng(80 + d)
+    basis = product_basis(d) if kind == "product" else bell_basis(d)
+    if kind == "rotated":
+        basis = rotated_basis(basis, oracles.random_unitary(rng, d * d))
+    setup = TeleportSetup(_random_shared(rng, d), basis)
+    expected = oracles.transfer_ops(setup.shared.operator_form, basis.elements)
+    np.testing.assert_array_equal(setup.transfer_ops, expected)
+
+
+def test_transfer_operators_hold_no_stack_sized_temporary():
+    # Only C^dag, a d x d copy, is allocated beside the result: a conjugated
+    # copy of the elements would be a whole 16 MiB stack at d = 32.
+    d = 32
+    setup = TeleportSetup(_random_shared(np.random.default_rng(32), d), bell_basis(d))
+    tracemalloc.start()
+    try:
+        baseline = tracemalloc.get_traced_memory()[0]
+        transfer_ops = setup.transfer_ops
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert transfer_ops.nbytes == 16 * d**4
+    assert peak - baseline - transfer_ops.nbytes <= 0.1 * 16 * d**4
+
+
 @pytest.mark.parametrize("d", [1, 2, 3, 5, 8, 24])
 @pytest.mark.parametrize("rotated", [False, True], ids=["bell", "rotated"])
 def test_stacked_transfer_abs_equals_per_outcome_operator_abs(d, rotated):
