@@ -84,7 +84,6 @@ from .haar import (
     pair_average_analytic,
     random_shared_state,
     special_case_fidelity,
-    transfer_trace_norms,
 )
 
 __all__ = [
@@ -109,6 +108,5 @@ __all__ = [
     "AverageFidelityResult", "SpecialCase", "average_fidelity_analytic",
     "classical_baseline", "closed_form_gap_bound", "haar_state", "haar_states", "haar_unitary",
     "monte_carlo_fidelity", "monte_carlo_rounding_bound", "pair_average_analytic",
-    "random_shared_state",
-    "special_case_fidelity", "transfer_trace_norms",
+    "random_shared_state", "special_case_fidelity",
 ]

@@ -21,7 +21,8 @@ File formats (JSON, complex scalars as [re, im] pairs):
                  each matrix a row-major nested list of [re, im] pairs
 
 --basis-file and --shared-file are read only with ``custom``, --psi-file
-only by ``teleport``; a file flag nothing reads is refused.
+only by ``teleport`` and --samples by every command but ``fidelity``; a
+flag nothing reads is refused.
 
 Exit codes: 0 pass, 2 unusable configuration, 1 when the excess a runner
 measures is above the larger of its floor and ``--tolerance`` (in ``main``).
@@ -93,6 +94,8 @@ def config_from_namespace(ns: argparse.Namespace) -> argparse.Namespace:
         raise ConfigurationError("--tolerance must be positive")
     if not np.isfinite(ns.tolerance):
         raise ConfigurationError("--tolerance must be finite")
+    if ns.command == "fidelity" and ns.samples is not None:
+        raise ConfigurationError("--samples is not read by the fidelity command")
     if ns.samples is None:
         ns.samples = _default_samples(ns.command, ns.d)
     if ns.samples < 0:
@@ -100,6 +103,8 @@ def config_from_namespace(ns: argparse.Namespace) -> argparse.Namespace:
     if ns.command == "teleport":
         require_dense_size(ns.samples * _SHOT_BYTES // 16,
                            f"a transcript of {ns.samples:,} shots at {_SHOT_BYTES:,} bytes each")
+    if ns.command == "verify" and ns.samples < 1:
+        raise ConfigurationError("the verify command needs --samples of at least 1")
     if ns.command == "average" and ns.samples < MIN_SAMPLES:
         raise ConfigurationError(f"the average command needs --samples of at least {MIN_SAMPLES}")
     for flag, kind, path in (("--basis", ns.basis, ns.basis_file),
@@ -130,15 +135,8 @@ def _parse_complex_pairs(values, what: str) -> np.ndarray:
     return arr[..., 0] + 1j * arr[..., 1]
 
 
-def _file_dim(data: dict, path: str) -> int:
-    # A JSON integer only: int() would truncate 2.5 and accept true as 1.
-    d = data["d"]
-    if type(d) is not int or d < 1:
-        raise ConfigurationError(f"{path}: d must be an integer of at least 1, got {json.dumps(d)}")
-    return d
-
-
-def _load_json(path: str) -> dict:
+def _load_file(path: str, key: str) -> tuple[int, object]:
+    """``d`` and the entry ``key`` of a JSON object file, unparsed."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             data = json.load(handle)
@@ -148,17 +146,20 @@ def _load_json(path: str) -> dict:
         raise ConfigurationError(f"{path} is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise ConfigurationError(f"{path}: expected a JSON object")
-    return data
+    try:
+        # A JSON integer only: int() would truncate 2.5 and accept true as 1.
+        d = data["d"]
+        if type(d) is not int or d < 1:
+            raise ConfigurationError(f"{path}: d must be an integer of at least 1, got {json.dumps(d)}")
+        return d, data[key]
+    except KeyError as exc:
+        raise ConfigurationError(f"{path}: missing key {exc}") from None
 
 
 def load_state_file(path: str) -> tuple[int, np.ndarray]:
     """Read a state file; returns (d, amplitudes) without normalizing."""
-    data = _load_json(path)
-    try:
-        d = _file_dim(data, path)
-        amplitudes = _parse_complex_pairs(data["amplitudes"], path)
-    except KeyError as exc:
-        raise ConfigurationError(f"{path}: missing key {exc}") from None
+    d, raw = _load_file(path, "amplitudes")
+    amplitudes = _parse_complex_pairs(raw, path)
     if amplitudes.ndim != 1:
         raise ConfigurationError(f"{path}: amplitudes must be a flat list")
     if amplitudes.size not in (d, d * d):
@@ -182,12 +183,7 @@ def save_state_file(path: str, d: int, amplitudes: np.ndarray) -> None:
 
 def load_basis_file(path: str) -> OperatorBasis:
     """Read a basis file into an unvalidated custom basis."""
-    data = _load_json(path)
-    try:
-        d = _file_dim(data, path)
-        raw = data["elements"]
-    except KeyError as exc:
-        raise ConfigurationError(f"{path}: missing key {exc}") from None
+    d, raw = _load_file(path, "elements")
     if not isinstance(raw, list):
         raise ConfigurationError(f"{path}: elements must be a list of matrices")
     matrices = [_parse_complex_pairs(m, f"{path} element {i}") for i, m in enumerate(raw)]
@@ -275,9 +271,8 @@ def run_verify(cfg: argparse.Namespace):
     """Max identity residual over ``samples`` random input states; its
     excess is that residual, with floor 0."""
     rng, setup = _resolve_setup(cfg)
-    trials = max(cfg.samples, 1)
-    worst = max(verify_identity(haar_state(cfg.d, rng), setup) for _ in range(trials))
-    row = _row(cfg, REPORT_COLUMNS, quantity="max_identity_residual", samples=trials, residual=worst)
+    worst = max(verify_identity(haar_state(cfg.d, rng), setup) for _ in range(cfg.samples))
+    row = _row(cfg, REPORT_COLUMNS, quantity="max_identity_residual", samples=cfg.samples, residual=worst)
     return worst, 0.0, [row]
 
 

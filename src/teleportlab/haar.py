@@ -29,7 +29,7 @@ from .choi import BipartiteState, schmidt_shape
 from .errors import ConfigurationError, DimensionError
 from .linalg import as_square_matrix
 from .teleport import TeleportSetup, state_fidelity_batch
-from .tolerances import CLOSED_FORM_GAP_PER_DIM, MC_ROUNDING_PER_DIM_SQ
+from .tolerances import RANK_TOL
 
 # Samples drawn per block in the Monte-Carlo loops.  It fixes the draw
 # stream (a seeded generator gives the same states only for the same
@@ -138,17 +138,10 @@ def _detect_special_case(setup: TeleportSetup) -> SpecialCase:
     return SpecialCase.GENERAL
 
 
-def transfer_trace_norms(setup: TeleportSetup) -> np.ndarray:
-    """Tr |T_xi| for every outcome (the nuclear norms of the transfers): the
-    row sums of the cached singular values, so no |T_xi| is built."""
-    return setup.transfer_singular_values.sum(axis=1)
-
-
 def average_fidelity_analytic(setup: TeleportSetup) -> float:
     """Haar-average fidelity of a setup from the trace-norm formula."""
     d = setup.local_dim
-    trace_norms = transfer_trace_norms(setup)
-    return (d + float(np.sum(trace_norms**2))) / (d * (d + 1))
+    return (d + float(np.sum(setup.transfer_trace_norms**2))) / (d * (d + 1))
 
 
 def special_case_fidelity(setup: TeleportSetup) -> tuple[SpecialCase, float]:
@@ -188,7 +181,7 @@ def closed_form_gap_bound(d: int) -> float:
     For d >= 2 each is below 2 d tau, with room for the O(tau) shift of a
     basis validated at BASIS_TOL; at d = 1 every spectrum is one value.
     """
-    return d * CLOSED_FORM_GAP_PER_DIM
+    return d * (2 * RANK_TOL)
 
 
 def monte_carlo_rounding_bound(d: int) -> float:
@@ -208,7 +201,7 @@ def monte_carlo_rounding_bound(d: int) -> float:
     running total across blocks.  All of it is within 64 d^2 eps for n up to
     500,000 at d = 1 and 4 million at d = 2, and the margin grows with d.
     """
-    return d * d * MC_ROUNDING_PER_DIM_SQ
+    return d * d * (64 * 2.0**-52)
 
 
 def monte_carlo_fidelity(

@@ -54,8 +54,8 @@ _PEAK_STACKS = 4
 class TeleportSetup:
     """Immutable pair of resource state and measurement basis.
 
-    ``transfer_ops[xi]`` is T_xi, ``transfer_singular_values[xi]`` its
-    singular values, whose sum Tr|T_xi| is all the analytic E(F) needs.
+    ``transfer_ops[xi]`` is T_xi and ``transfer_trace_norms[xi]`` its trace
+    norm Tr|T_xi|, all that the analytic E(F) needs.
     |T_xi| is held only as ``transfer_abs_packed[xi]``, the Monte-Carlo
     kernel's weights, which packs the Hermitian |T_xi| into d^2 reals:
     its diagonal, then twice the (re, im) of each entry above the diagonal
@@ -94,12 +94,12 @@ class TeleportSetup:
         return transfer_ops
 
     @cached_property
-    def transfer_singular_values(self) -> np.ndarray:
-        """Singular values of every T_xi, descending, shape (d^2, d); one
-        stacked call that computes no singular vectors."""
-        singular_values = np.linalg.svd(self.transfer_ops, compute_uv=False)
-        singular_values.setflags(write=False)
-        return singular_values
+    def transfer_trace_norms(self) -> np.ndarray:
+        """Tr|T_xi| for every outcome, shape (d^2,): the row sums of one stacked
+        singular-value call, so no singular vector and no |T_xi| is built."""
+        trace_norms = np.linalg.svd(self.transfer_ops, compute_uv=False).sum(axis=1)
+        trace_norms.setflags(write=False)
+        return trace_norms
 
     @cached_property
     def transfer_abs_packed(self) -> np.ndarray:

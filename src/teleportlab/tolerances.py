@@ -3,7 +3,10 @@
 Chosen with double precision headroom for local dimensions up to a few
 dozen.  Library checks read these directly and take no overrides, so
 that every check and classification agrees; only the CLI's gates
-accept ``--tolerance``.
+accept ``--tolerance``.  The gates' floors are not stored here: each is
+computed in the function whose docstring derives it,
+``haar.closed_form_gap_bound`` from RANK_TOL and
+``haar.monte_carlo_rounding_bound`` from the machine epsilon.
 """
 
 # State vectors must have unit Euclidean norm within this bound.
@@ -13,13 +16,6 @@ NORMALIZATION_TOL = 1e-12
 # a spectrum whose spread is at most this fraction of its largest value
 # counts as flat (choi.schmidt_shape).
 RANK_TOL = 1e-10
-
-# Closed-form gap per unit of d that RANK_TOL admits (haar.closed_form_gap_bound).
-CLOSED_FORM_GAP_PER_DIM = 2 * RANK_TOL
-
-# Monte-Carlo mean's rounding against the analytic value per unit of d^2,
-# 64 machine epsilons (haar.monte_carlo_rounding_bound).
-MC_ROUNDING_PER_DIM_SQ = 64 * 2.0**-52
 
 # Rounding slack above 1 that a probability or conditional fidelity may
 # show before the teleport command reports a failure (exit 1); the command

@@ -26,7 +26,6 @@ from teleportlab import (
     product_state,
     rotated_basis,
     state_fidelity,
-    transfer_trace_norms,
     validate_basis,
     verify_identity,
 )
@@ -120,7 +119,7 @@ def test_criterion_04_product_measurement_basis():
     worst = 0.0
     for d in range(2, 9):
         setup = build_setup(maximally_entangled_state(d), product_basis(d))
-        trace_norms = transfer_trace_norms(setup)
+        trace_norms = setup.transfer_trace_norms
         value = (d + float(np.sum(trace_norms**2))) / (d * (d + 1))
         worst = max(worst, abs(value - 2.0 / (d + 1)))
     ok = worst <= 1e-12
@@ -140,7 +139,7 @@ def test_criterion_05_interpolation_for_generic_resources():
         for _ in range(20):
             shared = _random_shared(rng, d)
             setup = build_setup(shared, basis)
-            value = (d + float(np.sum(transfer_trace_norms(setup) ** 2))) / (d * (d + 1))
+            value = (d + float(np.sum(setup.transfer_trace_norms ** 2))) / (d * (d + 1))
             resource_norm = float(np.trace(operator_abs(shared.operator_form)).real)
             closed = (1.0 + resource_norm**2) / (d + 1)
             worst_gap = max(worst_gap, abs(value - closed))
@@ -259,7 +258,7 @@ def test_criterion_09_rank_one_sum_rule():
         )
         for basis in bases:
             setup = build_setup(shared, basis)
-            total = float(np.sum(transfer_trace_norms(setup) ** 2))
+            total = float(np.sum(setup.transfer_trace_norms ** 2))
             worst = max(worst, abs(total - d))
     ok = worst <= 1e-10
     _report(9, ok, f"max |sum (Tr|T|)^2 - d| = {worst:.2e} over d=2..6, three basis kinds")

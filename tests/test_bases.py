@@ -206,11 +206,22 @@ def test_dimension_zero_rejected():
         bell_basis(0)
     with pytest.raises(DimensionError):
         product_basis(0)
+    with pytest.raises(DimensionError, match="local dimension must be at least 1"):
+        OperatorBasis(local_dim=0, elements=np.zeros((0, 0, 0), dtype=complex))
+
+
+def test_non_finite_elements_rejected():
+    elements = bell_basis(2).elements.copy()
+    elements[1, 0, 1] = np.nan
+    with pytest.raises(ValueError, match="basis elements must be finite"):
+        OperatorBasis(local_dim=2, elements=elements)
 
 
 def test_wrong_element_count_rejected():
     with pytest.raises(BasisStructureError):
         custom_basis([np.eye(2)] * 3)
+    with pytest.raises(BasisStructureError, match="sequence of square matrices"):
+        custom_basis([])
     with pytest.raises(BasisStructureError):
         OperatorBasis(local_dim=2, elements=np.zeros((4, 3, 3), dtype=complex))
 

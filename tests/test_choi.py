@@ -215,6 +215,8 @@ def test_bipartite_state_normalization_contract():
     assert np.linalg.norm(state.vector) == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(DimensionError):
         BipartiteState.from_vector(np.ones(3) / math.sqrt(3))
+    with pytest.raises(TypeError):
+        analyze_entanglement("x")
 
 
 def test_vector_and_operator_form_share_amplitudes():

@@ -6,6 +6,7 @@ import hashlib
 import json
 import math
 import pathlib
+import re
 import tracemalloc
 
 import numpy as np
@@ -566,12 +567,37 @@ def test_invalid_custom_basis_exits_2_naming_the_relation(tmp_path, capsys):
         ["verify", "--shared", "custom"],                    # missing file
         ["verify", "--d", "0"],                              # bad dimension
         ["verify", "--seed", "-1"],                          # seed out of range
+        ["verify", "--samples", "0"],                        # runs no trial
+        ["fidelity", "--samples", "7"],                      # draws nothing
     ],
 )
 def test_unusable_configurations_exit_2(args, capsys):
     code = main(args + ["--no-timestamp"])
     capsys.readouterr()
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["fidelity", "--samples", "7"], "--samples is not read by the fidelity command"),
+        (["verify", "--samples", "0"], "the verify command needs --samples of at least 1"),
+    ],
+)
+def test_samples_that_would_not_run_as_reported_are_refused(capsys, args, message):
+    assert run_cli(args + ["--no-timestamp"], capsys) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_reports_carry_a_utc_timestamp_by_default(capsys, fmt):
+    code, out, _ = run_cli(["fidelity", "--format", fmt], capsys)
+    assert code == 0
+    if fmt == "csv":
+        stamp = out.splitlines()[8]
+        assert re.fullmatch(r"# timestamp: \d{4}-\d\d-\d\dT\d\d:\d\d:\d\dZ", stamp)
+    else:
+        stamp = json.loads(out)["meta"]["timestamp"]
+        assert re.fullmatch(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\dZ", stamp)
 
 
 @pytest.mark.parametrize(
@@ -586,10 +612,10 @@ def test_unusable_configurations_exit_2(args, capsys):
 )
 def test_file_flag_the_chosen_kind_does_not_read_exits_2(tmp_path, monkeypatch, capsys, args, message):
     # Refused before any file is read: reading one fails the test.
-    def no_read(path):
+    def no_read(path, key):
         raise AssertionError(f"{path} was opened")
 
-    monkeypatch.setattr(cli, "_load_json", no_read)
+    monkeypatch.setattr(cli, "_load_file", no_read)
     code = main(args + [str(tmp_path / "missing.json"), "--no-timestamp"])
     captured = capsys.readouterr()
     assert code == 2
@@ -774,9 +800,12 @@ _PHI_PLUS = [[0.5**0.5, 0.0], [0.0, 0.0], [0.0, 0.0], [0.5**0.5, 0.0]]
         ("--basis-file", {"d": None, "elements": _bell_payload()}),
         ("--shared-file", {"d": 2.5, "amplitudes": _PHI_PLUS}),
         ("--basis-file", {"d": True, "elements": _bell_payload(1)}),
+        # amplitudes that are not numbers, or not a flat list
+        ("--shared-file", {"d": 2, "amplitudes": [["a", 0], [0, 0]]}),
+        ("--psi-file", {"d": 2, "amplitudes": [[[1, 0]]]}),
     ],
     ids=["unequal-shapes", "nan-basis", "inf-shared", "nan-psi",
-         "d-string", "d-null", "d-float", "d-bool"],
+         "d-string", "d-null", "d-float", "d-bool", "text-amplitude", "nested-amplitudes"],
 )
 def test_malformed_file_entries_exit_2(tmp_path, capsys, flag, payload):
     path = tmp_path / "input.json"

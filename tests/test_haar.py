@@ -34,7 +34,6 @@ from teleportlab import (
     rotated_basis,
     special_case_fidelity,
     state_fidelity_batch,
-    transfer_trace_norms,
 )
 from teleportlab.cli import main, save_basis_file
 from teleportlab.haar import MIN_SAMPLES
@@ -167,7 +166,7 @@ def test_rank_one_resource_sum_rule():
         shared = product_state(oracles.random_complex(rng, d), oracles.random_complex(rng, d))
         for basis in (bell_basis(d), product_basis(d)):
             setup = build_setup(shared, basis)
-            norms = transfer_trace_norms(setup)
+            norms = setup.transfer_trace_norms
             sq = sum(np.linalg.svd(t, compute_uv=False).sum() ** 2 for t in setup.transfer_ops)
             hs = sum(np.linalg.norm(t) ** 2 for t in setup.transfer_ops)
             assert np.sum(norms**2) == pytest.approx(d, abs=1e-10)
@@ -244,7 +243,7 @@ def test_analytic_fidelity_builds_no_abs_t():
     setup = build_setup(random_shared_state(3, np.random.default_rng(72)), bell_basis(3))
     average_fidelity_analytic(setup)
     assert "transfer_abs_packed" not in vars(setup)
-    assert "transfer_singular_values" in vars(setup)
+    assert "transfer_trace_norms" in vars(setup)
 
 
 def test_teleport_command_decomposes_each_drawn_outcome_once(monkeypatch, capsys):
@@ -358,7 +357,7 @@ def test_transfer_hilbert_schmidt_weights_sum_to_d(d):
     setup = build_setup(random_shared_state(d, rng), bell_basis(d))
     hs_weights = [np.linalg.norm(t) ** 2 for t in setup.transfer_ops]
     assert sum(hs_weights) == pytest.approx(d, abs=1e-10)
-    norms = transfer_trace_norms(setup)
+    norms = setup.transfer_trace_norms
     two_term = (sum(hs_weights) + np.sum(norms**2)) / (d * (d + 1))
     assert two_term == pytest.approx(average_fidelity_analytic(setup), abs=1e-12)
 
@@ -482,6 +481,8 @@ def test_classical_baseline_rejects_bad_arguments():
 def test_haar_state_dimension_error():
     with pytest.raises(DimensionError):
         haar_state(0, np.random.default_rng(0))
+    with pytest.raises(DimensionError):
+        haar_unitary(0, np.random.default_rng(0))
     with pytest.raises(ValueError):
         haar_states(2, -1, np.random.default_rng(0))
     with pytest.raises(DimensionError):

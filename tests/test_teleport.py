@@ -73,7 +73,7 @@ def _straddling_spectra(d):
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
-def test_profile_flags_agree_with_entanglement_classification(d):
+def test_element_shape_and_labels_agree_with_entanglement_classification(d):
     # One rule for resources and basis elements.  A basis whose elements all
     # have spectrum s has analyze_entanglement's flat and rank-one verdicts
     # on s as its element_shape (the elements need not be orthonormal); a
@@ -202,7 +202,7 @@ def test_value_objects_hold_read_only_arrays():
     basis = OperatorBasis(local_dim=2, elements=bell_basis(2).elements.copy())
     setup = build_setup(shared, basis)
     for arr in (shared.vector, shared.operator_form, basis.elements, setup.transfer_ops,
-                setup.transfer_abs_packed, setup.transfer_singular_values):
+                setup.transfer_abs_packed, setup.transfer_trace_norms):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr.flat[0] = 0.0
@@ -642,9 +642,21 @@ def test_input_contract_violations_are_rejected():
     setup = _ideal_setup(2)
     with pytest.raises(DimensionError):
         verify_identity(np.ones(3) / math.sqrt(3), setup)
+    for call in (outcome_probabilities, state_fidelity, lambda psi, setup: realize_outcome(psi, setup, 0)):
+        with pytest.raises(DimensionError, match="input state must have dimension 2"):
+            call(np.ones(3) / math.sqrt(3), setup)
     with pytest.raises(DimensionError):
         realize_outcome(basis_state(2, 0), setup, 4)
     with pytest.raises(NormalizationError):
         state_fidelity(np.array([2.0, 0.0]), setup)
     with pytest.raises(DimensionError):
         state_fidelity_batch(np.ones((5, 3)), setup)
+
+
+def test_sampling_refuses_a_setup_whose_probabilities_vanish():
+    # TeleportSetup does not validate its basis, so an all-zero stack gives
+    # every outcome probability 0 for a normalized input.
+    zero = OperatorBasis(local_dim=2, elements=np.zeros((4, 2, 2), dtype=complex))
+    setup = TeleportSetup(maximally_entangled_state(2), zero)
+    with pytest.raises(AssertionError, match="probability vector vanished"):
+        sample_outcome(basis_state(2, 0), setup, np.random.default_rng(0))
