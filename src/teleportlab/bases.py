@@ -42,8 +42,8 @@ class OperatorBasis:
 
     ``elements`` has shape (d^2, d, d); ``elements[xi]`` is the operator
     form of the xi-th measurement vector.  It is a read-only complex array
-    (:func:`~teleportlab.linalg.read_only`: an input of another dtype is
-    converted once, a complex one that could still be written is copied), so
+    (:func:`~teleportlab.linalg.read_only`: a read-only complex array that
+    owns its data is kept, any other input converted or copied once), so
     the cached facts cannot go stale: ``element_shape`` and ``vectors_t``,
     the transposed vectors that ``verify_identity`` contracts over xi.
     Bases compare and hash by identity.
@@ -106,10 +106,10 @@ def bell_basis(local_dim: int) -> OperatorBasis:
         raise DimensionError("local dimension must be at least 1")
     require_dense_size(d**4, f"a basis for d = {d}")
     j, k, a = np.ogrid[:d, :d, :d]
-    elements = np.zeros((d, d, d, d), dtype=complex)
-    elements[j, k, a, (a - j) % d] = np.exp(2j * np.pi * k * a / d) / np.sqrt(d)
+    elements = np.zeros((d * d, d, d), dtype=complex)
+    elements.reshape(d, d, d, d)[j, k, a, (a - j) % d] = np.exp(2j * np.pi * k * a / d) / np.sqrt(d)
     elements.setflags(write=False)
-    return OperatorBasis(local_dim=d, elements=elements.reshape(d * d, d, d))
+    return OperatorBasis(local_dim=d, elements=elements)
 
 
 def product_basis(local_dim: int) -> OperatorBasis:
@@ -118,9 +118,10 @@ def product_basis(local_dim: int) -> OperatorBasis:
     if d < 1:
         raise DimensionError("local dimension must be at least 1")
     require_dense_size(d**4, f"a basis for d = {d}")
-    vectors = np.eye(d * d, dtype=complex)
-    vectors.setflags(write=False)
-    return OperatorBasis(local_dim=d, elements=vectors.reshape(d * d, d, d))
+    elements = np.zeros((d * d, d, d), dtype=complex)
+    np.fill_diagonal(elements.reshape(d * d, d * d), 1.0)
+    elements.setflags(write=False)
+    return OperatorBasis(local_dim=d, elements=elements)
 
 
 def custom_basis(elements, local_dim: Optional[int] = None) -> OperatorBasis:
@@ -165,9 +166,10 @@ def rotated_basis(basis: OperatorBasis, rotation: np.ndarray) -> OperatorBasis:
     if _unitarity_residual(w) > BASIS_TOL:
         raise ValueError("rotation matrix is not unitary")
     d = basis.local_dim
-    vectors = basis.vectors() @ w.T
-    vectors.setflags(write=False)
-    return OperatorBasis(local_dim=d, elements=vectors.reshape(n, d, d))
+    elements = np.empty((n, d, d), dtype=complex)
+    np.matmul(basis.vectors(), w.T, out=elements.reshape(n, n))
+    elements.setflags(write=False)
+    return OperatorBasis(local_dim=d, elements=elements)
 
 
 @dataclass(frozen=True)

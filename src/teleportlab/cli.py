@@ -1,11 +1,17 @@
 """Command-line laboratory for teleportation experiments.
 
-Four subcommands:
+Four subcommands, each declared once in ``_COMMANDS`` with its runner,
+report columns, help text and ``--samples`` rule:
 
     verify    residual of the teleportation identity over random inputs
+              (--samples trials: default 100, at least 1)
     teleport  sample the protocol shot by shot and log the transcript
+              (--samples shots: default 1000)
     fidelity  analytic average fidelity plus the detected closed form
+              (draws nothing, so --samples is refused)
     average   analytic value cross-checked by Monte Carlo
+              (--samples draws: default 100000 for d <= 4, else 20000;
+              at least 100)
 
 Reports go to stdout or ``--out`` as CSV (meta lines prefixed ``#``) or
 JSON; every row carries the seed that produced it and all floats are
@@ -20,9 +26,8 @@ File formats (JSON, complex scalars as [re, im] pairs):
     basis file:  {"d": 2, "elements": [matrix, ...]}
                  each matrix a row-major nested list of [re, im] pairs
 
---basis-file and --shared-file are read only with ``custom``, --psi-file
-only by ``teleport`` and --samples by every command but ``fidelity``; a
-flag nothing reads is refused.
+--basis-file and --shared-file are read only with ``custom`` and
+--psi-file only by ``teleport``; a flag nothing reads is refused.
 
 Exit codes: 0 pass, 2 unusable configuration, 1 when the excess a runner
 measures is above the larger of its floor and ``--tolerance`` (in ``main``).
@@ -73,16 +78,6 @@ _BASIS_KINDS = ("bell", "product", "custom")
 _SHARED_KINDS = ("maximally-entangled", "product", "haar-random", "custom")
 
 
-def _default_samples(command: str, d: int) -> int:
-    if command == "verify":
-        return 100
-    if command == "teleport":
-        return 1000
-    if command == "average":
-        return 100000 if d <= 4 else 20000
-    return 0
-
-
 def config_from_namespace(ns: argparse.Namespace) -> argparse.Namespace:
     """Check the parsed flags, fill in the command's default ``--samples`` and
     return ``ns``; a dimension or transcript too large for dense storage is refused."""
@@ -94,19 +89,18 @@ def config_from_namespace(ns: argparse.Namespace) -> argparse.Namespace:
         raise ConfigurationError("--tolerance must be positive")
     if not np.isfinite(ns.tolerance):
         raise ConfigurationError("--tolerance must be finite")
-    if ns.command == "fidelity" and ns.samples is not None:
-        raise ConfigurationError("--samples is not read by the fidelity command")
+    *_, default_samples, least = _COMMANDS[ns.command]
+    if least is None and ns.samples is not None:
+        raise ConfigurationError(f"--samples is not read by the {ns.command} command")
     if ns.samples is None:
-        ns.samples = _default_samples(ns.command, ns.d)
+        ns.samples = default_samples(ns.d)
     if ns.samples < 0:
         raise ConfigurationError("--samples must be nonnegative")
     if ns.command == "teleport":
         require_dense_size(ns.samples * _SHOT_BYTES // 16,
                            f"a transcript of {ns.samples:,} shots at {_SHOT_BYTES:,} bytes each")
-    if ns.command == "verify" and ns.samples < 1:
-        raise ConfigurationError("the verify command needs --samples of at least 1")
-    if ns.command == "average" and ns.samples < MIN_SAMPLES:
-        raise ConfigurationError(f"the average command needs --samples of at least {MIN_SAMPLES}")
+    if least and ns.samples < least:
+        raise ConfigurationError(f"the {ns.command} command needs --samples of at least {least}")
     for flag, kind, path in (("--basis", ns.basis, ns.basis_file),
                              ("--shared", ns.shared, ns.shared_file)):
         if kind == "custom" and not path:
@@ -267,20 +261,18 @@ def _row(cfg: argparse.Namespace, columns, **cells) -> dict:
     return {**dict.fromkeys(columns), **context, **cells}
 
 
-def run_verify(cfg: argparse.Namespace):
+def run_verify(cfg: argparse.Namespace, rng: np.random.Generator, setup: TeleportSetup):
     """Max identity residual over ``samples`` random input states; its
     excess is that residual, with floor 0."""
-    rng, setup = _resolve_setup(cfg)
     worst = max(verify_identity(haar_state(cfg.d, rng), setup) for _ in range(cfg.samples))
     row = _row(cfg, REPORT_COLUMNS, quantity="max_identity_residual", samples=cfg.samples, residual=worst)
     return worst, 0.0, [row]
 
 
-def run_teleport(cfg: argparse.Namespace):
+def run_teleport(cfg: argparse.Namespace, rng: np.random.Generator, setup: TeleportSetup):
     """Shot-by-shot protocol transcript for one input state; its excess is the
     largest probability or conditional fidelity (1 if none) minus 1, with floor
     ``PROBABILITY_TOL``.  One row per shot; shots with the same xi share one dict."""
-    rng, setup = _resolve_setup(cfg)
     psi = _resolve_psi(cfg, rng)
     outcomes = sample_outcome(psi, setup, rng, size=cfg.samples)
     # Shots with the same xi share one record, so each record is checked and
@@ -294,10 +286,9 @@ def run_teleport(cfg: argparse.Namespace):
     return largest - 1.0, PROBABILITY_TOL, [distinct[outcome] for outcome in outcomes]
 
 
-def run_fidelity(cfg: argparse.Namespace):
+def run_fidelity(cfg: argparse.Namespace, rng: np.random.Generator, setup: TeleportSetup):
     """Analytic average fidelity and the detected closed form; its excess is
     their gap, with floor ``closed_form_gap_bound(d)``."""
-    _, setup = _resolve_setup(cfg)
     analytic = average_fidelity_analytic(setup)
     case, closed = special_case_fidelity(setup)
     rows = [
@@ -307,11 +298,10 @@ def run_fidelity(cfg: argparse.Namespace):
     return abs(analytic - closed), closed_form_gap_bound(cfg.d), rows
 
 
-def run_average(cfg: argparse.Namespace):
+def run_average(cfg: argparse.Namespace, rng: np.random.Generator, setup: TeleportSetup):
     """Monte-Carlo estimate against the analytic average fidelity; its excess
     is |analytic - mean| beyond 4 standard errors, with floor
     ``monte_carlo_rounding_bound(d)``."""
-    rng, setup = _resolve_setup(cfg)
     result = monte_carlo_fidelity(setup, cfg.samples, rng)
     row = _row(
         cfg, REPORT_COLUMNS, quantity="average_fidelity", label=result.special_case.value,
@@ -321,11 +311,18 @@ def run_average(cfg: argparse.Namespace):
     return result.sigma_excess(), monte_carlo_rounding_bound(cfg.d), [row]
 
 
-_RUNNERS = {
-    "verify": (run_verify, REPORT_COLUMNS),
-    "teleport": (run_teleport, TRANSCRIPT_COLUMNS),
-    "fidelity": (run_fidelity, REPORT_COLUMNS),
-    "average": (run_average, REPORT_COLUMNS),
+# Each command once: (runner, report columns, help text, default --samples
+# as a function of d, least --samples accepted); a least of None refuses
+# the flag.
+_COMMANDS = {
+    "verify": (run_verify, REPORT_COLUMNS, "check the teleportation identity on random inputs",
+               lambda d: 100, 1),
+    "teleport": (run_teleport, TRANSCRIPT_COLUMNS, "sample protocol shots and print the transcript",
+                 lambda d: 1000, 0),
+    "fidelity": (run_fidelity, REPORT_COLUMNS, "analytic average fidelity of a setup",
+                 lambda d: 0, None),
+    "average": (run_average, REPORT_COLUMNS, "Monte-Carlo cross-check of the average fidelity",
+                lambda d: 100000 if d <= 4 else 20000, MIN_SAMPLES),
 }
 
 
@@ -425,13 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Numerical laboratory for qudit teleportation experiments.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    descriptions = {
-        "verify": "check the teleportation identity on random inputs",
-        "teleport": "sample protocol shots and print the transcript",
-        "fidelity": "analytic average fidelity of a setup",
-        "average": "Monte-Carlo cross-check of the average fidelity",
-    }
-    for name, help_text in descriptions.items():
+    for name, (_, _, help_text, *_) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--d", type=int, default=2, help="local dimension (default 2)")
         p.add_argument("--basis", choices=_BASIS_KINDS, default="bell",
@@ -459,8 +450,8 @@ def main(argv=None) -> int:
     ns = build_parser().parse_args(argv)
     try:
         cfg = config_from_namespace(ns)
-        runner, columns = _RUNNERS[cfg.command]
-        excess, floor, rows = runner(cfg)
+        runner, columns, *_ = _COMMANDS[cfg.command]
+        excess, floor, rows = runner(cfg, *_resolve_setup(cfg))
     except (ConfigurationError, BasisStructureError, DimensionError, NormalizationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -83,18 +83,13 @@ def require_normalized(vector, what: str = "state") -> np.ndarray:
 
 
 def read_only(array) -> np.ndarray:
-    """``array`` as a complex array that nothing can write.  A conversion to
-    complex is fresh and frozen in place.  A complex array is kept when it and
-    every array in its ``.base`` chain are read-only, the chain ending in an
-    array that owns its data, and copied read-only otherwise: writing the base
-    of a read-only view would change it."""
-    converted = np.asarray(array, dtype=complex)
-    if converted is array or converted.base is not None:
-        base = converted
-        while isinstance(base, np.ndarray) and not base.flags.writeable:
-            base = base.base
-        if base is not None:
-            converted = converted.copy()
+    """``array`` as a complex array that nothing can write.  A read-only
+    complex array that owns its data is kept; any other input, a view
+    included, is converted or copied once and the result frozen."""
+    if (isinstance(array, np.ndarray) and array.dtype == complex
+            and array.flags.owndata and not array.flags.writeable):
+        return array
+    converted = np.array(array, dtype=complex)
     converted.setflags(write=False)
     return converted
 

@@ -134,8 +134,9 @@ class TeleportOutcome:
 
     ``raw_conditional_state`` is T_xi psi normalized (what the receiver
     holds before correcting), ``corrected_state`` the state after the
-    optimal unitary, equal to |T_xi| psi normalized.  For outcomes with
-    vanishing probability both states are zero-vector sentinels and the
+    optimal unitary, equal to |T_xi| psi normalized; both are read-only,
+    since shots with the same xi share one record.  For outcomes with
+    vanishing probability both fields hold one zero-vector sentinel and the
     conditional fidelity is 0.
     """
 
@@ -200,10 +201,7 @@ def verify_identity(psi, setup: TeleportSetup) -> float:
     order in either layout; that is a property of numpy's loop, not of
     the formula, and a test pins it.
     """
-    v = as_state(psi)
-    d = setup.local_dim
-    if v.size != d:
-        raise DimensionError(f"input state must have dimension {d}")
+    v = _sized_input(as_state(psi), setup)
     lhs = np.outer(v, setup.shared.vector).ravel()
     t_psi = np.ascontiguousarray(_transfer_images(v, setup).T)
     rhs = np.einsum("ix,mx->im", setup.basis.vectors_t, t_psi).reshape(-1)
@@ -217,11 +215,14 @@ def _transfer_images(v: np.ndarray, setup: TeleportSetup) -> np.ndarray:
     return (setup.transfer_ops.reshape(-1, d) @ v).reshape(d * d, d)
 
 
-def _input_state(psi, setup: TeleportSetup) -> np.ndarray:
-    v = require_normalized(psi, what="input state")
+def _sized_input(v: np.ndarray, setup: TeleportSetup) -> np.ndarray:
     if v.size != setup.local_dim:
         raise DimensionError(f"input state must have dimension {setup.local_dim}")
     return v
+
+
+def _input_state(psi, setup: TeleportSetup) -> np.ndarray:
+    return _sized_input(require_normalized(psi, what="input state"), setup)
 
 
 def outcome_probabilities(psi, setup: TeleportSetup) -> np.ndarray:
@@ -252,15 +253,18 @@ def realize_outcome(psi, setup: TeleportSetup, xi: int) -> TeleportOutcome:
     norm = float(np.linalg.norm(t_psi))
     if norm <= ZERO_OUTCOME_TOL:
         zero = np.zeros(setup.local_dim, dtype=complex)
+        zero.setflags(write=False)
         return TeleportOutcome(
             xi=xi,
             probability=0.0,
             raw_conditional_state=zero,
-            corrected_state=zero.copy(),
+            corrected_state=zero,
             conditional_fidelity=0.0,
         )
     raw = t_psi / norm
     corrected = optimal_correction(t) @ raw
+    raw.setflags(write=False)
+    corrected.setflags(write=False)
     fidelity = float(np.abs(np.vdot(v, corrected)) ** 2)
     return TeleportOutcome(
         xi=xi,

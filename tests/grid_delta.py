@@ -13,7 +13,8 @@ For every argv whose exit code, stdout, stderr or ``--out`` bytes differ,
 it prints the max |Δ| over the float cells that differ (CSV cells, JSON
 numbers, and numbers in messages), and flags any difference that is not
 a float: other text, integers, or a float turned into nan or inf.  It
-writes nothing outside its temporary directories; ``tests/cli_grid.py``
+exits 1 when an input digest or any argv moved and 0 when nothing did.
+It writes nothing outside its temporary directories; ``tests/cli_grid.py``
 regenerates the grid file.
 """
 
@@ -135,8 +136,10 @@ def main(argv: list[str] | None = None) -> int:
                         help="src/ directory of the tree to compare against")
     args = parser.parse_args(argv)
     old, new = collect(args.parent_src.resolve()), collect(SRC)
-    print("\n".join(report(old, new)))
-    return 0
+    lines = report(old, new)
+    print("\n".join(lines))
+    # Every line before the summary names a moved input or argv.
+    return 1 if len(lines) > 1 else 0
 
 
 if __name__ == "__main__":

@@ -14,6 +14,7 @@ import pytest
 
 import oracles
 from teleportlab import (
+    BasisValidationReport,
     DimensionError,
     basis_state,
     bell_basis,
@@ -202,10 +203,10 @@ def test_one_exit_rule_at_its_boundary(monkeypatch, capsys, command, argv, floor
     # and a floor above --tolerance is the bound.
     tolerance = 1e-10
     bound = max(floor, tolerance)
-    real, columns = cli._RUNNERS[command]
+    real, *rest = cli._COMMANDS[command]
     for excess, code in ((bound, 0), (math.nextafter(bound, math.inf), 1)):
-        fake = (lambda cfg, excess=excess: (excess, floor, real(cfg)[2]), columns)
-        monkeypatch.setitem(cli._RUNNERS, command, fake)
+        fake = lambda cfg, rng, setup, excess=excess: (excess, floor, real(cfg, rng, setup)[2])
+        monkeypatch.setitem(cli._COMMANDS, command, (fake, *rest))
         assert run_cli([command, *argv, "--tolerance", str(tolerance), "--no-timestamp"], capsys)[0] == code
 
 
@@ -310,7 +311,8 @@ def _fresh_rows(columns, rows):
 @_RENDERERS
 def test_renderers_match_the_per_row_oracle_on_a_transcript(render, oracle):
     argv = ["teleport", "--d", "2", "--shared", "haar-random", "--samples", "50", "--seed", "4"]
-    _, _, rows = cli.run_teleport(config_from_namespace(build_parser().parse_args(argv)))
+    cfg = config_from_namespace(build_parser().parse_args(argv))
+    _, _, rows = cli.run_teleport(cfg, *cli._resolve_setup(cfg))
     # Shots share one row object per distinct xi, the first and last shot too.
     assert len({id(row) for row in rows}) < len(rows)
     assert any(row is rows[0] for row in rows[1:]) and any(row is rows[-1] for row in rows[:-1])
@@ -557,6 +559,14 @@ def test_invalid_custom_basis_exits_2_naming_the_relation(tmp_path, capsys):
     assert code == 2
     # One Gram diagonal entry is 1.5^2 = 2.25 instead of 1.
     assert err == f"error: {basis_path}: basis is not orthonormal and complete (residual 1.250e+00)\n"
+
+
+def test_a_built_in_basis_that_fails_validation_exits_2_without_a_file_prefix(monkeypatch, capsys):
+    # No basis file to name, so the check's own text is the message.
+    monkeypatch.setattr(teleport, "validate_basis", lambda basis: BasisValidationReport(1.0))
+    code, out, err = run_cli(["verify", "--d", "2", "--no-timestamp"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: basis is not orthonormal and complete (residual 1.000e+00)\n"
 
 
 @pytest.mark.parametrize(

@@ -1,11 +1,13 @@
 """Tests for tests/grid_delta.py, the |Δ| report between two source trees.
 
-The comparison functions are called on hand-made texts and records, so
-no subprocess runs and no teleportlab package is imported.
+The comparison functions are called on hand-made texts and records, and
+``collect`` is replaced by a stub for ``main``, so no subprocess runs and
+no teleportlab package is imported.
 """
 
 import pytest
 
+import grid_delta
 from grid_delta import record_delta, report, text_delta
 
 
@@ -73,3 +75,16 @@ def test_report_counts_moved_argvs_and_lists_differing_inputs():
         "2 of 3 argvs moved; max |Δ| 0.25; 1 with a difference that is not a float",
     ]
     assert report(old, old) == ["0 of 3 argvs moved; max |Δ| 0; 0 with a difference that is not a float"]
+
+
+@pytest.mark.parametrize("inputs, stdout, code", [
+    ({"psi_d2.json": "bb"}, "r,0.5\n", 0),    # nothing moved
+    ({"psi_d2.json": "cc"}, "r,0.5\n", 1),    # an input digest only
+    ({"psi_d2.json": "bb"}, "r,0.75\n", 1),   # an argv only
+], ids=["same", "input", "argv"])
+def test_main_exits_1_when_anything_moved(monkeypatch, capsys, tmp_path, inputs, stdout, code):
+    old = {"inputs": {"psi_d2.json": "bb"}, "runs": [_run(["verify"], stdout="r,0.5\n")]}
+    new = {"inputs": inputs, "runs": [_run(["verify"], stdout=stdout)]}
+    monkeypatch.setattr(grid_delta, "collect", lambda src: new if src == grid_delta.SRC else old)
+    assert grid_delta.main([str(tmp_path)]) == code
+    assert capsys.readouterr().out.splitlines() == report(old, new)

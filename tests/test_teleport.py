@@ -198,11 +198,18 @@ def test_stacked_transfer_abs_equals_per_outcome_operator_abs(d, rotated):
 
 def test_value_objects_hold_read_only_arrays():
     # Built from writable inputs, none of the stored arrays can be written.
+    # Shots with the same xi share one outcome, so writing its states would
+    # change every such shot; a zero-probability outcome holds one sentinel.
     shared = BipartiteState(np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / math.sqrt(2))
     basis = OperatorBasis(local_dim=2, elements=bell_basis(2).elements.copy())
     setup = build_setup(shared, basis)
+    sampled = sample_outcome(basis_state(2, 0), setup, np.random.default_rng(0))
+    product_setup = build_setup(product_state([1, 0], [1, 0]), product_basis(2))
+    impossible = realize_outcome(basis_state(2, 1), product_setup, 0)
+    assert impossible.probability == 0.0 and impossible.raw_conditional_state is impossible.corrected_state
     for arr in (shared.vector, shared.operator_form, basis.elements, setup.transfer_ops,
-                setup.transfer_abs_packed, setup.transfer_trace_norms):
+                setup.transfer_abs_packed, setup.transfer_trace_norms,
+                sampled.raw_conditional_state, sampled.corrected_state, impossible.corrected_state):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr.flat[0] = 0.0
@@ -640,7 +647,7 @@ def test_transfer_abs_packed_temporaries_are_bounded_per_block():
 
 def test_input_contract_violations_are_rejected():
     setup = _ideal_setup(2)
-    with pytest.raises(DimensionError):
+    with pytest.raises(DimensionError, match="input state must have dimension 2"):
         verify_identity(np.ones(3) / math.sqrt(3), setup)
     for call in (outcome_probabilities, state_fidelity, lambda psi, setup: realize_outcome(psi, setup, 0)):
         with pytest.raises(DimensionError, match="input state must have dimension 2"):
