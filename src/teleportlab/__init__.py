@@ -78,6 +78,7 @@ from .haar import (
     closed_form_gap_bound,
     haar_state,
     haar_states,
+    haar_trial_states,
     haar_unitary,
     monte_carlo_fidelity,
     monte_carlo_rounding_bound,
@@ -106,7 +107,8 @@ __all__ = [
     "state_fidelity", "state_fidelity_batch", "verify_identity",
     # haar
     "AverageFidelityResult", "SpecialCase", "average_fidelity_analytic",
-    "classical_baseline", "closed_form_gap_bound", "haar_state", "haar_states", "haar_unitary",
+    "classical_baseline", "closed_form_gap_bound", "haar_state", "haar_states", "haar_trial_states",
+    "haar_unitary",
     "monte_carlo_fidelity", "monte_carlo_rounding_bound", "pair_average_analytic",
     "random_shared_state", "special_case_fidelity",
 ]

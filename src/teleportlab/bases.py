@@ -76,7 +76,9 @@ class OperatorBasis:
     @cached_property
     def vectors_t(self) -> np.ndarray:
         """Cached read-only C-contiguous copy of ``vectors().T``: row i holds
-        amplitude i of every element, so a sum over xi runs along a row."""
+        amplitude i of every element, so a sum over xi runs along a row.
+        ``verify_identity`` contracts it with a whole chunk of states' T psi
+        in one einsum, with each state's bits."""
         vectors_t = self.vectors().T.copy()
         vectors_t.setflags(write=False)
         return vectors_t

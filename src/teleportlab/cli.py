@@ -51,13 +51,21 @@ from .haar import (
     average_fidelity_analytic,
     closed_form_gap_bound,
     haar_state,
+    haar_trial_states,
     monte_carlo_fidelity,
     monte_carlo_rounding_bound,
     random_shared_state,
     special_case_fidelity,
 )
 from .linalg import basis_state, require_dense_size, scaled_norm
-from .teleport import TeleportSetup, build_setup, require_setup_fits, sample_outcome, verify_identity
+from .teleport import (
+    TeleportSetup,
+    _trials_per_chunk,
+    build_setup,
+    require_setup_fits,
+    sample_outcome,
+    verify_identity,
+)
 from .tolerances import NORMALIZATION_TOL, PROBABILITY_TOL
 
 REPORT_COLUMNS = (
@@ -263,8 +271,13 @@ def _row(cfg: argparse.Namespace, columns, **cells) -> dict:
 
 def run_verify(cfg: argparse.Namespace, rng: np.random.Generator, setup: TeleportSetup):
     """Max identity residual over ``samples`` random input states; its
-    excess is that residual, with floor 0."""
-    worst = max(verify_identity(haar_state(cfg.d, rng), setup) for _ in range(cfg.samples))
+    excess is that residual, with floor 0.  States are drawn and checked in
+    chunks of ``_trials_per_chunk(d)``, with the draws and residuals one
+    trial at a time would give."""
+    chunk = _trials_per_chunk(cfg.d)
+    chunks = (haar_trial_states(cfg.d, min(chunk, cfg.samples - start), rng)
+              for start in range(0, cfg.samples, chunk))
+    worst = max(float(verify_identity(states, setup).max()) for states in chunks)
     row = _row(cfg, REPORT_COLUMNS, quantity="max_identity_residual", samples=cfg.samples, residual=worst)
     return worst, 0.0, [row]
 

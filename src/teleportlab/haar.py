@@ -46,9 +46,25 @@ def haar_state(dim: int, rng: np.random.Generator) -> np.ndarray:
     """One pure state drawn from the unitarily invariant distribution.
 
     Normalized vector of i.i.d. standard complex Gaussian amplitudes;
-    rotating by any fixed unitary leaves the distribution unchanged.
+    rotating by any fixed unitary leaves the distribution unchanged.  The
+    one-row case of :func:`haar_trial_states`.
     """
-    return haar_states(dim, 1, rng)[0]
+    return haar_trial_states(dim, 1, rng)[0]
+
+
+def haar_trial_states(dim: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """``count`` Haar-random states as rows of an (n, d) array, drawn trial by
+    trial: one ``(count, 2, d)`` normal draw gives each row its real, then its
+    imaginary parts, and each row is normalized alone, so one call equals
+    ``count`` :func:`haar_state` calls, generator state included.
+    :func:`haar_states` draws all real parts first: the Monte-Carlo stream.
+    """
+    if dim < 1:
+        raise DimensionError("dimension must be at least 1")
+    z = rng.standard_normal((count, 2, dim))
+    states = z[:, 0] + 1j * z[:, 1]
+    states /= np.linalg.norm(states, axis=1, keepdims=True)
+    return states
 
 
 def haar_states(dim: int, count: int, rng: np.random.Generator) -> np.ndarray:

@@ -27,7 +27,7 @@ import numpy as np
 from .bases import BasisStructureError, OperatorBasis, validate_basis
 from .choi import BipartiteState
 from .errors import DimensionError
-from .linalg import _abs_from_svd, as_state, dagger, polar_decompose, require_dense_size, require_normalized
+from .linalg import _abs_from_svd, dagger, polar_decompose, require_dense_size, require_normalized
 from .tolerances import ZERO_OUTCOME_TOL
 
 # Bytes of d x d complex matrices processed at once: the T_xi whose |T_xi|
@@ -41,12 +41,13 @@ _BLOCK_BYTES = 1 << 20
 # holds the elements, T and the basis's vectors_t, and average the elements,
 # T and the packed |T_xi| weights (half a stack).  tracemalloc peaks of one
 # cli.main (bell basis, haar-random resource, seed 0), in stacks, at d = 16,
-# 24 and 32: verify (--samples 20) 3.98, 3.31 and 3.17; teleport (--samples
-# 20) and fidelity 3.73, 3.15 and 3.05; average (--samples 100) 7.42, 3.66
-# and 3.05.  The rest is fixed-size working sets (average's 20,000-state draw
-# chunk, _BLOCK_BYTES blocks), which shrink against a stack as d grows and
-# pass 4 stacks only while a stack is small (1 MiB at d = 16).  4 * 64^4 is
-# 2^26, so the constant sets the d <= 64 limit.
+# 24 and 32: verify (--samples 20, each d in a fresh interpreter) 4.64, 3.31
+# and 3.13; teleport (--samples 20) and fidelity 3.73, 3.15 and 3.05; average
+# (--samples 100) 7.42, 3.66 and 3.05.  The rest is fixed-size working sets
+# (average's 20,000-state draw chunk, verify's chunk of states, _BLOCK_BYTES
+# blocks), which shrink against a stack as d grows and pass 4 stacks only
+# while a stack is small (1 MiB at d = 16).  4 * 64^4 is 2^26, so the
+# constant sets the d <= 64 limit.
 _PEAK_STACKS = 4
 
 
@@ -157,6 +158,16 @@ def _rows_per_block(local_dim: int) -> int:
     return max(1, _BLOCK_BYTES // (np.dtype(complex).itemsize * local_dim**2))
 
 
+def _trials_per_chunk(local_dim: int) -> int:
+    """How many input states :func:`verify_identity` checks at once (at least
+    one), and how many ``verify`` draws at once.  A chunk makes T psi, its
+    transposed copy, the right side and the left side, d^3 complex entries
+    per state each; the four fit in ``_BLOCK_BYTES``, and the left side
+    reuses the copy, so at most three are held at once.
+    """
+    return max(1, _BLOCK_BYTES // (4 * np.dtype(complex).itemsize * local_dim**3))
+
+
 def _upper_pairs(local_dim: int) -> tuple[np.ndarray, np.ndarray]:
     """Row and column indices (i, j), i < j, of the strict upper triangle in
     ``np.triu_indices`` order: the off-diagonal order of the packed layout.
@@ -185,27 +196,50 @@ def build_setup(shared: BipartiteState, basis: OperatorBasis) -> TeleportSetup:
     return setup
 
 
-def verify_identity(psi, setup: TeleportSetup) -> float:
-    """Residual of the teleportation identity for a concrete input state.
+def verify_identity(psi, setup: TeleportSetup) -> float | np.ndarray:
+    """Residual of the teleportation identity for concrete input states.
 
-    Builds both sides as vectors on the triple tensor product, left side
-    psi ⊗ |C>, right side sum_xi |B_xi> ⊗ (T_xi psi), and returns the
-    Euclidean norm of their difference.  The identity is exact for any
-    orthonormal basis and any shared state, so the residual is floating
-    point noise unless the setup is corrupted.
+    ``psi`` is one state of dimension d, giving a float, or an (n, d) array
+    of states, giving the (n,) residual of each row.  Builds both sides as
+    vectors on the triple tensor product, left side psi ⊗ |C>, right side
+    sum_xi |B_xi> ⊗ (T_xi psi), and returns the Euclidean norm of their
+    difference.  The identity is exact for any orthonormal basis and any
+    shared state, so the residual is floating point noise unless the setup
+    is corrupted.
 
-    The sum over xi runs along the last, contiguous axis of both einsum
-    operands: ``basis.vectors_t`` and the transposed copy of the T_xi psi.
-    Its bits are those of the strided ``einsum("xi,xm->im", vectors(),
-    transfer_ops @ psi)``, because numpy's einsum adds xi in the same
-    order in either layout; that is a property of numpy's loop, not of
-    the formula, and a test pins it.
+    Rows go through in chunks of :func:`_trials_per_chunk`, each step one
+    batch, and a row's residual has the bits it has alone, so one state is
+    the one-row case.  That rests on numpy's loops, not on the formula, and
+    tests pin it: einsum adds xi along the contiguous last axis of
+    ``basis.vectors_t`` and of the transposed T_xi psi in the order of the
+    strided ``einsum("xi,xm->im", vectors(), transfer_ops @ psi)``; the left
+    side multiplies operands of equal rank, as ``np.outer`` does (a rank-1
+    resource vector gives other bits at d = 1); and each row's norm is that
+    of one vector, since ``norm`` over an axis adds in another order.
     """
-    v = _sized_input(as_state(psi), setup)
-    lhs = np.outer(v, setup.shared.vector).ravel()
-    t_psi = np.ascontiguousarray(_transfer_images(v, setup).T)
-    rhs = np.einsum("ix,mx->im", setup.basis.vectors_t, t_psi).reshape(-1)
-    return float(np.linalg.norm(lhs - rhs))
+    d = setup.local_dim
+    states = _sized_input(np.asarray(psi, dtype=complex), setup)
+    if not np.all(np.isfinite(states)):
+        raise ValueError("vector entries must be finite (no NaN/Inf)")
+    rows = states.reshape(-1, d)
+    chunk = _trials_per_chunk(d)
+    residuals = np.empty(len(rows))
+    for start in range(0, len(rows), chunk):
+        residuals[start:start + chunk] = _chunk_residuals(rows[start:start + chunk], setup)
+    return residuals if states.ndim == 2 else float(residuals[0])
+
+
+def _chunk_residuals(v: np.ndarray, setup: TeleportSetup) -> list[float]:
+    """The identity residual of each row of ``v``, one batch per step.  The
+    left side is written over the transposed T psi once the contraction has
+    read it, and the chunk's arrays are freed on return, before the next
+    chunk's are made."""
+    m, d = v.shape
+    t_psi = (setup.transfer_ops.reshape(-1, d) @ v[:, :, None]).reshape(m, d * d, d)
+    t_psi = np.ascontiguousarray(t_psi.transpose(0, 2, 1))
+    diff = np.einsum("ix,nmx->nim", setup.basis.vectors_t, t_psi).reshape(m, d, d * d)
+    diff -= np.multiply(v[:, :, None], setup.shared.vector[None, None, :], out=t_psi)
+    return [np.linalg.norm(row) for row in diff.reshape(m, -1)]
 
 
 def _transfer_images(v: np.ndarray, setup: TeleportSetup) -> np.ndarray:
@@ -215,10 +249,11 @@ def _transfer_images(v: np.ndarray, setup: TeleportSetup) -> np.ndarray:
     return (setup.transfer_ops.reshape(-1, d) @ v).reshape(d * d, d)
 
 
-def _sized_input(v: np.ndarray, setup: TeleportSetup) -> np.ndarray:
-    if v.size != setup.local_dim:
+def _sized_input(states: np.ndarray, setup: TeleportSetup) -> np.ndarray:
+    """``states``, one state or rows of states, if each has the setup's dimension."""
+    if states.ndim not in (1, 2) or states.shape[-1] != setup.local_dim:
         raise DimensionError(f"input state must have dimension {setup.local_dim}")
-    return v
+    return states
 
 
 def _input_state(psi, setup: TeleportSetup) -> np.ndarray:

@@ -173,6 +173,36 @@ def identity_residual_strided(psi, vectors, transfer_ops, shared_vector):
     return float(np.linalg.norm(lhs - rhs))
 
 
+def haar_state_per_trial(rng, d):
+    """One Haar-random state as the package drew it alone: a (1, d) draw of
+    real parts, then one of imaginary parts, normalized as a row."""
+    z = random_complex(rng, (1, d))
+    return (z / np.linalg.norm(z, axis=1, keepdims=True))[0]
+
+
+def verify_residuals_per_trial(rng, count, transfer_ops, elements, shared_vector):
+    """The identity residuals of ``count`` Haar-random inputs, one trial at a time.
+
+    The loop ``verify`` ran before its trials were chunked: each trial draws
+    :func:`haar_state_per_trial` and takes ||psi ⊗ |C> - sum_xi |B_xi> ⊗ T_xi psi||
+    from the flat (d^3, d) matrix-vector product, the transposed copy of the images and one einsum
+    over xi against the transposed element vectors.  The arithmetic is the
+    package's, so the residuals compare bit for bit.
+    """
+    transfer_ops = np.asarray(transfer_ops)
+    d = transfer_ops.shape[-1]
+    flat_ops = transfer_ops.reshape(-1, d)
+    vectors_t = np.asarray(elements).reshape(d * d, d * d).T.copy()
+    residuals = []
+    for _ in range(count):
+        psi = haar_state_per_trial(rng, d)
+        lhs = np.outer(psi, shared_vector).ravel()
+        t_psi = np.ascontiguousarray((flat_ops @ psi).reshape(d * d, d).T)
+        rhs = np.einsum("ix,mx->im", vectors_t, t_psi).reshape(-1)
+        residuals.append(float(np.linalg.norm(lhs - rhs)))
+    return residuals
+
+
 def completeness_residual_einsum(elements):
     """The completeness residual summed over all d^2 matrix units A = |b><c|:
     sqrt(sum_{b,c} ||sum_xi B_xi^dag A B_xi - Tr(A) I||_F^2), each sum by one

@@ -644,6 +644,47 @@ def test_oversized_dimension_is_refused_with_its_estimate():
     assert ns.samples == 0
 
 
+def _verify_config(d, samples):
+    argv = ["verify", "--d", str(d), "--shared", "haar-random", "--samples", str(samples), "--no-timestamp"]
+    return config_from_namespace(build_parser().parse_args(argv))
+
+
+@pytest.mark.parametrize("d", [2, 3, 8, 16])
+def test_verify_reports_the_worst_residual_of_the_per_trial_loop(d, capsys):
+    # Two full chunks and one state more: the resource is drawn first, then
+    # every trial, from the one seeded generator.
+    samples = 2 * teleport._trials_per_chunk(d) + 1
+    rng = np.random.default_rng(5)
+    setup = build_setup(random_shared_state(d, rng), bell_basis(d))
+    residuals = oracles.verify_residuals_per_trial(
+        rng, samples, setup.transfer_ops, setup.basis.elements, setup.shared.vector)
+    assert main(["verify", "--d", str(d), "--shared", "haar-random", "--samples", str(samples),
+                 "--seed", "5", "--no-timestamp"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].split(",")[-1] == format(max(residuals), ".17g")
+
+
+@pytest.mark.parametrize("d, samples", [(8, 5000), (16, 200)])
+def test_verify_chunk_working_set_stays_within_one_block(d, samples):
+    # A chunk holds T psi, its transposed copy, the right side and the left
+    # side, each d^3 complex entries per state, so _trials_per_chunk keeps
+    # the four within _BLOCK_BYTES above the held elements, T and vectors_t.
+    # For all 5,000 states at once, each would take 39 MiB at d = 8.
+    rng = np.random.default_rng(d)
+    basis = rotated_basis(bell_basis(d), oracles.random_unitary(rng, d * d))
+    setup = build_setup(random_shared_state(d, rng), basis)
+    setup.transfer_ops, setup.basis.vectors_t  # the held stacks, built outside the measured run
+    cfg = _verify_config(d, samples)
+    tracemalloc.start()
+    try:
+        baseline = tracemalloc.get_traced_memory()[0]
+        excess, _, _ = cli.run_verify(cfg, rng, setup)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert excess < 1e-12
+    assert peak - baseline < teleport._BLOCK_BYTES
+
+
 def test_verify_peaks_below_the_setup_estimate(capsys):
     # require_setup_fits budgets _PEAK_STACKS complex d^4-entry stacks.  verify
     # adds the basis's vectors_t to the elements and T.
@@ -661,7 +702,8 @@ def test_verify_peaks_below_the_setup_estimate(capsys):
 @pytest.mark.parametrize("d", [24, 32])
 def test_verify_peak_does_not_depend_on_read_order(d):
     # T is built without a conjugated copy of the elements, so reading the
-    # basis's vectors_t before T adds nothing to the peak.
+    # basis's vectors_t before T adds nothing to the peak, one state at a
+    # time or in verify's chunks.
     peaks = {}
     for first in ("vectors_t", "transfer_ops"):
         rng = np.random.default_rng(d)
@@ -671,6 +713,7 @@ def test_verify_peak_does_not_depend_on_read_order(d):
             getattr(setup.basis if first == "vectors_t" else setup, first)
             for _ in range(20):
                 teleport.verify_identity(haar_state(d, rng), setup)
+            cli.run_verify(_verify_config(d, 2), rng, setup)
             peaks[first] = tracemalloc.get_traced_memory()[1] / (16 * d**4)
         finally:
             tracemalloc.stop()

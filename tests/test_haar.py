@@ -22,6 +22,7 @@ from teleportlab import (
     closed_form_gap_bound,
     haar_state,
     haar_states,
+    haar_trial_states,
     haar_unitary,
     maximally_entangled_state,
     monte_carlo_fidelity,
@@ -44,6 +45,18 @@ def test_haar_states_are_normalized():
     for d in (1, 2, 5):
         for _ in range(50):
             assert np.linalg.norm(haar_state(d, rng)) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("d", [1, 2, 8, 64])
+def test_one_trial_draw_of_n_states_equals_n_single_draws(d):
+    # verify draws its trials in chunks; each row must be what one
+    # haar_state call gives, and the generator must end where n calls leave it.
+    n = 9
+    rng, chunk_rng, oracle_rng = (np.random.default_rng(d) for _ in range(3))
+    singles = np.array([haar_state(d, rng) for _ in range(n)])
+    assert np.array_equal(haar_trial_states(d, n, chunk_rng), singles)
+    assert np.array_equal(singles, [oracles.haar_state_per_trial(oracle_rng, d) for _ in range(n)])
+    assert rng.bit_generator.state == chunk_rng.bit_generator.state == oracle_rng.bit_generator.state
 
 
 def test_haar_component_moments():
@@ -481,6 +494,8 @@ def test_classical_baseline_rejects_bad_arguments():
 def test_haar_state_dimension_error():
     with pytest.raises(DimensionError):
         haar_state(0, np.random.default_rng(0))
+    with pytest.raises(DimensionError):
+        haar_trial_states(0, 3, np.random.default_rng(0))
     with pytest.raises(DimensionError):
         haar_unitary(0, np.random.default_rng(0))
     with pytest.raises(ValueError):

@@ -25,6 +25,7 @@ from teleportlab import (
     custom_basis,
     dagger,
     enumerate_outcomes,
+    haar_trial_states,
     maximally_entangled_state,
     normalize_state,
     operator_abs,
@@ -42,7 +43,7 @@ from teleportlab import (
     verify_identity,
 )
 from teleportlab import linalg, teleport
-from teleportlab.teleport import _BLOCK_BYTES
+from teleportlab.teleport import _BLOCK_BYTES, _trials_per_chunk
 
 
 def _random_shared(rng, d):
@@ -299,6 +300,33 @@ def test_identity_residual_is_bit_equal_to_the_strided_contraction(d):
         assert vectors_t.flags.c_contiguous and not vectors_t.flags.writeable
         assert basis.vectors_t is vectors_t
         assert np.array_equal(vectors_t, basis.vectors().T)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 8, 16])
+def test_chunked_residuals_are_bit_equal_to_the_per_trial_loop(d):
+    # The counts end in partial chunks, or in none.  A count's draws are the
+    # first of the oracle's stream, so its residuals are the oracle's first.
+    # Valid bases leave rounding noise with few significant bits, which most
+    # summation orders add alike; the unvalidated random stack leaves O(1)
+    # entries, where the order of the norm's sum shows in the last bit.
+    chunk = _trials_per_chunk(d)
+    counts = (chunk - 1, chunk, chunk + 1, 2 * chunk + 1)
+    rng = np.random.default_rng(700 + d)
+    bases = [
+        bell_basis(d),
+        product_basis(d),
+        rotated_basis(bell_basis(d), oracles.random_unitary(rng, d * d)),
+        OperatorBasis(local_dim=d, elements=oracles.random_complex(rng, (d * d, d, d))),
+    ]
+    for basis in bases:
+        setup = TeleportSetup(_random_shared(rng, d), basis)
+        expected = oracles.verify_residuals_per_trial(
+            np.random.default_rng(d), max(counts), setup.transfer_ops, basis.elements, setup.shared.vector)
+        for count in counts:
+            states = haar_trial_states(d, count, np.random.default_rng(d))
+            assert verify_identity(states, setup).tolist() == expected[:count]
+        one = verify_identity(states[-1], setup)
+        assert type(one) is float and one == expected[len(states) - 1]
 
 
 def test_identity_ideal_qubit_case_tight():
@@ -647,8 +675,11 @@ def test_transfer_abs_packed_temporaries_are_bounded_per_block():
 
 def test_input_contract_violations_are_rejected():
     setup = _ideal_setup(2)
-    with pytest.raises(DimensionError, match="input state must have dimension 2"):
-        verify_identity(np.ones(3) / math.sqrt(3), setup)
+    for states in (np.ones(3) / math.sqrt(3), np.ones((4, 3)), np.ones((1, 1, 2))):
+        with pytest.raises(DimensionError, match="input state must have dimension 2"):
+            verify_identity(states, setup)
+    with pytest.raises(ValueError, match="finite"):
+        verify_identity(np.array([[1.0, 0.0], [np.nan, 0.0]]), setup)
     for call in (outcome_probabilities, state_fidelity, lambda psi, setup: realize_outcome(psi, setup, 0)):
         with pytest.raises(DimensionError, match="input state must have dimension 2"):
             call(np.ones(3) / math.sqrt(3), setup)
