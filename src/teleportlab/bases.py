@@ -16,9 +16,15 @@ sum_xi B_xi^dag A B_xi - Tr(A) * identity for the matrix unit A = |b><c|, so
 r^2 is the sum over the d^2 matrix units of their squared Frobenius
 completeness residuals.  By linearity r bounds the completeness residual
 of every A with ||A||_F <= 1, and it bounds every entry of V V^dag - I,
-the largest pairwise orthonormality residual.  Two standard constructions
-are provided (generalized Bell and pure product), plus rotation into
-arbitrary custom bases and a validator that gates r.
+the largest pairwise orthonormality residual.  The Gram matrix
+G = conj(V) V^T is Hermitian, so over its b x b blocks G_ij
+
+    r^2 = sum_i ||G_ii - I||_F^2 + 2 sum_{i<j} ||G_ij||_F^2,
+
+and r is summed over the blocks on and above the diagonal, one at a time.
+Two standard constructions are provided (generalized Bell and pure
+product), plus rotation into arbitrary custom bases and a validator that
+gates r.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ import numpy as np
 
 from .choi import schmidt_shape
 from .errors import BasisStructureError, DimensionError
-from .linalg import as_square_matrix, read_only, require_dense_size
+from .linalg import _BLOCK_BYTES, as_square_matrix, read_only, require_dense_size
 from .tolerances import BASIS_TOL
 
 
@@ -145,13 +151,33 @@ def custom_basis(elements, local_dim: Optional[int] = None) -> OperatorBasis:
 
 
 def _unitarity_residual(rows: np.ndarray) -> float:
-    """||R R^dag - I||_F of a square matrix R: how far its rows are from
-    orthonormal.  1 is subtracted from the Gram matrix's diagonal in place,
-    so no identity matrix or second n x n temporary is built."""
-    gram = rows.conj() @ rows.T
-    gram.flat[::len(gram) + 1] -= 1
-    entries = gram.ravel()
-    return math.sqrt(np.vdot(entries, entries).real)
+    """||R R^dag - I||_F of a square n x n matrix R: how far its rows are
+    from orthonormal.
+
+    G = conj(R) R^T is Hermitian, so over its b x b blocks G_ij
+
+        r^2 = sum_i ||G_ii - I||_F^2 + 2 sum_{i<j} ||G_ij||_F^2,
+
+    and only the blocks on and above the diagonal are formed, one at a time.
+    A complex b x b block fills ``_BLOCK_BYTES`` (b = 256).  Each row block is
+    conjugated into one reused (b, n) buffer, and 1 is subtracted from a
+    diagonal block's diagonal in place, so no identity matrix is built.  For
+    n <= b the one block is the whole Gram matrix.
+    """
+    n = len(rows)
+    b = math.isqrt(_BLOCK_BYTES // np.dtype(complex).itemsize)
+    conj = np.empty((min(b, n), n), dtype=complex)
+    diagonal = off_diagonal = 0.0
+    for i in range(0, n, b):
+        left = np.conjugate(rows[i:i + b], out=conj[:n - i])
+        for j in range(i, n, b):
+            block = left @ rows[j:j + b].T
+            if j == i:
+                block.flat[::len(block) + 1] -= 1
+                diagonal += np.vdot(block, block).real
+            else:
+                off_diagonal += np.vdot(block, block).real
+    return math.sqrt(diagonal + 2 * off_diagonal)
 
 
 def rotated_basis(basis: OperatorBasis, rotation: np.ndarray) -> OperatorBasis:

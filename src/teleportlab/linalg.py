@@ -17,6 +17,11 @@ from .tolerances import NORMALIZATION_TOL
 # rather than attempted; dense storage is the whole point of this package.
 _MAX_ELEMENTS = 1 << 26
 
+# Bytes of complex working set processed at once, so temporaries stay small
+# against a d^4-entry stack: one b x b block of the basis check's Gram matrix
+# (b = 256), the T_xi whose |T_xi| teleport packs, a chunk of verify's states.
+_BLOCK_BYTES = 1 << 20
+
 
 def as_matrix(matrix) -> np.ndarray:
     """Validate and return ``matrix`` as a finite complex 2-d array."""

@@ -27,27 +27,24 @@ import numpy as np
 from .bases import BasisStructureError, OperatorBasis, validate_basis
 from .choi import BipartiteState
 from .errors import DimensionError
-from .linalg import _abs_from_svd, dagger, polar_decompose, require_dense_size, require_normalized
+from .linalg import (_BLOCK_BYTES, _abs_from_svd, dagger, polar_decompose, require_dense_size,
+                     require_normalized)
 from .tolerances import ZERO_OUTCOME_TOL
-
-# Bytes of d x d complex matrices processed at once: the T_xi whose |T_xi|
-# transfer_abs_packed forms and packs.  state_fidelity_batch takes as many
-# input rows a block; their d^2 real features fill half of it.
-_BLOCK_BYTES = 1 << 20
 
 # Complex d^4-entry stacks live at a setup's peak.  No command holds more
 # than 3 at once, whatever order it reads T_xi and the rest in: the basis
-# check holds the elements, their conjugate and the Gram matrix; later verify
-# holds the elements, T and the basis's vectors_t, and average the elements,
-# T and the packed |T_xi| weights (half a stack).  tracemalloc peaks of one
-# cli.main (bell basis, haar-random resource, seed 0), in stacks, at d = 16,
-# 24 and 32: verify (--samples 20, each d in a fresh interpreter) 4.64, 3.31
-# and 3.13; teleport (--samples 20) and fidelity 3.73, 3.15 and 3.05; average
-# (--samples 100) 7.42, 3.66 and 3.05.  The rest is fixed-size working sets
-# (average's 20,000-state draw chunk, verify's chunk of states, _BLOCK_BYTES
-# blocks), which shrink against a stack as d grows and pass 4 stacks only
-# while a stack is small (1 MiB at d = 16).  4 * 64^4 is 2^26, so the
-# constant sets the d <= 64 limit.
+# check holds the elements, one conjugated row block and one Gram block;
+# later verify holds the elements, T and the basis's vectors_t, and average
+# the elements, T and the packed |T_xi| weights (half a stack).  tracemalloc
+# peaks of one cli.main (bell basis, haar-random resource, seed 0, each in a
+# fresh interpreter), in stacks, at d = 16, 24 and 32: fidelity 3.89, 2.21
+# and 2.08; teleport (--samples 20) 3.89, 2.26 and 2.12; average (--samples
+# 100) 7.57, 3.69 and 2.88; verify (--samples 20) 4.64, 3.31 and 3.13.  The
+# rest is fixed-size working sets (average's 20,000-state draw chunk,
+# verify's chunk of states, _BLOCK_BYTES blocks), which shrink against a
+# stack as d grows and pass 4 stacks only while a stack is small (1 MiB at
+# d = 16); at d = 24 verify and average still pass 3.  4 * 64^4 is 2^26, so
+# the constant sets the d <= 64 limit.
 _PEAK_STACKS = 4
 
 

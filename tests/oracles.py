@@ -216,6 +216,17 @@ def completeness_residual_einsum(elements):
     return float(np.sqrt(np.sum(np.abs(total) ** 2)))
 
 
+def unitarity_residual_unblocked(rows):
+    """||R R^dag - I||_F of a square matrix R from its whole Gram matrix
+    conj(R) R^T, 1 subtracted from the diagonal in place: the one-Gram
+    formula the package replaced by a sum over the Gram's blocks."""
+    rows = np.asarray(rows, dtype=complex)
+    gram = rows.conj() @ rows.T
+    gram.flat[::len(gram) + 1] -= 1
+    entries = gram.ravel()
+    return math.sqrt(np.vdot(entries, entries).real)
+
+
 # Copy of teleportlab.tolerances.RANK_TOL.
 RANK_TOL = 1e-10
 

@@ -278,20 +278,68 @@ def test_validate_basis_matches_einsum_oracle(d, kind):
         assert report.passed is (oracle <= BASIS_TOL)
 
 
+def _last_block_variants(elements):
+    """The last element scaled 1e-11 either side of BASIS_TOL, in d = 24's
+    partial block of 64 rows; then element 0 copied over the last one, so
+    the only defect is Gram entry (0, n - 1) and its conjugate, in
+    off-diagonal block (0, last) and its mirror (residual sqrt 2)."""
+    n = len(elements)
+    for factor in (1 + (BASIS_TOL - 1e-11) / 2, 1 + (BASIS_TOL + 1e-11) / 2):
+        damaged = elements.copy()
+        damaged[n - 1] *= factor
+        yield damaged
+    copied = elements.copy()
+    copied[n - 1] = elements[0]
+    yield copied
+
+
+@pytest.mark.parametrize("d", [16, 24, 32])
+@pytest.mark.parametrize("kind", ["bell", "product", "rotated"])
+def test_blocked_residual_matches_the_whole_gram(d, kind):
+    # At d = 16 the Gram matrix is one block, with the one-Gram bits; from
+    # d = 24 on the blocks' sums round differently, by far less than the
+    # 1e-11 margin of the straddling variants, so no gate moves.
+    n = d * d
+    base = _make_basis(kind, d)
+    variants = [*_damaged_variants(base.elements), *_last_block_variants(base.elements)]
+    for elements in variants:
+        oracle = oracles.unitarity_residual_unblocked(elements.reshape(n, n))
+        report = validate_basis(OperatorBasis(local_dim=d, elements=elements))
+        if d == 16:
+            assert report.residual == oracle
+        else:
+            assert abs(report.residual - oracle) <= 1e-12 * oracle
+        assert report.passed is (oracle <= BASIS_TOL)
+    assert oracle == pytest.approx(math.sqrt(2), rel=1e-12)
+
+
+def test_rotation_defect_in_the_last_partial_block_is_refused():
+    # d = 24: rows 512..575 of W form the last, partial row block of 64.
+    d = 24
+    w = oracles.random_unitary(np.random.default_rng(5), d * d)
+    rotated_basis(bell_basis(d), w)
+    w[-1] *= 1 + (BASIS_TOL + 1e-11) / 2
+    with pytest.raises(ValueError, match="rotation matrix is not unitary"):
+        rotated_basis(bell_basis(d), w)
+
+
 def test_validate_basis_memory_is_bounded():
-    # The check holds the conjugated vectors and the Gram matrix, each the
-    # size of the element stack (16 MiB at d = 32); an identity matrix (8 MiB)
-    # or a G - I temporary on top of them would break the bound.
-    basis = bell_basis(32)
-    tracemalloc.start()
-    try:
-        start = tracemalloc.get_traced_memory()[0]
-        report = validate_basis(basis)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert report.passed
-    assert peak - start < 40 * 2**20
+    # The check holds one conjugated row block of b = 256 rows and one
+    # b x b Gram block at a time: 0.38 stacks above the elements at d = 32,
+    # 0.84 at d = 24, where a row block is larger against the stack.  The
+    # whole conjugate or the whole Gram matrix (a stack each) breaks the
+    # bound at d = 32.
+    for d, stacks in ((24, 1.0), (32, 0.5)):
+        basis = bell_basis(d)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            report = validate_basis(basis)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.passed
+        assert peak - start < stacks * basis.elements.nbytes
 
 
 def test_cached_facts_ignore_later_writes_to_the_input_array():
