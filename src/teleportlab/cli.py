@@ -264,9 +264,9 @@ def _resolve_psi(cfg: argparse.Namespace, rng: np.random.Generator) -> np.ndarra
 # runners
 
 
-def _row(cfg: argparse.Namespace, columns, **cells) -> dict:
+def _row(cfg: argparse.Namespace, **cells) -> dict:
     context = dict(experiment=cfg.command, d=cfg.d, basis=cfg.basis, shared=cfg.shared, seed=cfg.seed)
-    return {**dict.fromkeys(columns), **context, **cells}
+    return {**dict.fromkeys(_COMMANDS[cfg.command][1]), **context, **cells}
 
 
 def run_verify(cfg: argparse.Namespace, rng: np.random.Generator, setup: TeleportSetup):
@@ -278,7 +278,7 @@ def run_verify(cfg: argparse.Namespace, rng: np.random.Generator, setup: Telepor
     chunks = (haar_trial_states(cfg.d, min(chunk, cfg.samples - start), rng)
               for start in range(0, cfg.samples, chunk))
     worst = max(float(verify_identity(states, setup).max()) for states in chunks)
-    row = _row(cfg, REPORT_COLUMNS, quantity="max_identity_residual", samples=cfg.samples, residual=worst)
+    row = _row(cfg, quantity="max_identity_residual", samples=cfg.samples, residual=worst)
     return worst, 0.0, [row]
 
 
@@ -290,8 +290,7 @@ def run_teleport(cfg: argparse.Namespace, rng: np.random.Generator, setup: Telep
     outcomes = sample_outcome(psi, setup, rng, size=cfg.samples)
     # Shots with the same xi share one record, so each record is checked and
     # given a row once; the renderers write the shot cell.
-    distinct = {outcome: _row(cfg, TRANSCRIPT_COLUMNS, xi=outcome.xi,
-                              probability=outcome.probability,
+    distinct = {outcome: _row(cfg, xi=outcome.xi, probability=outcome.probability,
                               conditional_fidelity=outcome.conditional_fidelity)
                 for outcome in dict.fromkeys(outcomes)}
     largest = max((value for outcome in distinct
@@ -305,7 +304,7 @@ def run_fidelity(cfg: argparse.Namespace, rng: np.random.Generator, setup: Telep
     analytic = average_fidelity_analytic(setup)
     case, closed = special_case_fidelity(setup)
     rows = [
-        _row(cfg, REPORT_COLUMNS, quantity=quantity, label=case.value, analytic=value, samples=0)
+        _row(cfg, quantity=quantity, label=case.value, analytic=value, samples=0)
         for quantity, value in (("average_fidelity", analytic), ("special_case_fidelity", closed))
     ]
     return abs(analytic - closed), closed_form_gap_bound(cfg.d), rows
@@ -316,11 +315,9 @@ def run_average(cfg: argparse.Namespace, rng: np.random.Generator, setup: Telepo
     is |analytic - mean| beyond 4 standard errors, with floor
     ``monte_carlo_rounding_bound(d)``."""
     result = monte_carlo_fidelity(setup, cfg.samples, rng)
-    row = _row(
-        cfg, REPORT_COLUMNS, quantity="average_fidelity", label=result.special_case.value,
-        analytic=result.analytic, mc_mean=result.monte_carlo_mean,
-        mc_stderr=result.monte_carlo_stderr, samples=result.samples,
-    )
+    row = _row(cfg, quantity="average_fidelity", label=result.special_case.value,
+               analytic=result.analytic, mc_mean=result.monte_carlo_mean,
+               mc_stderr=result.monte_carlo_stderr, samples=result.samples)
     return result.sigma_excess(), monte_carlo_rounding_bound(cfg.d), [row]
 
 

@@ -61,6 +61,8 @@ def haar_trial_states(dim: int, count: int, rng: np.random.Generator) -> np.ndar
     """
     if dim < 1:
         raise DimensionError("dimension must be at least 1")
+    if count < 0:
+        raise ValueError("count must be nonnegative")
     z = rng.standard_normal((count, 2, dim))
     states = z[:, 0] + 1j * z[:, 1]
     states /= np.linalg.norm(states, axis=1, keepdims=True)

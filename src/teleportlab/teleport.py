@@ -55,12 +55,9 @@ class TeleportSetup:
     ``transfer_ops[xi]`` is T_xi and ``transfer_trace_norms[xi]`` its trace
     norm Tr|T_xi|, all that the analytic E(F) needs.
     |T_xi| is held only as ``transfer_abs_packed[xi]``, the Monte-Carlo
-    kernel's weights, which packs the Hermitian |T_xi| into d^2 reals:
-    its diagonal, then twice the (re, im) of each entry above the diagonal
-    (:func:`_upper_pairs`).  <psi| |T_xi| |psi> is the dot product of that
-    row with the same packing of |psi><psi| without the factor 2 (see
-    :func:`state_fidelity_batch`).  Each is derived on first read and cached
-    read-only.  For a normalized resource, sum_xi Tr(T_xi^dag T_xi) = d.
+    kernel's weights, in the layout that property describes.  Each is derived
+    on first read and cached read-only.  For a normalized resource,
+    sum_xi Tr(T_xi^dag T_xi) = d.
     Rank and flatness are cached on ``shared`` and ``basis``, which they
     describe.  The constructor checks dimensions and size, not the basis.
     """
@@ -103,16 +100,19 @@ class TeleportSetup:
     def transfer_abs_packed(self) -> np.ndarray:
         """|T_xi| packed as real weights, C-contiguous shape (d^2, d^2).
 
-        Row xi holds the diagonal A_ii of A = |T_xi|, then 2 Re A_ij and
-        2 Im A_ij, interleaved, for each pair i < j of :func:`_upper_pairs`;
-        the lower triangle is the conjugate of the upper and is not stored.
+        Row xi holds the diagonal A_ii of the Hermitian A = |T_xi|, then
+        2 Re A_ij and 2 Im A_ij, interleaved, for each pair i < j in
+        ``np.triu_indices(d, 1)`` order: d^2 reals, since the lower triangle
+        is the conjugate of the upper.  <psi| |T_xi| |psi> is the dot product
+        of that row with the same packing of |psi><psi| without the factor 2
+        (:func:`state_fidelity_batch`).
         One ``_rows_per_block`` block of outcomes at a time takes one stacked
         SVD of its T_xi, forms their |T_xi| (bit-equal to :func:`operator_abs`
         of each) and packs them, so no complex |T| stack is ever held and the
         temporaries stay within a few ``_BLOCK_BYTES`` on top of the result.
         """
         d = self.local_dim
-        i, j = _upper_pairs(d)
+        i, j = np.triu_indices(d, 1)
         upper = i * d + j
         packed = np.empty((d * d, d * d))
         rows = _rows_per_block(d)
@@ -163,16 +163,6 @@ def _trials_per_chunk(local_dim: int) -> int:
     reuses the copy, so at most three are held at once.
     """
     return max(1, _BLOCK_BYTES // (4 * np.dtype(complex).itemsize * local_dim**3))
-
-
-def _upper_pairs(local_dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column indices (i, j), i < j, of the strict upper triangle in
-    ``np.triu_indices`` order: the off-diagonal order of the packed layout.
-
-    A Hermitian d x d matrix packs into d^2 reals: its d diagonal entries,
-    then the (re, im) pairs of its d (d - 1) / 2 entries above the diagonal.
-    """
-    return np.triu_indices(local_dim, 1)
 
 
 def require_setup_fits(local_dim: int) -> None:
@@ -232,18 +222,18 @@ def _chunk_residuals(v: np.ndarray, setup: TeleportSetup) -> list[float]:
     read it, and the chunk's arrays are freed on return, before the next
     chunk's are made."""
     m, d = v.shape
-    t_psi = (setup.transfer_ops.reshape(-1, d) @ v[:, :, None]).reshape(m, d * d, d)
-    t_psi = np.ascontiguousarray(t_psi.transpose(0, 2, 1))
+    t_psi = np.ascontiguousarray(_transfer_images(v, setup).transpose(0, 2, 1))
     diff = np.einsum("ix,nmx->nim", setup.basis.vectors_t, t_psi).reshape(m, d, d * d)
     diff -= np.multiply(v[:, :, None], setup.shared.vector[None, None, :], out=t_psi)
     return [np.linalg.norm(row) for row in diff.reshape(m, -1)]
 
 
 def _transfer_images(v: np.ndarray, setup: TeleportSetup) -> np.ndarray:
-    """T_xi v for every xi, shape (d^2, d), as one flat (d^3, d) matrix-vector
-    product; bit-equal to the stacked ``transfer_ops @ v``."""
+    """T_xi v for every xi: shape (d^2, d) for one state v of shape (d,), and
+    (n, d^2, d) for rows of states (n, d).  Each state takes one flat (d^3, d)
+    product with its column; tests pin its bits to each T_xi @ v."""
     d = setup.local_dim
-    return (setup.transfer_ops.reshape(-1, d) @ v).reshape(d * d, d)
+    return (setup.transfer_ops.reshape(-1, d) @ v[..., None]).reshape(*v.shape[:-1], d * d, d)
 
 
 def _sized_input(states: np.ndarray, setup: TeleportSetup) -> np.ndarray:
@@ -284,27 +274,17 @@ def realize_outcome(psi, setup: TeleportSetup, xi: int) -> TeleportOutcome:
     t_psi = t @ v
     norm = float(np.linalg.norm(t_psi))
     if norm <= ZERO_OUTCOME_TOL:
-        zero = np.zeros(setup.local_dim, dtype=complex)
-        zero.setflags(write=False)
-        return TeleportOutcome(
-            xi=xi,
-            probability=0.0,
-            raw_conditional_state=zero,
-            corrected_state=zero,
-            conditional_fidelity=0.0,
-        )
-    raw = t_psi / norm
-    corrected = optimal_correction(t) @ raw
+        raw = corrected = np.zeros(setup.local_dim, dtype=complex)
+        probability = fidelity = 0.0
+    else:
+        raw = t_psi / norm
+        corrected = optimal_correction(t) @ raw
+        probability = norm * norm
+        fidelity = float(np.abs(np.vdot(v, corrected)) ** 2)
     raw.setflags(write=False)
     corrected.setflags(write=False)
-    fidelity = float(np.abs(np.vdot(v, corrected)) ** 2)
-    return TeleportOutcome(
-        xi=xi,
-        probability=norm * norm,
-        raw_conditional_state=raw,
-        corrected_state=corrected,
-        conditional_fidelity=fidelity,
-    )
+    return TeleportOutcome(xi=xi, probability=probability, raw_conditional_state=raw,
+                           corrected_state=corrected, conditional_fidelity=fidelity)
 
 
 def enumerate_outcomes(psi, setup: TeleportSetup) -> list[TeleportOutcome]:
@@ -365,20 +345,19 @@ def state_fidelity_batch(psis: np.ndarray, setup: TeleportSetup) -> np.ndarray:
                       + 2 sum_{i<j} (Re rho_ij Re A_ij + Im rho_ij Im A_ij).
 
     A row's features are therefore the d^2 reals |psi_i|^2, then the
-    interleaved (re, im) of psi_i conj(psi_j) for the pairs i < j of
-    :func:`_upper_pairs`: the layout of ``transfer_abs_packed``, whose rows
-    carry the factor 2.  All d^2 overlaps of a row are one real GEMM of
-    the features, shape (rows, d^2), against the transposed view of the
-    packed weights, shape (d^2, d^2), which is not copied.  Rows go through
-    in ``_rows_per_block`` blocks, so the working memory does not grow
-    with n.
+    interleaved (re, im) of psi_i conj(psi_j) for the pairs i < j: the
+    layout of ``transfer_abs_packed``, whose rows carry the factor 2.  All
+    d^2 overlaps of a row are one real GEMM of the features, shape
+    (rows, d^2), against the transposed view of the packed weights, shape
+    (d^2, d^2), which is not copied.  Rows go through in ``_rows_per_block``
+    blocks, so the working memory does not grow with n.
     """
     psis = np.asarray(psis, dtype=complex)
     d = setup.local_dim
     if psis.ndim != 2 or psis.shape[1] != d:
         raise DimensionError(f"expected shape (n, {d})")
     weights = setup.transfer_abs_packed.T
-    i, j = _upper_pairs(d)
+    i, j = np.triu_indices(d, 1)
     rows = _rows_per_block(d)
     fidelities = np.empty(psis.shape[0])
     for start in range(0, psis.shape[0], rows):

@@ -497,8 +497,11 @@ def test_haar_state_dimension_error():
     with pytest.raises(DimensionError):
         haar_trial_states(0, 3, np.random.default_rng(0))
     with pytest.raises(DimensionError):
+        haar_states(0, 3, np.random.default_rng(0))
+    with pytest.raises(DimensionError):
         haar_unitary(0, np.random.default_rng(0))
-    with pytest.raises(ValueError):
-        haar_states(2, -1, np.random.default_rng(0))
+    for draw in (haar_states, haar_trial_states):
+        with pytest.raises(ValueError, match="count must be nonnegative"):
+            draw(2, -1, np.random.default_rng(0))
     with pytest.raises(DimensionError):
         pair_average_analytic(np.eye(2), np.eye(3))

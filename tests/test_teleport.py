@@ -329,6 +329,27 @@ def test_chunked_residuals_are_bit_equal_to_the_per_trial_loop(d):
         assert type(one) is float and one == expected[len(states) - 1]
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 8, 16, 24, 32])
+@pytest.mark.parametrize("kind", ["bell", "product", "rotated"])
+def test_transfer_images_of_rows_are_bit_equal_to_each_state_and_each_outcome(d, kind):
+    # The probabilities, verify's chunks and realize_outcome's T_xi psi read
+    # one product; a row of a batch, one state alone and one T_xi at a time
+    # must give the same bits.
+    rng = np.random.default_rng(900 + d)
+    basis = product_basis(d) if kind == "product" else bell_basis(d)
+    if kind == "rotated":
+        basis = rotated_basis(basis, oracles.random_unitary(rng, d * d))
+    setup = TeleportSetup(_random_shared(rng, d), basis)
+    rows = oracles.haar_states_gaussian(rng, d, 3)
+    images = teleport._transfer_images(rows, setup)
+    assert images.shape == (3, d * d, d)
+    for v, image in zip(rows, images):
+        one = teleport._transfer_images(v, setup)
+        assert one.shape == (d * d, d)
+        assert np.array_equal(image, one)
+        assert np.array_equal(one, np.stack([setup.transfer_ops[x] @ v for x in range(d * d)]))
+
+
 def test_identity_ideal_qubit_case_tight():
     setup = _ideal_setup(2)
     assert verify_identity(basis_state(2, 0), setup) < 1e-12
