@@ -18,8 +18,11 @@ from .tolerances import NORMALIZATION_TOL
 _MAX_ELEMENTS = 1 << 26
 
 # Bytes of complex working set processed at once, so temporaries stay small
-# against a d^4-entry stack: one b x b block of the basis check's Gram matrix
-# (b = 256), the T_xi whose |T_xi| teleport packs, a chunk of verify's states.
+# against a d^4-entry stack.  bases._unitarity_residual sizes the basis
+# check's b x b Gram blocks from it (b = 256); teleport._rows_per_block the
+# blocks of T_xi whose |T_xi| transfer_abs_packed packs and the blocks of
+# input rows of state_fidelity_batch; teleport._trials_per_chunk verify's
+# chunks of states.
 _BLOCK_BYTES = 1 << 20
 
 

@@ -35,15 +35,12 @@ from .tolerances import ZERO_OUTCOME_TOL
 # than 3 at once, whatever order it reads T_xi and the rest in: the basis
 # check holds the elements, one conjugated row block and one Gram block;
 # later verify holds the elements, T and the basis's vectors_t, and average
-# the elements, T and the packed |T_xi| weights (half a stack).  tracemalloc
-# peaks of one cli.main (bell basis, haar-random resource, seed 0, each in a
-# fresh interpreter), in stacks, at d = 16, 24 and 32: fidelity 3.89, 2.21
-# and 2.08; teleport (--samples 20) 3.89, 2.26 and 2.12; average (--samples
-# 100) 7.57, 3.69 and 2.88; verify (--samples 20) 4.64, 3.31 and 3.13.  The
-# rest is fixed-size working sets (average's 20,000-state draw chunk,
-# verify's chunk of states, _BLOCK_BYTES blocks), which shrink against a
-# stack as d grows and pass 4 stacks only while a stack is small (1 MiB at
-# d = 16); at d = 24 verify and average still pass 3.  4 * 64^4 is 2^26, so
+# the elements, T and the packed |T_xi| weights (half a stack).  The rest is
+# fixed-size working sets (average's 20,000-state draw chunk, verify's chunk
+# of states, _BLOCK_BYTES blocks), which shrink against a stack as d grows
+# and pass 4 stacks only while a stack is small (1 MiB at d = 16).
+# tests/test_cli.py::test_each_command_peaks_below_the_setup_estimate checks
+# every command against this budget at d = 24 and 32.  4 * 64^4 is 2^26, so
 # the constant sets the d <= 64 limit.
 _PEAK_STACKS = 4
 

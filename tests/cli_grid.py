@@ -11,7 +11,11 @@ Each argv runs in-process through ``cli.main`` in a directory holding the input 
 :func:`write_inputs` generates from fixed seeds; the record keeps the exit
 code and the SHA-256 and length of stdout, stderr and any ``--out`` file.
 The input files' own digests are recorded too, so a change to how they
-are generated shows up as such and not as a moved report.
+are generated shows up as such and not as a moved report.  The file also
+records the Python, numpy and BLAS it was made with.  The bytes rest on
+numpy's RNG stream, its einsum loop order and the BLAS, so byte identity
+is checked only on that environment; a replay that moves on another one
+names both.
 
     python tests/cli_grid.py    # list the moved records, regenerate tests/golden/cli_grid.json
 
@@ -20,8 +24,9 @@ are generated shows up as such and not as a moved report.
 A change that moves bytes by design regenerates the file and names the
 moved argvs in CHANGES.md.
 
-d = 32 and the benchmark's own argvs are pinned in ``bench/reference.json``
-instead; they would take most of the replay's time.
+d = 32 and the benchmark's own argvs would take most of the replay's time;
+``tests/test_cli.py::test_each_bench_workload_matches_its_reference``
+replays the benchmark's outputs pinned in ``bench/reference.json`` instead.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ import io
 import json
 import os
 import pathlib
+import platform
 import sys
 import tempfile
 
@@ -95,6 +101,13 @@ def write_inputs(directory: pathlib.Path) -> dict:
     for name, text in _MALFORMED.items():
         (directory / name).write_text(text, encoding="utf-8")
     return {path.name: _digest(path.read_bytes()) for path in sorted(directory.iterdir())}
+
+
+def environment() -> dict:
+    """The Python, numpy and BLAS the grid runs on."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "blas": blas["name"], "blas_version": blas["version"]}
 
 
 def _grid_argvs() -> list[list[str]]:
@@ -218,14 +231,16 @@ def generate(directory: pathlib.Path, record=run) -> dict:
         runs = [record(argv) for argv in GRID]
     finally:
         os.chdir(cwd)
-    return {"inputs": inputs, "runs": runs}
+    return {"environment": environment(), "inputs": inputs, "runs": runs}
 
 
 def dump(grid: dict) -> str:
     # One record per line, so a regeneration diffs argv by argv.
     inputs = ",\n".join(f"    {json.dumps(k)}: {json.dumps(v)}" for k, v in grid["inputs"].items())
     runs = ",\n".join(f"    {json.dumps(r)}" for r in grid["runs"])
-    return '{\n  "inputs": {\n' + inputs + '\n  },\n  "runs": [\n' + runs + "\n  ]\n}\n"
+    environment = json.dumps(grid["environment"])
+    return ('{\n  "environment": ' + environment + ',\n  "inputs": {\n' + inputs
+            + '\n  },\n  "runs": [\n' + runs + "\n  ]\n}\n")
 
 
 def load() -> dict:
@@ -233,7 +248,8 @@ def load() -> dict:
 
 
 def moved(old: dict, new: dict) -> list[str]:
-    """Names of the inputs and argvs whose records differ between two grids."""
+    """Names of the inputs and argvs whose records differ between two grids;
+    the environments are not compared."""
     names = [f"input {name}" for name in sorted(set(old["inputs"]) | set(new["inputs"]))
              if old["inputs"].get(name) != new["inputs"].get(name)]
     before = {tuple(r["argv"]): r for r in old["runs"]}

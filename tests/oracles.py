@@ -8,8 +8,22 @@ code path.
 import cmath
 import json
 import math
+import tracemalloc
 
 import numpy as np
+
+
+def peak_bytes(call):
+    """Run ``call()`` under tracemalloc; return its result and the peak
+    bytes traced during the call above those traced at its start."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        result = call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak - start
 
 
 def dagger(m):

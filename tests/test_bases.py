@@ -1,7 +1,6 @@
 """Tests for the operator basis constructors and validator."""
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -331,15 +330,9 @@ def test_validate_basis_memory_is_bounded():
     # bound at d = 32.
     for d, stacks in ((24, 1.0), (32, 0.5)):
         basis = bell_basis(d)
-        tracemalloc.start()
-        try:
-            start = tracemalloc.get_traced_memory()[0]
-            report = validate_basis(basis)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        report, peak = oracles.peak_bytes(lambda: validate_basis(basis))
         assert report.passed
-        assert peak - start < stacks * basis.elements.nbytes
+        assert peak < stacks * basis.elements.nbytes
 
 
 def test_cached_facts_ignore_later_writes_to_the_input_array():
@@ -387,16 +380,10 @@ def test_a_real_stack_is_converted_with_one_copy():
     # from a float64 stack at d = 32 allocates one complex stack, not two.
     d = 32
     elements = bell_basis(d).elements.real.copy()
-    tracemalloc.start()
-    try:
-        baseline = tracemalloc.get_traced_memory()[0]
-        stored = OperatorBasis(local_dim=d, elements=elements).elements
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    stored, peak = oracles.peak_bytes(lambda: OperatorBasis(local_dim=d, elements=elements).elements)
     assert stored.dtype == complex and not stored.flags.writeable
     np.testing.assert_array_equal(stored, elements)
-    assert peak - baseline < 1.5 * 16 * d**4
+    assert peak < 1.5 * 16 * d**4
 
 
 @pytest.mark.parametrize("make", [bell_basis, product_basis])

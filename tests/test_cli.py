@@ -5,14 +5,14 @@ import dataclasses
 import hashlib
 import json
 import math
-import pathlib
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
 
 import oracles
+from bench import checks as bench_checks
+from bench.workloads import WORKLOADS, invocation_argv, write_inputs
 from teleportlab import (
     BasisValidationReport,
     DimensionError,
@@ -210,23 +210,26 @@ def test_one_exit_rule_at_its_boundary(monkeypatch, capsys, command, argv, floor
         assert run_cli([command, *argv, "--tolerance", str(tolerance), "--no-timestamp"], capsys)[0] == code
 
 
-# The bench's teleport-shots workload at seed 0; its transcript is pinned by
-# SHA-256 and length in bench/reference.json.
-_TELEPORT_SHOTS_ARGV = [
-    "teleport", "--d", "2", "--basis", "bell", "--shared", "haar-random",
-    "--samples", "20000", "--seed", "0", "--no-timestamp",
-]
+_REFERENCE = bench_checks.load_references()
+_TELEPORT_SHOTS_ARGV = invocation_argv(WORKLOADS["teleport-shots"], _REFERENCE["seed"], [])
 
 
-def test_teleport_shots_transcript_matches_the_bench_reference(capsys):
-    path = pathlib.Path(__file__).resolve().parents[1] / "bench" / "reference.json"
-    reference = json.loads(path.read_text(encoding="utf-8"))
-    assert reference["seed"] == 0
-    pinned = reference["outputs"]["teleport-shots"]
-    code, out, _ = run_cli(_TELEPORT_SHOTS_ARGV, capsys)
+@pytest.mark.parametrize("name", sorted(_REFERENCE["outputs"]))
+def test_each_bench_workload_matches_its_reference(name, tmp_path, capsys):
+    # Each benchmark workload replays its output pinned in bench/reference.json:
+    # the teleport transcript by SHA-256 and length, fidelity and verify byte
+    # for byte, and average with its floats within bench's FLOAT_TOL.
+    seed, workload, pinned = _REFERENCE["seed"], WORKLOADS[name], _REFERENCE["outputs"][name]
+    argv = invocation_argv(workload, seed, write_inputs(workload, seed, str(tmp_path)))
+    code, out, _ = run_cli(argv, capsys)
     assert code == 0
-    data = out.encode()
-    assert (hashlib.sha256(data).hexdigest(), len(data)) == (pinned["sha256"], pinned["bytes"])
+    if name == "teleport-shots":
+        data = out.encode()
+        assert (hashlib.sha256(data).hexdigest(), len(data)) == (pinned["sha256"], pinned["bytes"])
+    elif name == "average-mc":
+        assert bench_checks.reference_problems("average", out, pinned) == []
+    else:
+        assert out == pinned["text"]
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -642,6 +645,12 @@ def test_oversized_dimension_is_refused_with_its_estimate():
     ns = build_parser().parse_args(["fidelity", "--d", "32"])
     assert config_from_namespace(ns) is ns
     assert ns.samples == 0
+    # _PEAK_STACKS sets the largest d: 4 * 64^4 entries fit, 4 * 65^4 do not.
+    ns = build_parser().parse_args(["fidelity", "--d", "64"])
+    assert config_from_namespace(ns) is ns
+    ns = build_parser().parse_args(["fidelity", "--d", "65"])
+    with pytest.raises(DimensionError, match=r"d = 65 at peak needs 71,402,500 complex entries \(1\.1 GiB\)"):
+        config_from_namespace(ns)
 
 
 def _verify_config(d, samples):
@@ -674,27 +683,23 @@ def test_verify_chunk_working_set_stays_within_one_block(d, samples):
     setup = build_setup(random_shared_state(d, rng), basis)
     setup.transfer_ops, setup.basis.vectors_t  # the held stacks, built outside the measured run
     cfg = _verify_config(d, samples)
-    tracemalloc.start()
-    try:
-        baseline = tracemalloc.get_traced_memory()[0]
-        excess, _, _ = cli.run_verify(cfg, rng, setup)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    (excess, _, _), peak = oracles.peak_bytes(lambda: cli.run_verify(cfg, rng, setup))
     assert excess < 1e-12
-    assert peak - baseline < teleport._BLOCK_BYTES
+    assert peak < teleport._BLOCK_BYTES
 
 
-def test_verify_peaks_below_the_setup_estimate(capsys):
-    # require_setup_fits budgets _PEAK_STACKS complex d^4-entry stacks.  verify
-    # adds the basis's vectors_t to the elements and T.
-    d = 24
-    tracemalloc.start()
-    try:
-        code = main(["verify", "--d", str(d), "--shared", "haar-random", "--samples", "20", "--no-timestamp"])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+_BUDGET_SAMPLES = {"fidelity": [], "teleport": ["--samples", "20"],
+                   "average": ["--samples", "100"], "verify": ["--samples", "20"]}
+
+
+@pytest.mark.parametrize("d", [24, 32])
+@pytest.mark.parametrize("command", list(_BUDGET_SAMPLES))
+def test_each_command_peaks_below_the_setup_estimate(command, d, capsys):
+    # require_setup_fits budgets _PEAK_STACKS complex d^4-entry stacks for
+    # one whole command, set-up, run and report; the fixed-size working sets
+    # weigh the most against a stack at the smallest d here.
+    argv = [command, "--d", str(d), "--shared", "haar-random", *_BUDGET_SAMPLES[command], "--no-timestamp"]
+    code, peak = oracles.peak_bytes(lambda: main(argv))
     assert code == 0
     assert peak < teleport._PEAK_STACKS * 16 * d**4
 
@@ -704,37 +709,32 @@ def test_verify_peak_does_not_depend_on_read_order(d):
     # T is built without a conjugated copy of the elements, so reading the
     # basis's vectors_t before T adds nothing to the peak, one state at a
     # time or in verify's chunks.
-    peaks = {}
-    for first in ("vectors_t", "transfer_ops"):
+    def run(first):
         rng = np.random.default_rng(d)
-        tracemalloc.start()
-        try:
-            setup = build_setup(random_shared_state(d, rng), bell_basis(d))
-            getattr(setup.basis if first == "vectors_t" else setup, first)
-            for _ in range(20):
-                teleport.verify_identity(haar_state(d, rng), setup)
-            cli.run_verify(_verify_config(d, 2), rng, setup)
-            peaks[first] = tracemalloc.get_traced_memory()[1] / (16 * d**4)
-        finally:
-            tracemalloc.stop()
+        setup = build_setup(random_shared_state(d, rng), bell_basis(d))
+        getattr(setup.basis if first == "vectors_t" else setup, first)
+        for _ in range(20):
+            teleport.verify_identity(haar_state(d, rng), setup)
+        cli.run_verify(_verify_config(d, 2), rng, setup)
+
+    peaks = {first: oracles.peak_bytes(lambda: run(first))[1] / (16 * d**4)
+             for first in ("vectors_t", "transfer_ops")}
     assert max(peaks.values()) < teleport._PEAK_STACKS
     assert abs(peaks["vectors_t"] - peaks["transfer_ops"]) <= 0.05
 
 
-@pytest.mark.parametrize("d", [24, 32])
-def test_average_peaks_below_the_setup_estimate(d, capsys):
-    # average holds the packed |T| weights (half a stack) next to the elements
-    # and T; each block's |T_xi| is packed as soon as it is formed, so no
-    # complex |T| stack is held and the temporaries stay small against the
-    # budget.  At d = 24 the fixed-size working sets weigh the most.
-    tracemalloc.start()
-    try:
-        code = main(["average", "--d", str(d), "--shared", "haar-random", "--samples", "100", "--no-timestamp"])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert code == 0
-    assert peak < teleport._PEAK_STACKS * 16 * d**4
+@pytest.mark.parametrize("d", [2, 8])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_a_teleport_shot_peaks_below_its_transcript_charge(fmt, d, capsys):
+    # The transcript guard charges _SHOT_BYTES per shot: the peak that 20,000
+    # shots add over none, sampled and rendered, stays below it per shot.
+    def peak_of(shots):
+        argv = ["teleport", "--d", str(d), "--samples", str(shots), "--format", fmt, "--no-timestamp"]
+        code, peak = oracles.peak_bytes(lambda: main(argv))
+        assert code == 0
+        return peak
+
+    assert (peak_of(20000) - peak_of(0)) / 20000 < cli._SHOT_BYTES
 
 
 def test_oversized_transcript_is_refused_before_sampling(monkeypatch, capsys):

@@ -2,7 +2,6 @@
 
 import dataclasses
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -167,15 +166,9 @@ def test_transfer_operators_hold_no_stack_sized_temporary():
     # copy of the elements would be a whole 16 MiB stack at d = 32.
     d = 32
     setup = TeleportSetup(_random_shared(np.random.default_rng(32), d), bell_basis(d))
-    tracemalloc.start()
-    try:
-        baseline = tracemalloc.get_traced_memory()[0]
-        transfer_ops = setup.transfer_ops
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    transfer_ops, peak = oracles.peak_bytes(lambda: setup.transfer_ops)
     assert transfer_ops.nbytes == 16 * d**4
-    assert peak - baseline - transfer_ops.nbytes <= 0.1 * 16 * d**4
+    assert peak - transfer_ops.nbytes <= 0.1 * 16 * d**4
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 5, 8, 24])
@@ -332,9 +325,9 @@ def test_chunked_residuals_are_bit_equal_to_the_per_trial_loop(d):
 @pytest.mark.parametrize("d", [1, 2, 3, 5, 8, 16, 24, 32])
 @pytest.mark.parametrize("kind", ["bell", "product", "rotated"])
 def test_transfer_images_of_rows_are_bit_equal_to_each_state_and_each_outcome(d, kind):
-    # The probabilities, verify's chunks and realize_outcome's T_xi psi read
-    # one product; a row of a batch, one state alone and one T_xi at a time
-    # must give the same bits.
+    # The probabilities and verify's chunks read one product, and
+    # realize_outcome computes transfer_ops[xi] @ v alone; a row of a batch,
+    # one state alone and one T_xi at a time must give the same bits.
     rng = np.random.default_rng(900 + d)
     basis = product_basis(d) if kind == "product" else bell_basis(d)
     if kind == "rotated":
@@ -664,14 +657,8 @@ def test_state_fidelity_batch_memory_is_bounded_per_block():
     setup = TeleportSetup(maximally_entangled_state(d), bell_basis(d))
     psis = oracles.haar_states_gaussian(np.random.default_rng(32), d, n)
     setup.transfer_abs_packed  # the packed |T|, built on first read, outside the measured kernel
-    tracemalloc.start()
-    try:
-        baseline = tracemalloc.get_traced_memory()[0]
-        fidelities = state_fidelity_batch(psis, setup)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak - baseline - fidelities.nbytes < 4 * 2**20
+    fidelities, peak = oracles.peak_bytes(lambda: state_fidelity_batch(psis, setup))
+    assert peak - fidelities.nbytes < 4 * 2**20
     np.testing.assert_allclose(fidelities, 1.0, atol=1e-12)
 
 
@@ -683,15 +670,9 @@ def test_transfer_abs_packed_temporaries_are_bounded_per_block():
     d = 32
     setup = TeleportSetup(maximally_entangled_state(d), bell_basis(d))
     setup.transfer_ops  # T, built on first read, outside the measured packing
-    tracemalloc.start()
-    try:
-        baseline = tracemalloc.get_traced_memory()[0]
-        packed = setup.transfer_abs_packed
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    packed, peak = oracles.peak_bytes(lambda: setup.transfer_abs_packed)
     assert packed.nbytes == 8 * d**4
-    assert peak - baseline - packed.nbytes < 8 * _BLOCK_BYTES
+    assert peak - packed.nbytes < 8 * _BLOCK_BYTES
 
 
 def test_input_contract_violations_are_rejected():
