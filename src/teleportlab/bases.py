@@ -162,22 +162,25 @@ def _unitarity_residual(rows: np.ndarray) -> float:
     A complex b x b block fills ``_BLOCK_BYTES`` (b = 256).  Each row block is
     conjugated into one reused (b, n) buffer, and 1 is subtracted from a
     diagonal block's diagonal in place, so no identity matrix is built.  For
-    n <= b the one block is the whole Gram matrix.
+    n <= b the one block is the whole Gram matrix.  Entries large enough to
+    overflow give ``inf``, without a numpy warning.
     """
     n = len(rows)
     b = math.isqrt(_BLOCK_BYTES // np.dtype(complex).itemsize)
     conj = np.empty((min(b, n), n), dtype=complex)
     diagonal = off_diagonal = 0.0
-    for i in range(0, n, b):
-        left = np.conjugate(rows[i:i + b], out=conj[:n - i])
-        for j in range(i, n, b):
-            block = left @ rows[j:j + b].T
-            if j == i:
-                block.flat[::len(block) + 1] -= 1
-                diagonal += np.vdot(block, block).real
-            else:
-                off_diagonal += np.vdot(block, block).real
-    return math.sqrt(diagonal + 2 * off_diagonal)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(0, n, b):
+            left = np.conjugate(rows[i:i + b], out=conj[:n - i])
+            for j in range(i, n, b):
+                block = left @ rows[j:j + b].T
+                if j == i:
+                    block.flat[::len(block) + 1] -= 1
+                    diagonal += np.vdot(block, block).real
+                else:
+                    off_diagonal += np.vdot(block, block).real
+        total = diagonal + 2 * off_diagonal
+    return math.sqrt(total) if math.isfinite(total) else math.inf
 
 
 def rotated_basis(basis: OperatorBasis, rotation: np.ndarray) -> OperatorBasis:
@@ -191,7 +194,7 @@ def rotated_basis(basis: OperatorBasis, rotation: np.ndarray) -> OperatorBasis:
     n = len(basis)
     if w.shape != (n, n):
         raise DimensionError(f"rotation must be {n} x {n} for this basis")
-    if _unitarity_residual(w) > BASIS_TOL:
+    if not BasisValidationReport(_unitarity_residual(w)).passed:
         raise ValueError("rotation matrix is not unitary")
     d = basis.local_dim
     elements = np.empty((n, d, d), dtype=complex)

@@ -129,11 +129,19 @@ def config_from_namespace(ns: argparse.Namespace) -> argparse.Namespace:
 
 def _parse_complex_pairs(values, what: str) -> np.ndarray:
     try:
-        arr = np.asarray(values, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ConfigurationError(f"{what}: entries must be [re, im] pairs ({exc})") from None
+        arr = np.asarray(values)
+    except ValueError:  # ragged nesting
+        raise ConfigurationError(f"{what}: entries must be [re, im] pairs") from None
     if arr.ndim < 2 or arr.shape[-1] != 2:
         raise ConfigurationError(f"{what}: entries must be [re, im] pairs")
+    # Text gives a string array; numpy holds an integer beyond 64 bits, and
+    # anything else that is not a number, as an object.
+    if arr.dtype.kind not in "biuf" and not all(isinstance(x, (int, float)) for x in arr.flat):
+        raise ConfigurationError(f"{what}: entries must be numbers")
+    try:
+        arr = arr.astype(float, copy=False)
+    except OverflowError:
+        raise ConfigurationError(f"{what}: entries must fit in a float") from None
     if not np.all(np.isfinite(arr)):
         raise ConfigurationError(f"{what}: entries must be finite")
     return arr[..., 0] + 1j * arr[..., 1]

@@ -188,9 +188,14 @@ def test_rotated_basis_still_validates(d):
     assert report.passed, report
 
 
-def test_rotated_basis_rejects_nonunitary():
-    with pytest.raises(ValueError):
-        rotated_basis(bell_basis(2), np.ones((4, 4)))
+@pytest.mark.parametrize("d, rotation", [
+    (2, np.ones((4, 4))),
+    (1, (1e200 + 1e200j) * np.eye(1)),  # overflows the Gram matrix to inf and nan
+    (2, (1e200 + 1e200j) * np.eye(4)),
+])
+def test_rotated_basis_rejects_nonunitary(d, rotation):
+    with pytest.raises(ValueError, match="rotation matrix is not unitary"):
+        rotated_basis(bell_basis(d), rotation)
 
 
 @pytest.mark.parametrize("d", [2, 4])

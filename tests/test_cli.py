@@ -2,9 +2,11 @@
 
 import csv
 import dataclasses
+import errno
 import hashlib
 import json
 import math
+import os
 import re
 
 import numpy as np
@@ -39,10 +41,8 @@ from teleportlab.cli import (
 )
 
 
-def run_cli(args, capsys=None):
+def run_cli(args, capsys):
     code = main(args)
-    if capsys is None:
-        return code, None, None
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -90,6 +90,7 @@ def test_verify_fails_loudly_with_absurd_tolerance(tmp_path):
 
 @pytest.mark.parametrize("entries, norm_text", [
     ([[1e308, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]], "1e+308"),
+    ([[10**20, 0], [0, 0], [0, 0], [0, 0]], "1e+20"),  # an integer numpy holds as an object
     ([[0.0, 0.0], [1e-320, 0.0], [0.0, 0.0], [0.0, 0.0]], "9.99988867183e-321"),
 ])
 def test_shared_file_with_extreme_norm_is_normalized(tmp_path, capsys, entries, norm_text):
@@ -544,26 +545,6 @@ def test_custom_psi_file_fixes_the_input(tmp_path):
         assert float(row["conditional_fidelity"]) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_invalid_custom_basis_exits_2_naming_the_relation(tmp_path, capsys):
-    basis = bell_basis(2)
-    broken = basis.elements.copy()
-    broken[2] = 1.5 * broken[2]
-    basis_path = tmp_path / "broken.json"
-    payload = {
-        "d": 2,
-        "elements": [[[[z.real, z.imag] for z in row] for row in el] for el in broken],
-    }
-    basis_path.write_text(json.dumps(payload))
-    code = main([
-        "verify", "--d", "2", "--basis", "custom", "--basis-file", str(basis_path),
-        "--no-timestamp",
-    ])
-    err = capsys.readouterr().err
-    assert code == 2
-    # One Gram diagonal entry is 1.5^2 = 2.25 instead of 1.
-    assert err == f"error: {basis_path}: basis is not orthonormal and complete (residual 1.250e+00)\n"
-
-
 def test_a_built_in_basis_that_fails_validation_exits_2_without_a_file_prefix(monkeypatch, capsys):
     # No basis file to name, so the check's own text is the message.
     monkeypatch.setattr(teleport, "validate_basis", lambda basis: BasisValidationReport(1.0))
@@ -572,33 +553,122 @@ def test_a_built_in_basis_that_fails_validation_exits_2_without_a_file_prefix(mo
     assert err == "error: basis is not orthonormal and complete (residual 1.000e+00)\n"
 
 
-@pytest.mark.parametrize(
-    "args",
-    [
-        ["average", "--samples", "50"],                      # below the minimum
-        ["verify", "--basis", "custom"],                     # missing file
-        ["verify", "--shared", "custom"],                    # missing file
-        ["verify", "--d", "0"],                              # bad dimension
-        ["verify", "--seed", "-1"],                          # seed out of range
-        ["verify", "--samples", "0"],                        # runs no trial
-        ["fidelity", "--samples", "7"],                      # draws nothing
-    ],
-)
-def test_unusable_configurations_exit_2(args, capsys):
-    code = main(args + ["--no-timestamp"])
-    capsys.readouterr()
-    assert code == 2
+def _bell_payload(d=2):
+    return [[[[z.real, z.imag] for z in row] for row in el] for el in bell_basis(d).elements]
 
 
-@pytest.mark.parametrize(
-    "args, message",
-    [
-        (["fidelity", "--samples", "7"], "--samples is not read by the fidelity command"),
-        (["verify", "--samples", "0"], "the verify command needs --samples of at least 1"),
-    ],
-)
-def test_samples_that_would_not_run_as_reported_are_refused(capsys, args, message):
-    assert run_cli(args + ["--no-timestamp"], capsys) == (2, "", f"error: {message}\n")
+def _no_such_file(verb, path):
+    return f"cannot {verb} {path}: [Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: {path!r}"
+
+
+_PHI_PLUS = [[0.5**0.5, 0.0], [0.0, 0.0], [0.0, 0.0], [0.5**0.5, 0.0]]
+_CUSTOM_BASIS = ["verify", "--d", "2", "--basis", "custom"]
+_CUSTOM_SHARED = ["verify", "--d", "2", "--shared", "custom"]
+_TELEPORT = ["teleport", "--d", "2", "--samples", "1"]
+_TELEPORT_BASIS = _TELEPORT + ["--basis", "custom"]
+_TELEPORT_SHARED = _TELEPORT + ["--shared", "custom"]
+_STRETCHED = [[[[1.5 * x for x in z] for z in row] if xi == 2 else row for row in el]
+              for xi, el in enumerate(_bell_payload())]  # one Gram diagonal entry 2.25
+
+# The CLI's refusal contract, one row per unusable input: (argv, file flag,
+# payload, error text).  The payload, JSON-encoded unless it is a string, is
+# written to input.json and passed with the flag; {path} in the text is that
+# file's path.
+_REFUSALS = [
+    # configurations
+    (["verify", "--d", "0"], None, None, "--d must be at least 1"),
+    (["verify", "--seed", "-1"], None, None, "--seed must fit in an unsigned 64-bit integer"),
+    (["verify", "--tolerance=nan"], None, None, "--tolerance must be finite"),
+    (["verify", "--tolerance=inf"], None, None, "--tolerance must be finite"),
+    (["verify", "--tolerance=-inf"], None, None, "--tolerance must be positive"),
+    (["verify", "--tolerance=0"], None, None, "--tolerance must be positive"),
+    (["fidelity", "--samples", "7"], None, None, "--samples is not read by the fidelity command"),
+    (["teleport", "--samples", "-1"], None, None, "--samples must be nonnegative"),
+    (["verify", "--samples", "0"], None, None, "the verify command needs --samples of at least 1"),
+    (["average", "--samples", "50"], None, None, "the average command needs --samples of at least 100"),
+    (["verify", "--basis", "custom"], None, None, "--basis custom requires --basis-file"),
+    (["verify", "--shared", "custom"], None, None, "--shared custom requires --shared-file"),
+    # files that cannot be opened
+    (_CUSTOM_BASIS + ["--basis-file", "/nonexistent.json"], None, None,
+     _no_such_file("read", "/nonexistent.json")),
+    (["fidelity", "--d", "2", "--out", "/nonexistent-dir/report.csv"], None, None,
+     _no_such_file("write", "/nonexistent-dir/report.csv")),
+    # file structure
+    (_CUSTOM_BASIS, "--basis-file", "not json at all",
+     "{path} is not valid JSON: Expecting value: line 1 column 1 (char 0)"),
+    (_CUSTOM_SHARED, "--shared-file", [], "{path}: expected a JSON object"),
+    (_CUSTOM_SHARED, "--shared-file", {"d": 2}, "{path}: missing key 'amplitudes'"),
+    (_TELEPORT_SHARED, "--shared-file", {"d": "x", "amplitudes": _PHI_PLUS},
+     '{path}: d must be an integer of at least 1, got "x"'),
+    (_TELEPORT_BASIS, "--basis-file", {"d": None, "elements": _bell_payload()},
+     "{path}: d must be an integer of at least 1, got null"),
+    (_TELEPORT_SHARED, "--shared-file", {"d": 2.5, "amplitudes": _PHI_PLUS},
+     "{path}: d must be an integer of at least 1, got 2.5"),
+    (["teleport", "--d", "1", "--samples", "1", "--basis", "custom"], "--basis-file",
+     {"d": True, "elements": _bell_payload(1)},
+     "{path}: d must be an integer of at least 1, got true"),
+    # entries
+    (_CUSTOM_SHARED, "--shared-file", {"d": 2, "amplitudes": [1.0, 0.0, 0.0, 0.0]},
+     "{path}: entries must be [re, im] pairs"),
+    (_CUSTOM_SHARED, "--shared-file", {"d": 2, "amplitudes": [[1.0, 0.0], [0.0]]},
+     "{path}: entries must be [re, im] pairs"),
+    (_TELEPORT_SHARED, "--shared-file", {"d": 2, "amplitudes": [["a", 0], [0, 0]]},
+     "{path}: entries must be numbers"),
+    (_TELEPORT, "--psi-file", {"d": 2, "amplitudes": [["1", "0"], ["0", "0"]]},
+     "{path}: entries must be numbers"),
+    # integers beyond 64 bits, which numpy holds as objects: beside text, and beyond a float
+    (_CUSTOM_SHARED, "--shared-file", {"d": 2, "amplitudes": [[10**20, "0"]] + _PHI_PLUS[1:]},
+     "{path}: entries must be numbers"),
+    (_CUSTOM_SHARED, "--shared-file", {"d": 2, "amplitudes": [[10**400, 0]] + _PHI_PLUS[1:]},
+     "{path}: entries must fit in a float"),
+    # NaN and Infinity literals, which json.load accepts
+    (_TELEPORT_BASIS, "--basis-file", {"d": 2, "elements": [[[[math.nan, 0.0]] * 2] * 2] * 4},
+     "{path} element 0: entries must be finite"),
+    (_TELEPORT_SHARED, "--shared-file", {"d": 2, "amplitudes": [[math.inf, 0.0]] + _PHI_PLUS[1:]},
+     "{path}: entries must be finite"),
+    (_TELEPORT, "--psi-file", {"d": 2, "amplitudes": [[math.nan, 0.0], [1.0, 0.0]]},
+     "{path}: entries must be finite"),
+    # state files
+    (_TELEPORT, "--psi-file", {"d": 2, "amplitudes": [[[1, 0]]]}, "{path}: amplitudes must be a flat list"),
+    (_CUSTOM_SHARED, "--shared-file", {"d": 2, "amplitudes": [[1, 0], [0, 0], [0, 0]]},
+     "{path}: expected 2 or 4 amplitudes, found 3"),
+    (_CUSTOM_SHARED, "--shared-file", {"d": 3, "amplitudes": [[1 / 3, 0.0]] * 9},
+     "{path}: shared state must have d = 2 and 4 amplitudes"),
+    (_TELEPORT, "--psi-file", {"d": 2, "amplitudes": [[1.0, 0.0]] + [[0.0, 0.0]] * 3},
+     "{path}: input state must have d = 2 and 2 amplitudes"),
+    (_CUSTOM_SHARED, "--shared-file", {"d": 2, "amplitudes": [[0.0, 0.0]] * 4},
+     "{path}: amplitudes are identically zero"),
+    # basis files
+    (_CUSTOM_BASIS, "--basis-file", {"d": 2, "elements": 3}, "{path}: elements must be a list of matrices"),
+    (_CUSTOM_BASIS, "--basis-file", {"d": 2, "elements": []},
+     "{path}: elements must be a sequence of square matrices"),
+    (_CUSTOM_BASIS, "--basis-file", {"d": 2, "elements": [[[1.0, 0.0]]]},
+     "{path}: expected a matrix, got array of shape (1,)"),
+    (_CUSTOM_BASIS, "--basis-file", {"d": 2, "elements": [[[[1.0, 0.0], [0.0, 0.0]]]]},
+     "{path}: expected a square matrix, got shape (1, 2)"),
+    (_TELEPORT_BASIS, "--basis-file",
+     {"d": 2, "elements": _bell_payload()[:3] + [[[[1.0, 0.0]] * 3] * 3]},
+     "{path}: elements must all have the same shape"),
+    (_CUSTOM_BASIS, "--basis-file", {"d": 2, "elements": [[[[1.0, 0.0], [0.0, 0.0]]] * 2]},
+     "{path}: a basis for local dimension 2 needs 4 elements of shape 2 x 2, got array of shape (1, 2, 2)"),
+    (_CUSTOM_BASIS, "--basis-file", {"d": 1, "elements": _bell_payload(1)},
+     "{path}: basis has d = 1, expected 2"),
+    (_CUSTOM_BASIS, "--basis-file", {"d": 2, "elements": _STRETCHED},
+     "{path}: basis is not orthonormal and complete (residual 1.250e+00)"),
+    # entries whose Gram matrix overflows to inf and nan
+    (["verify", "--d", "1", "--basis", "custom"], "--basis-file", {"d": 1, "elements": [[[[1e308, 1e308]]]]},
+     "{path}: basis is not orthonormal and complete (residual inf)"),
+]
+
+
+@pytest.mark.parametrize("argv, flag, payload, text", _REFUSALS, ids=[row[-1] for row in _REFUSALS])
+def test_an_unusable_input_exits_2_with_one_error_line(tmp_path, capsys, argv, flag, payload, text):
+    path = tmp_path / "input.json"
+    if flag:
+        path.write_text(payload if isinstance(payload, str) else json.dumps(payload), encoding="utf-8")
+        argv = [*argv, flag, str(path)]
+    expected = f"error: {text.replace('{path}', str(path))}\n"
+    assert run_cli([*argv, "--no-timestamp"], capsys) == (2, "", expected)
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -760,135 +830,6 @@ def test_oversized_transcript_is_refused_before_sampling(monkeypatch, capsys):
     code, _, err = run_cli(argv + ["10000000000000"], capsys)
     assert code == 2
     assert "a transcript of 10,000,000,000,000 shots" in err and "GiB" in err
-
-
-def test_missing_file_exits_2(capsys):
-    code = main([
-        "verify", "--d", "2", "--basis", "custom", "--basis-file", "/nonexistent.json",
-        "--no-timestamp",
-    ])
-    err = capsys.readouterr().err
-    assert code == 2
-    assert "cannot read" in err
-
-
-def test_malformed_input_files_exit_2(tmp_path, capsys):
-    wrong_d = tmp_path / "wrong_d.json"
-    save_state_file(wrong_d, 3, np.ones(9) / 3.0)
-    code = main([
-        "verify", "--d", "2", "--shared", "custom", "--shared-file", str(wrong_d),
-        "--no-timestamp",
-    ])
-    assert code == 2
-
-    short_psi = tmp_path / "short_psi.json"
-    save_state_file(short_psi, 2, np.array([1.0, 0.0, 0.0, 0.0]))  # d^2 long, psi needs d
-    code = main([
-        "teleport", "--d", "2", "--psi-file", str(short_psi), "--samples", "1",
-        "--no-timestamp",
-    ])
-    assert code == 2
-
-    zeros = tmp_path / "zeros.json"
-    save_state_file(zeros, 2, np.zeros(4))
-    code = main([
-        "verify", "--d", "2", "--shared", "custom", "--shared-file", str(zeros),
-        "--no-timestamp",
-    ])
-    assert code == 2
-
-    not_json = tmp_path / "garbage.json"
-    not_json.write_text("not json at all")
-    code = main([
-        "verify", "--d", "2", "--basis", "custom", "--basis-file", str(not_json),
-        "--no-timestamp",
-    ])
-    assert code == 2
-
-    bad_pairs = tmp_path / "bad_pairs.json"
-    bad_pairs.write_text(json.dumps({"d": 2, "amplitudes": [1.0, 0.0, 0.0, 0.0]}))
-    code = main([
-        "verify", "--d", "2", "--shared", "custom", "--shared-file", str(bad_pairs),
-        "--no-timestamp",
-    ])
-    assert code == 2
-
-    missing_key = tmp_path / "missing_key.json"
-    missing_key.write_text(json.dumps({"d": 2}))
-    code = main([
-        "verify", "--d", "2", "--shared", "custom", "--shared-file", str(missing_key),
-        "--no-timestamp",
-    ])
-    assert code == 2
-
-    wrong_count = tmp_path / "wrong_count.json"
-    els = [[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]]  # one element, need four
-    wrong_count.write_text(json.dumps({"d": 2, "elements": els}))
-    code = main([
-        "verify", "--d", "2", "--basis", "custom", "--basis-file", str(wrong_count),
-        "--no-timestamp",
-    ])
-    assert code == 2
-    capsys.readouterr()
-
-
-def _bell_payload(d=2):
-    return [[[[z.real, z.imag] for z in row] for row in el] for el in bell_basis(d).elements]
-
-
-_PHI_PLUS = [[0.5**0.5, 0.0], [0.0, 0.0], [0.0, 0.0], [0.5**0.5, 0.0]]
-
-
-@pytest.mark.parametrize(
-    "flag, payload",
-    [
-        # elements of unequal shape
-        ("--basis-file", {"d": 2, "elements": _bell_payload()[:3] + [[[[1.0, 0.0]] * 3] * 3]}),
-        # NaN and Infinity literals, which json.load accepts
-        ("--basis-file", {"d": 2, "elements": [[[[math.nan, 0.0]] * 2] * 2] * 4}),
-        ("--shared-file", {"d": 2, "amplitudes": [[math.inf, 0.0]] + _PHI_PLUS[1:]}),
-        ("--psi-file", {"d": 2, "amplitudes": [[math.nan, 0.0], [1.0, 0.0]]}),
-        # d that is not a JSON integer of at least 1
-        ("--shared-file", {"d": "x", "amplitudes": _PHI_PLUS}),
-        ("--basis-file", {"d": None, "elements": _bell_payload()}),
-        ("--shared-file", {"d": 2.5, "amplitudes": _PHI_PLUS}),
-        ("--basis-file", {"d": True, "elements": _bell_payload(1)}),
-        # amplitudes that are not numbers, or not a flat list
-        ("--shared-file", {"d": 2, "amplitudes": [["a", 0], [0, 0]]}),
-        ("--psi-file", {"d": 2, "amplitudes": [[[1, 0]]]}),
-    ],
-    ids=["unequal-shapes", "nan-basis", "inf-shared", "nan-psi",
-         "d-string", "d-null", "d-float", "d-bool", "text-amplitude", "nested-amplitudes"],
-)
-def test_malformed_file_entries_exit_2(tmp_path, capsys, flag, payload):
-    path = tmp_path / "input.json"
-    path.write_text(json.dumps(payload))
-    d = "1" if payload["d"] is True else "2"
-    kind = {"--basis-file": "--basis", "--shared-file": "--shared"}.get(flag)
-    args = ["teleport", "--d", d, "--samples", "1", flag, str(path), "--no-timestamp"]
-    code = main(args + ([kind, "custom"] if kind else []))
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    assert captured.err.startswith(f"error: {path}")
-
-
-@pytest.mark.parametrize(
-    "value, message",
-    [("nan", "finite"), ("inf", "finite"), ("-inf", "positive"), ("0", "positive")],
-)
-def test_tolerance_must_be_positive_and_finite(capsys, value, message):
-    code, out, err = run_cli(["verify", f"--tolerance={value}", "--no-timestamp"], capsys)
-    assert (code, out, err) == (2, "", f"error: --tolerance must be {message}\n")
-
-
-def test_unwritable_output_path_exits_2(capsys):
-    code = main([
-        "fidelity", "--d", "2", "--no-timestamp", "--out", "/nonexistent-dir/report.csv",
-    ])
-    err = capsys.readouterr().err
-    assert code == 2
-    assert "cannot write" in err
 
 
 def test_csv_is_parseable_by_csv_module(tmp_path):
