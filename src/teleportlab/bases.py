@@ -60,6 +60,8 @@ class OperatorBasis:
 
     def __post_init__(self):
         d = self.local_dim
+        if not isinstance(d, (int, np.integer)):
+            raise DimensionError(f"local dimension must be an integer, got {d!r}")
         if d < 1:
             raise DimensionError("local dimension must be at least 1")
         object.__setattr__(self, "elements", read_only(self.elements))

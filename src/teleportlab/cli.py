@@ -39,6 +39,7 @@ import argparse
 import json
 import sys
 import time
+from itertools import chain
 
 import numpy as np
 
@@ -134,9 +135,17 @@ def _parse_complex_pairs(values, what: str) -> np.ndarray:
         raise ConfigurationError(f"{what}: entries must be [re, im] pairs") from None
     if arr.ndim < 2 or arr.shape[-1] != 2:
         raise ConfigurationError(f"{what}: entries must be [re, im] pairs")
+    # numpy casts a JSON true beside numbers to 1 silently, so the pairs
+    # themselves are checked for bools, as _load_file refuses a bool d.
+    pairs = values
+    for _ in range(arr.ndim - 2):
+        pairs = chain.from_iterable(pairs)
+    for real, imag in pairs:
+        if type(real) is bool or type(imag) is bool:
+            raise ConfigurationError(f"{what}: entries must be numbers")
     # Text gives a string array; numpy holds an integer beyond 64 bits, and
     # anything else that is not a number, as an object.
-    if arr.dtype.kind not in "biuf" and not all(isinstance(x, (int, float)) for x in arr.flat):
+    if arr.dtype.kind not in "iuf" and not all(isinstance(x, (int, float)) for x in arr.flat):
         raise ConfigurationError(f"{what}: entries must be numbers")
     try:
         arr = arr.astype(float, copy=False)

@@ -1,4 +1,4 @@
-"""The CLI contract as a golden grid.
+"""The CLI contract as a golden grid, and how far it moves between two trees.
 
 ``GRID`` is a fixed list of argvs: seeds 0 and 1 x the four commands x
 d in {1, 2, 3, 5} x {Bell, product, custom basis} x all four resources in
@@ -8,16 +8,28 @@ paths and malformed input files, plus ``verify`` at the benchmark's d = 8
 (a rotated custom basis with a custom resource, and Bell and product with
 a Haar-random resource) and at d = 16 (Bell and product, Haar-random).
 Each argv runs in-process through ``cli.main`` in a directory holding the input files that
-:func:`write_inputs` generates from fixed seeds; the record keeps the exit
-code and the SHA-256 and length of stdout, stderr and any ``--out`` file.
-The input files' own digests are recorded too, so a change to how they
-are generated shows up as such and not as a moved report.  The file also
-records the Python, numpy and BLAS it was made with.  The bytes rest on
-numpy's RNG stream, its einsum loop order and the BLAS, so byte identity
-is checked only on that environment; a replay that moves on another one
-names both.
+:func:`write_inputs` generates from fixed seeds; its record (:func:`run`)
+keeps the exit code and the texts of stdout, stderr and any ``--out`` file.
+The golden file keeps the SHA-256 and length of each text
+(:func:`digests`), and the input files' own digests too, so a change to
+how they are generated shows up as such and not as a moved report.  It
+also records the Python, numpy and BLAS it was made with.  The bytes rest
+on numpy's RNG stream, its einsum loop order and the BLAS, so byte
+identity is checked only on that environment; a replay that moves on
+another one names both.
 
-    python tests/cli_grid.py    # list the moved records, regenerate tests/golden/cli_grid.json
+    python tests/cli_grid.py              # list the moved records, regenerate tests/golden/cli_grid.json
+    python tests/cli_grid.py PARENT_SRC   # max |Δ| of each moved argv against another src/ tree
+
+Both run the grid against this checkout's ``src/`` in a fresh interpreter,
+and the second against PARENT_SRC (say, ``src/`` of a checkout of the
+parent commit) in another, because both packages are named
+``teleportlab``.  For every argv whose exit code or texts differ, the
+second prints the max |Δ| over the float cells that differ (CSV cells,
+JSON numbers, and numbers in messages), and flags any difference that is
+not a float: other text, integers, or a float turned into nan or inf.  It
+exits 1 when an input digest or any argv moved and 0 when nothing did,
+and writes nothing outside its temporary directories.
 
 ``tests/test_cli_grid.py`` replays the grid against the committed file;
 ``python -m pytest tests/test_cli_grid.py`` is the check that writes nothing.
@@ -31,22 +43,28 @@ replays the benchmark's outputs pinned in ``bench/reference.json`` instead.
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import pathlib
 import platform
+import re
+import subprocess
 import sys
 import tempfile
 
 import numpy as np
 
-from teleportlab import OperatorBasis, bell_basis, haar_state, haar_unitary, random_shared_state, rotated_basis
-from teleportlab.cli import main, save_basis_file, save_state_file
+# teleportlab is imported only inside the functions that run the grid, so a
+# process that compares two trees imports neither tree's package.
 
-GOLDEN = pathlib.Path(__file__).resolve().parent / "golden" / "cli_grid.json"
+TESTS = pathlib.Path(__file__).resolve().parent
+SRC = TESTS.parent / "src"
+GOLDEN = TESTS / "golden" / "cli_grid.json"
 
 DIMS = (1, 2, 3, 5)
 SEEDS = (0, 1)
@@ -86,6 +104,9 @@ _MALFORMED_BASES = {"no_elements.json", "ragged_basis.json", "elements_not_list.
 def write_inputs(directory: pathlib.Path) -> dict:
     """Write every input file the grid reads into ``directory``; returns
     ``{name: digest}`` of the files' bytes."""
+    from teleportlab import OperatorBasis, bell_basis, haar_state, haar_unitary, random_shared_state, rotated_basis
+    from teleportlab.cli import save_basis_file, save_state_file
+
     for d in (*DIMS, 8):
         save_basis_file(str(directory / f"basis_d{d}.json"),
                         rotated_basis(bell_basis(d), haar_unitary(d * d, np.random.default_rng(100 + d))))
@@ -193,45 +214,51 @@ def _extra_argvs() -> list[list[str]]:
 GRID = _grid_argvs() + _extra_argvs()
 
 
+_STREAMS = ("stdout", "stderr", "out")
+
+
 def _digest(data: bytes) -> dict:
     return {"sha256": hashlib.sha256(data).hexdigest(), "bytes": len(data)}
 
 
-def capture(argv: list[str]) -> tuple[int, str, str, bytes | None]:
-    """Run one argv in the current directory: its exit code, stdout, stderr
-    and the bytes of its ``--out`` file (``None`` if none was written), which
-    is removed."""
+def run(argv: list[str]) -> dict:
+    """Run one argv in the current directory: its exit code and the texts of
+    stdout, stderr and its ``--out`` file (``None`` if none was written),
+    which is removed."""
+    from teleportlab import cli
+
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-        code = main(list(argv))
+        code = cli.main(list(argv))
     out = None
     if "--out" in argv:
         path = pathlib.Path(argv[argv.index("--out") + 1])
         if path.exists():
-            out = path.read_bytes()
+            out = path.read_bytes().decode("utf-8")
             path.unlink()
-    return code, stdout.getvalue(), stderr.getvalue(), out
+    return {"argv": list(argv), "exit": code, "stdout": stdout.getvalue(),
+            "stderr": stderr.getvalue(), "out": out}
 
 
-def run(argv: list[str]) -> dict:
-    """Run one argv in the current directory and return its record."""
-    code, stdout, stderr, out = capture(argv)
-    return {"argv": list(argv), "exit": code,
-            "stdout": _digest(stdout.encode("utf-8")), "stderr": _digest(stderr.encode("utf-8")),
-            "out": None if out is None else _digest(out)}
-
-
-def generate(directory: pathlib.Path, record=run) -> dict:
-    """Write the inputs into ``directory`` and run the whole grid there,
-    keeping ``record(argv)`` of each argv (by default its digest record)."""
+def generate(directory: pathlib.Path) -> dict:
+    """Write the inputs into ``directory`` and run the whole grid there."""
     inputs = write_inputs(directory)
     cwd = os.getcwd()
     os.chdir(directory)
     try:
-        runs = [record(argv) for argv in GRID]
+        runs = [run(argv) for argv in GRID]
     finally:
         os.chdir(cwd)
     return {"environment": environment(), "inputs": inputs, "runs": runs}
+
+
+def digests(grid: dict) -> dict:
+    """The grid as the golden file keeps it: each text replaced by the
+    SHA-256 and length of its UTF-8 bytes."""
+    def digest(text):
+        return None if text is None else _digest(text.encode("utf-8"))
+
+    return {**grid, "runs": [{**r, **{s: digest(r[s]) for s in _STREAMS}} for r in grid["runs"]]}
 
 
 def dump(grid: dict) -> str:
@@ -248,8 +275,8 @@ def load() -> dict:
 
 
 def moved(old: dict, new: dict) -> list[str]:
-    """Names of the inputs and argvs whose records differ between two grids;
-    the environments are not compared."""
+    """Names of the inputs and argvs whose records differ between two grids
+    of digests; the environments are not compared."""
     names = [f"input {name}" for name in sorted(set(old["inputs"]) | set(new["inputs"]))
              if old["inputs"].get(name) != new["inputs"].get(name)]
     before = {tuple(r["argv"]): r for r in old["runs"]}
@@ -259,9 +286,103 @@ def moved(old: dict, new: dict) -> list[str]:
     return names
 
 
-def _main() -> int:
+# Runs in a fresh interpreter with argv [src, tests]: the package comes from src.
+_WORKER = "import sys; sys.path[:0] = sys.argv[1:]; import cli_grid; cli_grid.emit(sys.argv[1])"
+
+
+def emit(src: str) -> None:
+    """Print the grid, texts and all, as JSON, for the package imported from ``src``."""
+    import teleportlab
+
+    if not pathlib.Path(teleportlab.__file__).resolve().is_relative_to(pathlib.Path(src).resolve()):
+        raise ImportError(f"teleportlab was imported from {teleportlab.__file__}, not {src}")
     with tempfile.TemporaryDirectory() as tmp:
         grid = generate(pathlib.Path(tmp))
+    json.dump(grid, sys.stdout)
+
+
+def collect(src: pathlib.Path) -> dict:
+    """The grid run against the package in ``src``, in its own interpreter."""
+    proc = subprocess.run([sys.executable, "-c", _WORKER, str(src), str(TESTS)],
+                          capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout)
+
+
+# A number standing alone: not part of a name such as basis_d2.json.
+_NUMBER = re.compile(r"(?<![\w.])(-?(?:\d+(?:\.\d+)?(?:[eE][-+]?\d+)?|nan|inf))(?![\w.])")
+
+
+def _is_integer(token: str) -> bool:
+    return token.lstrip("-").isdigit()
+
+
+def text_delta(old: str, new: str) -> tuple[float, bool]:
+    """(max |Δ| over the float tokens that differ, whether anything else
+    differs) between two texts."""
+    old_parts, new_parts = _NUMBER.split(old), _NUMBER.split(new)
+    if len(old_parts) != len(new_parts) or old_parts[0::2] != new_parts[0::2]:
+        return 0.0, True
+    delta, other = 0.0, False
+    for a, b in zip(old_parts[1::2], new_parts[1::2]):
+        if a == b:
+            continue
+        gap = abs(float(a) - float(b))
+        if (_is_integer(a) and _is_integer(b)) or not math.isfinite(gap):
+            other = True
+        else:
+            delta = max(delta, gap)
+    return delta, other
+
+
+def record_delta(old: dict, new: dict) -> tuple[float, list[str]]:
+    """(max |Δ| of one argv's float cells, the names of its non-float differences)."""
+    delta, flags = 0.0, []
+    if old["exit"] != new["exit"]:
+        flags.append(f"exit {old['exit']} -> {new['exit']}")
+    for stream in _STREAMS:
+        a, b = old[stream], new[stream]
+        if a == b:
+            continue
+        if a is None or b is None:
+            flags.append(stream)
+            continue
+        gap, other = text_delta(a, b)
+        delta = max(delta, gap)
+        if other:
+            flags.append(stream)
+    return delta, flags
+
+
+def report(old: dict, new: dict) -> list[str]:
+    """One line per moved input or argv, then a summary line."""
+    lines = [f"input {name} differs" for name in sorted(set(old["inputs"]) | set(new["inputs"]))
+             if old["inputs"].get(name) != new["inputs"].get(name)]
+    moved, worst, flagged = 0, 0.0, 0
+    # Both sides ran this checkout's cli_grid.GRID, so the runs pair up in order.
+    for before, now in zip(old["runs"], new["runs"]):
+        if all(before[key] == now[key] for key in ("exit", *_STREAMS)):
+            continue
+        delta, flags = record_delta(before, now)
+        moved, worst = moved + 1, max(worst, delta)
+        flagged += bool(flags)
+        note = f"; not a float: {', '.join(flags)}" if flags else ""
+        lines.append(f"{' '.join(before['argv'])}: max |Δ| {delta:.2g}{note}")
+    lines.append(f"{moved} of {len(old['runs'])} argvs moved; max |Δ| {worst:.2g}; "
+                 f"{flagged} with a difference that is not a float")
+    return lines
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent_src", type=pathlib.Path, nargs="?",
+                        help="src/ directory of a tree to compare against; nothing is written")
+    args = parser.parse_args(argv)
+    if args.parent_src is not None:
+        lines = report(collect(args.parent_src.resolve()), collect(SRC))
+        print("\n".join(lines))
+        # Every line before the summary names a moved input or argv.
+        return 1 if len(lines) > 1 else 0
+    grid = digests(collect(SRC))
     if GOLDEN.exists():
         changes = moved(load(), grid)
         for name in changes:
@@ -274,4 +395,4 @@ def _main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(_main())
+    sys.exit(main())

@@ -187,21 +187,16 @@ def identity_residual_strided(psi, vectors, transfer_ops, shared_vector):
     return float(np.linalg.norm(lhs - rhs))
 
 
-def haar_state_per_trial(rng, d):
-    """One Haar-random state as the package drew it alone: a (1, d) draw of
-    real parts, then one of imaginary parts, normalized as a row."""
-    z = random_complex(rng, (1, d))
-    return (z / np.linalg.norm(z, axis=1, keepdims=True))[0]
-
-
 def verify_residuals_per_trial(rng, count, transfer_ops, elements, shared_vector):
     """The identity residuals of ``count`` Haar-random inputs, one trial at a time.
 
     The loop ``verify`` ran before its trials were chunked: each trial draws
-    :func:`haar_state_per_trial` and takes ||psi ⊗ |C> - sum_xi |B_xi> ⊗ T_xi psi||
-    from the flat (d^3, d) matrix-vector product, the transposed copy of the images and one einsum
-    over xi against the transposed element vectors.  The arithmetic is the
-    package's, so the residuals compare bit for bit.
+    one state as the package drew it alone, ``haar_states_gaussian(rng, d, 1)[0]``
+    (a (1, d) draw of real parts, then one of imaginary parts, normalized as
+    a row), and takes ||psi ⊗ |C> - sum_xi |B_xi> ⊗ T_xi psi|| from the flat
+    (d^3, d) matrix-vector product, the transposed copy of the images and one
+    einsum over xi against the transposed element vectors.  The arithmetic
+    is the package's, so the residuals compare bit for bit.
     """
     transfer_ops = np.asarray(transfer_ops)
     d = transfer_ops.shape[-1]
@@ -209,7 +204,7 @@ def verify_residuals_per_trial(rng, count, transfer_ops, elements, shared_vector
     vectors_t = np.asarray(elements).reshape(d * d, d * d).T.copy()
     residuals = []
     for _ in range(count):
-        psi = haar_state_per_trial(rng, d)
+        psi = haar_states_gaussian(rng, d, 1)[0]
         lhs = np.outer(psi, shared_vector).ravel()
         t_psi = np.ascontiguousarray((flat_ops @ psi).reshape(d * d, d).T)
         rhs = np.einsum("ix,mx->im", vectors_t, t_psi).reshape(-1)
@@ -248,17 +243,15 @@ RANK_TOL = 1e-10
 def special_case_label(elements, shared_operator):
     """The closed-form label of a setup, from one SVD per matrix.
 
-    Every basis element is decomposed (no early exit); the rules are the
-    package's: flat when s_max - s_min <= RANK_TOL * s_max, for the
-    resource and every element alike, rank one when exactly one singular
+    The element flags are :func:`element_shape_per_element`'s; the resource
+    is judged by the same rule, the package's: flat when
+    s_max - s_min <= RANK_TOL * s_max, rank one when exactly one singular
     value exceeds RANK_TOL.
     """
     shared_s = np.linalg.svd(np.asarray(shared_operator), compute_uv=False)
     shared_maxent = shared_s[0] - shared_s[-1] <= RANK_TOL * shared_s[0]
     shared_product = np.count_nonzero(shared_s > RANK_TOL) == 1
-    element_s = [np.linalg.svd(el, compute_uv=False) for el in np.asarray(elements)]
-    basis_maxent = all(s[0] - s[-1] <= RANK_TOL * s[0] for s in element_s)
-    basis_product = all(np.count_nonzero(s > RANK_TOL) == 1 for s in element_s)
+    _, basis_maxent, basis_product = element_shape_per_element(elements)
     if basis_maxent and shared_maxent:
         return "ideal"
     if shared_product:

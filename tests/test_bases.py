@@ -214,6 +214,15 @@ def test_dimension_zero_rejected():
         OperatorBasis(local_dim=0, elements=np.zeros((0, 0, 0), dtype=complex))
 
 
+@pytest.mark.parametrize("local_dim", [2.0, np.float64(2.0)], ids=["float", "numpy-float"])
+def test_non_integral_local_dim_rejected(local_dim):
+    # A float would build and validate, then fail in rotated_basis's np.empty.
+    with pytest.raises(DimensionError, match="local dimension must be an integer"):
+        OperatorBasis(local_dim=local_dim, elements=bell_basis(2).elements)
+    basis = OperatorBasis(local_dim=np.int64(2), elements=bell_basis(2).elements)
+    assert validate_basis(rotated_basis(basis, np.eye(4))).passed
+
+
 def test_non_finite_elements_rejected():
     elements = bell_basis(2).elements.copy()
     elements[1, 0, 1] = np.nan

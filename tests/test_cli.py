@@ -621,6 +621,11 @@ _REFUSALS = [
      "{path}: entries must be numbers"),
     (_CUSTOM_SHARED, "--shared-file", {"d": 2, "amplitudes": [[10**400, 0]] + _PHI_PLUS[1:]},
      "{path}: entries must fit in a float"),
+    # JSON booleans: alone, and beside a float, which numpy would cast silently
+    (_TELEPORT, "--psi-file", {"d": 2, "amplitudes": [[True, False], [False, False]]},
+     "{path}: entries must be numbers"),
+    (_TELEPORT, "--psi-file", {"d": 2, "amplitudes": [[True, 0.5], [0, 0]]},
+     "{path}: entries must be numbers"),
     # NaN and Infinity literals, which json.load accepts
     (_TELEPORT_BASIS, "--basis-file", {"d": 2, "elements": [[[[math.nan, 0.0]] * 2] * 2] * 4},
      "{path} element 0: entries must be finite"),

@@ -55,7 +55,7 @@ def test_one_trial_draw_of_n_states_equals_n_single_draws(d):
     rng, chunk_rng, oracle_rng = (np.random.default_rng(d) for _ in range(3))
     singles = np.array([haar_state(d, rng) for _ in range(n)])
     assert np.array_equal(haar_trial_states(d, n, chunk_rng), singles)
-    assert np.array_equal(singles, [oracles.haar_state_per_trial(oracle_rng, d) for _ in range(n)])
+    assert np.array_equal(singles, [oracles.haar_states_gaussian(oracle_rng, d, 1)[0] for _ in range(n)])
     assert rng.bit_generator.state == chunk_rng.bit_generator.state == oracle_rng.bit_generator.state
 
 
@@ -226,30 +226,38 @@ def _count_svds(monkeypatch) -> list:
     return calls
 
 
-def test_fidelity_command_runs_each_svd_once(monkeypatch, capsys):
+# (argv, basis written to --basis-file or None, SVD calls, matrices they decompose)
+_SVD_COUNTS = [
     # d = 2, Bell basis, Haar resource: 1 SVD for the resource's Schmidt
     # spectrum, 4 for the basis's element shape and 4 for the transfers'
     # singular values, whose row sums are the trace norms.  The element shape
     # and the singular values are one stacked call each, so 9 matrices take
     # 3 calls, and no |T| is built.
-    calls = _count_svds(monkeypatch)
-    code = main(["fidelity", "--d", "2", "--shared", "haar-random", "--no-timestamp"])
-    capsys.readouterr()
-    assert code == 0
-    assert sum(calls) == 9
-    assert len(calls) == 3
-
-
-def test_average_command_builds_abs_t_in_one_block_and_reads_trace_norms_apart(monkeypatch, capsys):
+    (["fidelity", "--d", "2", "--shared", "haar-random"], None, 3, 9),
     # The fidelity command's 3 calls over 9 matrices, plus one stacked SVD
     # that builds |T| for the Monte-Carlo kernel: at d = 2 all 4 outcomes
     # fit in one block, so 13 matrices take 4 calls.
-    calls = _count_svds(monkeypatch)
-    code = main(["average", "--d", "2", "--shared", "haar-random", "--samples", "100", "--no-timestamp"])
+    (["average", "--d", "2", "--shared", "haar-random", "--samples", "100"], None, 4, 13),
+    # Only the correction of each distinct drawn xi needs an SVD; |T| is never
+    # read.  Seven shots at seed 0 draw two distinct outcomes, so two SVDs of
+    # one matrix each.
+    (["teleport", "--d", "2", "--samples", "7"], None, 2, 2),
+    # The identity reads T only, and a custom basis is checked without an SVD.
+    (["verify", "--d", "3", "--basis", "custom"], bell_basis(3), 0, 0),
+]
+
+
+@pytest.mark.parametrize("argv, basis, calls, matrices", _SVD_COUNTS, ids=[row[0][0] for row in _SVD_COUNTS])
+def test_each_command_runs_its_pinned_svds(tmp_path, monkeypatch, capsys, argv, basis, calls, matrices):
+    if basis is not None:
+        path = tmp_path / "basis.json"
+        save_basis_file(str(path), basis)
+        argv = argv + ["--basis-file", str(path)]
+    counted = _count_svds(monkeypatch)
+    code = main(argv + ["--no-timestamp"])
     capsys.readouterr()
     assert code == 0
-    assert sum(calls) == 13
-    assert len(calls) == 4
+    assert (len(counted), sum(counted)) == (calls, matrices)
 
 
 def test_analytic_fidelity_builds_no_abs_t():
@@ -257,27 +265,6 @@ def test_analytic_fidelity_builds_no_abs_t():
     average_fidelity_analytic(setup)
     assert "transfer_abs_packed" not in vars(setup)
     assert "transfer_trace_norms" in vars(setup)
-
-
-def test_teleport_command_decomposes_each_drawn_outcome_once(monkeypatch, capsys):
-    # Only the correction of each distinct drawn xi needs an SVD; |T| is never
-    # read.  Seven shots at seed 0 draw two distinct outcomes, so two SVDs.
-    calls = _count_svds(monkeypatch)
-    code = main(["teleport", "--d", "2", "--samples", "7", "--no-timestamp"])
-    capsys.readouterr()
-    assert code == 0
-    assert len(calls) == 2
-
-
-def test_verify_command_runs_no_svd(tmp_path, monkeypatch, capsys):
-    # The identity reads T only, and a custom basis is checked without an SVD.
-    path = tmp_path / "bell.json"
-    save_basis_file(str(path), bell_basis(3))
-    calls = _count_svds(monkeypatch)
-    code = main(["verify", "--d", "3", "--basis", "custom", "--basis-file", str(path), "--no-timestamp"])
-    capsys.readouterr()
-    assert code == 0
-    assert calls == []
 
 
 def test_setups_sharing_a_basis_decompose_its_elements_once(monkeypatch):
