@@ -38,7 +38,7 @@ import numpy as np
 
 from .choi import schmidt_shape
 from .errors import BasisStructureError, DimensionError
-from .linalg import _BLOCK_BYTES, as_square_matrix, read_only, require_dense_size
+from .linalg import _BLOCK_BYTES, as_square_matrix, read_only, require_dense_size, require_integer
 from .tolerances import BASIS_TOL
 
 
@@ -60,8 +60,7 @@ class OperatorBasis:
 
     def __post_init__(self):
         d = self.local_dim
-        if not isinstance(d, (int, np.integer)):
-            raise DimensionError(f"local dimension must be an integer, got {d!r}")
+        require_integer(d, "local dimension")
         if d < 1:
             raise DimensionError("local dimension must be at least 1")
         object.__setattr__(self, "elements", read_only(self.elements))

@@ -40,6 +40,7 @@ import json
 import sys
 import time
 from itertools import chain
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -100,18 +101,18 @@ def config_from_namespace(ns: argparse.Namespace) -> argparse.Namespace:
         raise ConfigurationError("--tolerance must be positive")
     if not np.isfinite(ns.tolerance):
         raise ConfigurationError("--tolerance must be finite")
-    *_, default_samples, least = _COMMANDS[ns.command]
-    if least is None and ns.samples is not None:
+    command = _COMMANDS[ns.command]
+    if command.least is None and ns.samples is not None:
         raise ConfigurationError(f"--samples is not read by the {ns.command} command")
     if ns.samples is None:
-        ns.samples = default_samples(ns.d)
+        ns.samples = command.default_samples(ns.d)
     if ns.samples < 0:
         raise ConfigurationError("--samples must be nonnegative")
     if ns.command == "teleport":
         require_dense_size(ns.samples * _SHOT_BYTES // 16,
                            f"a transcript of {ns.samples:,} shots at {_SHOT_BYTES:,} bytes each")
-    if least and ns.samples < least:
-        raise ConfigurationError(f"the {ns.command} command needs --samples of at least {least}")
+    if command.least and ns.samples < command.least:
+        raise ConfigurationError(f"the {ns.command} command needs --samples of at least {command.least}")
     for flag, kind, path in (("--basis", ns.basis, ns.basis_file),
                              ("--shared", ns.shared, ns.shared_file)):
         if kind == "custom" and not path:
@@ -285,7 +286,7 @@ def _resolve_psi(cfg: argparse.Namespace, rng: np.random.Generator) -> np.ndarra
 
 def _row(cfg: argparse.Namespace, **cells) -> dict:
     context = dict(experiment=cfg.command, d=cfg.d, basis=cfg.basis, shared=cfg.shared, seed=cfg.seed)
-    return {**dict.fromkeys(_COMMANDS[cfg.command][1]), **context, **cells}
+    return {**dict.fromkeys(_COMMANDS[cfg.command].columns), **context, **cells}
 
 
 def run_verify(cfg: argparse.Namespace, rng: np.random.Generator, setup: TeleportSetup):
@@ -340,18 +341,27 @@ def run_average(cfg: argparse.Namespace, rng: np.random.Generator, setup: Telepo
     return result.sigma_excess(), monte_carlo_rounding_bound(cfg.d), [row]
 
 
-# Each command once: (runner, report columns, help text, default --samples
-# as a function of d, least --samples accepted); a least of None refuses
-# the flag.
+class _Command(NamedTuple):
+    """One command: its runner, report columns, help text, default --samples
+    as a function of d and least --samples accepted; a least of None refuses
+    the flag."""
+
+    runner: Callable
+    columns: tuple
+    help: str
+    default_samples: Callable[[int], int]
+    least: Optional[int]
+
+
 _COMMANDS = {
-    "verify": (run_verify, REPORT_COLUMNS, "check the teleportation identity on random inputs",
-               lambda d: 100, 1),
-    "teleport": (run_teleport, TRANSCRIPT_COLUMNS, "sample protocol shots and print the transcript",
-                 lambda d: 1000, 0),
-    "fidelity": (run_fidelity, REPORT_COLUMNS, "analytic average fidelity of a setup",
-                 lambda d: 0, None),
-    "average": (run_average, REPORT_COLUMNS, "Monte-Carlo cross-check of the average fidelity",
-                lambda d: 100000 if d <= 4 else 20000, MIN_SAMPLES),
+    "verify": _Command(run_verify, REPORT_COLUMNS, "check the teleportation identity on random inputs",
+                       lambda d: 100, 1),
+    "teleport": _Command(run_teleport, TRANSCRIPT_COLUMNS, "sample protocol shots and print the transcript",
+                         lambda d: 1000, 0),
+    "fidelity": _Command(run_fidelity, REPORT_COLUMNS, "analytic average fidelity of a setup",
+                         lambda d: 0, None),
+    "average": _Command(run_average, REPORT_COLUMNS, "Monte-Carlo cross-check of the average fidelity",
+                        lambda d: 100000 if d <= 4 else 20000, MIN_SAMPLES),
 }
 
 
@@ -451,8 +461,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Numerical laboratory for qudit teleportation experiments.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, _, help_text, *_) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
         p.add_argument("--d", type=int, default=2, help="local dimension (default 2)")
         p.add_argument("--basis", choices=_BASIS_KINDS, default="bell",
                        help="measurement basis kind (default bell)")
@@ -479,13 +489,14 @@ def main(argv=None) -> int:
     ns = build_parser().parse_args(argv)
     try:
         cfg = config_from_namespace(ns)
-        runner, columns, *_ = _COMMANDS[cfg.command]
-        excess, floor, rows = runner(cfg, *_resolve_setup(cfg))
+        command = _COMMANDS[cfg.command]
+        excess, floor, rows = command.runner(cfg, *_resolve_setup(cfg))
     except (ConfigurationError, BasisStructureError, DimensionError, NormalizationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     meta = _build_meta(cfg)
-    text = render_csv(meta, columns, rows) if cfg.format == "csv" else render_json(meta, columns, rows)
+    render = render_csv if cfg.format == "csv" else render_json
+    text = render(meta, command.columns, rows)
     if cfg.out:
         try:
             with open(cfg.out, "w", encoding="utf-8", newline="") as handle:

@@ -90,6 +90,13 @@ def require_normalized(vector, what: str = "state") -> np.ndarray:
     return v
 
 
+def require_integer(value, what: str) -> None:
+    """Refuse ``what`` unless it is an ``int`` or a numpy integer; a bool,
+    which indexes and compares as one, is refused too."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise DimensionError(f"{what} must be an integer, got {value!r}")
+
+
 def read_only(array) -> np.ndarray:
     """``array`` as a complex array that nothing can write.  A read-only
     complex array that owns its data is kept; any other input, a view

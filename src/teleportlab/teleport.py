@@ -28,7 +28,7 @@ from .bases import BasisStructureError, OperatorBasis, validate_basis
 from .choi import BipartiteState
 from .errors import DimensionError
 from .linalg import (_BLOCK_BYTES, _abs_from_svd, dagger, polar_decompose, require_dense_size,
-                     require_normalized)
+                     require_integer, require_normalized)
 from .tolerances import ZERO_OUTCOME_TOL
 
 # Complex d^4-entry stacks live at a setup's peak.  No command holds more
@@ -265,6 +265,7 @@ def optimal_correction(transfer) -> np.ndarray:
 def realize_outcome(psi, setup: TeleportSetup, xi: int) -> TeleportOutcome:
     """Construct the full outcome record for measurement result ``xi``."""
     v = _input_state(psi, setup)
+    require_integer(xi, "outcome index")
     if not 0 <= xi < len(setup.basis):
         raise DimensionError(f"outcome index {xi} out of range")
     t = setup.transfer_ops[xi]

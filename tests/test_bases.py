@@ -7,17 +7,14 @@ import pytest
 
 import oracles
 from teleportlab import (
-    BasisStructureError,
     BipartiteState,
     DimensionError,
     EntanglementClass,
     OperatorBasis,
     analyze_entanglement,
     bell_basis,
-    build_setup,
     custom_basis,
     haar_unitary,
-    maximally_entangled_state,
     product_basis,
     rotated_basis,
     validate_basis,
@@ -138,8 +135,6 @@ def test_completeness_catches_what_orthonormality_passes(tmp_path, capsys, d, ma
     report = validate_basis(basis)
     assert report.residual == pytest.approx(fraction * BASIS_TOL * d * d, rel=1e-3)
     assert not report.passed
-    with pytest.raises(BasisStructureError, match=r"^basis is not orthonormal and complete \(residual "):
-        build_setup(maximally_entangled_state(d), basis)
     path = tmp_path / "basis.json"
     save_basis_file(path, basis)
     code = main(["verify", "--d", str(d), "--basis", "custom", "--basis-file", str(path)])
@@ -188,16 +183,6 @@ def test_rotated_basis_still_validates(d):
     assert report.passed, report
 
 
-@pytest.mark.parametrize("d, rotation", [
-    (2, np.ones((4, 4))),
-    (1, (1e200 + 1e200j) * np.eye(1)),  # overflows the Gram matrix to inf and nan
-    (2, (1e200 + 1e200j) * np.eye(4)),
-])
-def test_rotated_basis_rejects_nonunitary(d, rotation):
-    with pytest.raises(ValueError, match="rotation matrix is not unitary"):
-        rotated_basis(bell_basis(d), rotation)
-
-
 @pytest.mark.parametrize("d", [2, 4])
 def test_vectorized_elements_resolve_the_identity(d):
     vecs = bell_basis(d).vectors()
@@ -205,38 +190,11 @@ def test_vectorized_elements_resolve_the_identity(d):
     assert np.max(np.abs(resolution - np.eye(d * d))) < 1e-10
 
 
-def test_dimension_zero_rejected():
-    with pytest.raises(DimensionError):
-        bell_basis(0)
-    with pytest.raises(DimensionError):
-        product_basis(0)
-    with pytest.raises(DimensionError, match="local dimension must be at least 1"):
-        OperatorBasis(local_dim=0, elements=np.zeros((0, 0, 0), dtype=complex))
-
-
-@pytest.mark.parametrize("local_dim", [2.0, np.float64(2.0)], ids=["float", "numpy-float"])
-def test_non_integral_local_dim_rejected(local_dim):
-    # A float would build and validate, then fail in rotated_basis's np.empty.
-    with pytest.raises(DimensionError, match="local dimension must be an integer"):
-        OperatorBasis(local_dim=local_dim, elements=bell_basis(2).elements)
+def test_a_numpy_integer_local_dim_builds_a_basis_that_rotates():
+    # A float or a bool is refused (tests/test_refusals.py); a float would
+    # build and validate, then fail in rotated_basis's np.empty.
     basis = OperatorBasis(local_dim=np.int64(2), elements=bell_basis(2).elements)
     assert validate_basis(rotated_basis(basis, np.eye(4))).passed
-
-
-def test_non_finite_elements_rejected():
-    elements = bell_basis(2).elements.copy()
-    elements[1, 0, 1] = np.nan
-    with pytest.raises(ValueError, match="basis elements must be finite"):
-        OperatorBasis(local_dim=2, elements=elements)
-
-
-def test_wrong_element_count_rejected():
-    with pytest.raises(BasisStructureError):
-        custom_basis([np.eye(2)] * 3)
-    with pytest.raises(BasisStructureError, match="sequence of square matrices"):
-        custom_basis([])
-    with pytest.raises(BasisStructureError):
-        OperatorBasis(local_dim=2, elements=np.zeros((4, 3, 3), dtype=complex))
 
 
 def test_dimension_one_bases():
@@ -244,11 +202,6 @@ def test_dimension_one_bases():
         basis = make(1)
         assert len(basis) == 1
         assert validate_basis(basis).passed
-
-
-def test_rotation_shape_is_validated():
-    with pytest.raises(DimensionError):
-        rotated_basis(bell_basis(2), np.eye(9))
 
 
 def _damaged_variants(elements):
@@ -326,14 +279,12 @@ def test_blocked_residual_matches_the_whole_gram(d, kind):
     assert oracle == pytest.approx(math.sqrt(2), rel=1e-12)
 
 
-def test_rotation_defect_in_the_last_partial_block_is_refused():
-    # d = 24: rows 512..575 of W form the last, partial row block of 64.
+def test_a_unitary_rotation_with_a_partial_last_block_is_accepted():
+    # d = 24: rows 512..575 of W form the last, partial row block of 64; W with
+    # its last row scaled past BASIS_TOL is refused (tests/test_refusals.py).
     d = 24
     w = oracles.random_unitary(np.random.default_rng(5), d * d)
-    rotated_basis(bell_basis(d), w)
-    w[-1] *= 1 + (BASIS_TOL + 1e-11) / 2
-    with pytest.raises(ValueError, match="rotation matrix is not unitary"):
-        rotated_basis(bell_basis(d), w)
+    assert validate_basis(rotated_basis(bell_basis(d), w)).passed
 
 
 def test_validate_basis_memory_is_bounded():
@@ -408,11 +359,6 @@ def test_constructed_bases_refuse_a_stack_over_the_dense_size_limit(monkeypatch,
         make(2)
     monkeypatch.setattr(linalg, "_MAX_ELEMENTS", 16)
     assert len(make(2)) == 4
-
-
-def test_custom_basis_rejects_elements_of_unequal_shape():
-    with pytest.raises(BasisStructureError, match="same shape"):
-        custom_basis([np.eye(2), np.eye(2), np.eye(2), np.eye(3)])
 
 
 _STACK_GRID = [(kind, d) for kind in ("bell", "product", "rotated") for d in range(1, 7)]

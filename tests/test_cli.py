@@ -204,10 +204,10 @@ def test_one_exit_rule_at_its_boundary(monkeypatch, capsys, command, argv, floor
     # and a floor above --tolerance is the bound.
     tolerance = 1e-10
     bound = max(floor, tolerance)
-    real, *rest = cli._COMMANDS[command]
+    real = cli._COMMANDS[command]
     for excess, code in ((bound, 0), (math.nextafter(bound, math.inf), 1)):
-        fake = lambda cfg, rng, setup, excess=excess: (excess, floor, real(cfg, rng, setup)[2])
-        monkeypatch.setitem(cli._COMMANDS, command, (fake, *rest))
+        fake = lambda cfg, rng, setup, excess=excess: (excess, floor, real.runner(cfg, rng, setup)[2])
+        monkeypatch.setitem(cli._COMMANDS, command, real._replace(runner=fake))
         assert run_cli([command, *argv, "--tolerance", str(tolerance), "--no-timestamp"], capsys)[0] == code
 
 
@@ -666,7 +666,14 @@ _REFUSALS = [
 ]
 
 
-@pytest.mark.parametrize("argv, flag, payload, text", _REFUSALS, ids=[row[-1] for row in _REFUSALS])
+def _refusal_id(argv, flag, payload, text):
+    """A row's id from the row alone, so a new row renames no other: its text,
+    then its argv, or its file flag and the start of its payload."""
+    payload = payload if isinstance(payload, str) else json.dumps(payload)
+    return f"{text} <- {' '.join(argv) if flag is None else f'{flag} {payload[:40]}'}"
+
+
+@pytest.mark.parametrize("argv, flag, payload, text", _REFUSALS, ids=[_refusal_id(*row) for row in _REFUSALS])
 def test_an_unusable_input_exits_2_with_one_error_line(tmp_path, capsys, argv, flag, payload, text):
     path = tmp_path / "input.json"
     if flag:

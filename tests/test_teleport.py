@@ -8,9 +8,7 @@ import pytest
 
 import oracles
 from teleportlab import (
-    BasisStructureError,
     DimensionError,
-    NormalizationError,
     OperatorBasis,
     BipartiteState,
     EntanglementClass,
@@ -239,22 +237,6 @@ def test_value_objects_compare_and_hash_by_identity():
     assert validate_basis(basis) == validate_basis(basis)
 
 
-def test_build_setup_rejects_dimension_mismatch():
-    for construct in (build_setup, TeleportSetup):
-        with pytest.raises(DimensionError, match="dimension 2 does not match basis dimension 3"):
-            construct(maximally_entangled_state(2), bell_basis(3))
-
-
-def test_build_setup_rejects_invalid_basis():
-    elements = bell_basis(2).elements.copy()
-    elements[1] = 1.01 * elements[1]
-    broken = OperatorBasis(local_dim=2, elements=elements)
-    # One Gram diagonal entry is 1.01^2; the message carries no prefix.
-    with pytest.raises(BasisStructureError,
-                       match=r"^basis is not orthonormal and complete \(residual 2\.010e-02\)$"):
-        build_setup(maximally_entangled_state(2), broken)
-
-
 # ----------------------------------------------------------------------
 # the identity
 
@@ -413,11 +395,6 @@ def test_probabilities_sum_to_one(d):
         assert outcome_probabilities(_random_psi(rng, d), setup).sum() == pytest.approx(
             1.0, abs=1e-10
         )
-
-
-def test_probabilities_require_normalized_input():
-    with pytest.raises(NormalizationError):
-        outcome_probabilities(np.array([1.0, 1.0]), _ideal_setup(2))
 
 
 def test_sampling_frequencies_match_uniform_law():
@@ -591,6 +568,15 @@ def test_zero_probability_outcome_sentinel():
     assert np.all(impossible.corrected_state == 0)
 
 
+def test_a_numpy_integer_outcome_index_gives_the_int_record():
+    # A bool or a float index is refused (tests/test_refusals.py).
+    setup = _ideal_setup(2)
+    psi = normalize_state(np.array([1.0, 2.0j]))
+    by_int, by_numpy = realize_outcome(psi, setup, 3), realize_outcome(psi, setup, np.int64(3))
+    assert (by_numpy.xi, by_numpy.probability) == (3, by_int.probability)
+    np.testing.assert_array_equal(by_numpy.corrected_state, by_int.corrected_state)
+
+
 def test_state_fidelity_batch_matches_scalar_path():
     rng = np.random.default_rng(20)
     setup = build_setup(_random_shared(rng, 3), bell_basis(3))
@@ -615,10 +601,6 @@ def test_state_fidelity_batch_matches_per_outcome_oracle(d, basis_kind, resource
         expected = oracles.state_fidelity_batch_per_outcome(psis[:n], transfer_abs)
         assert batch.shape == (n,)
         np.testing.assert_allclose(batch, expected, rtol=0, atol=1e-14)
-    with pytest.raises(DimensionError):
-        state_fidelity_batch(psis[0], setup)
-    with pytest.raises(DimensionError):
-        state_fidelity_batch(np.ones((2, d + 1)), setup)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 5, 16])
@@ -673,30 +655,3 @@ def test_transfer_abs_packed_temporaries_are_bounded_per_block():
     packed, peak = oracles.peak_bytes(lambda: setup.transfer_abs_packed)
     assert packed.nbytes == 8 * d**4
     assert peak - packed.nbytes < 8 * _BLOCK_BYTES
-
-
-def test_input_contract_violations_are_rejected():
-    setup = _ideal_setup(2)
-    for states in (np.ones(3) / math.sqrt(3), np.ones((4, 3)), np.ones((1, 1, 2))):
-        with pytest.raises(DimensionError, match="input state must have dimension 2"):
-            verify_identity(states, setup)
-    with pytest.raises(ValueError, match="finite"):
-        verify_identity(np.array([[1.0, 0.0], [np.nan, 0.0]]), setup)
-    for call in (outcome_probabilities, state_fidelity, lambda psi, setup: realize_outcome(psi, setup, 0)):
-        with pytest.raises(DimensionError, match="input state must have dimension 2"):
-            call(np.ones(3) / math.sqrt(3), setup)
-    with pytest.raises(DimensionError):
-        realize_outcome(basis_state(2, 0), setup, 4)
-    with pytest.raises(NormalizationError):
-        state_fidelity(np.array([2.0, 0.0]), setup)
-    with pytest.raises(DimensionError):
-        state_fidelity_batch(np.ones((5, 3)), setup)
-
-
-def test_sampling_refuses_a_setup_whose_probabilities_vanish():
-    # TeleportSetup does not validate its basis, so an all-zero stack gives
-    # every outcome probability 0 for a normalized input.
-    zero = OperatorBasis(local_dim=2, elements=np.zeros((4, 2, 2), dtype=complex))
-    setup = TeleportSetup(maximally_entangled_state(2), zero)
-    with pytest.raises(AssertionError, match="probability vector vanished"):
-        sample_outcome(basis_state(2, 0), setup, np.random.default_rng(0))
