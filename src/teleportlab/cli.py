@@ -495,8 +495,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     meta = _build_meta(cfg)
-    render = render_csv if cfg.format == "csv" else render_json
-    text = render(meta, command.columns, rows)
+    text = render_csv(meta, command.columns, rows) if cfg.format == "csv" else render_json(meta, command.columns, rows)
     if cfg.out:
         try:
             with open(cfg.out, "w", encoding="utf-8", newline="") as handle:

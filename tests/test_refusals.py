@@ -28,8 +28,10 @@ _NAN = np.array([[1.0, np.nan], [0.0, 1.0]])
 _LENGTH_3 = np.ones(3) / math.sqrt(3)
 _KET_0 = np.array([1.0, 0.0])
 _MAXENT_2 = maximally_entangled_state(2)
-# The d = 2 Bell stack with element 1 scaled by 1.01 (a Gram diagonal entry of 1.01^2), and by NaN.
-_STRETCHED_BELL, _NAN_BELL = (bell_basis(2).elements * [[[1]], [[x]], [[1]], [[1]]] for x in (1.01, np.nan))
+# The d = 2 Bell stack with element 1 scaled by 1.01 (a Gram diagonal entry of 1.01^2), and with one NaN entry.
+_STRETCHED_BELL = bell_basis(2).elements * [[[1]], [[1.01]], [[1]], [[1]]]
+_NAN_BELL = bell_basis(2).elements.copy()
+_NAN_BELL[1, 0, 1] = np.nan
 _D0 = "dimension must be at least 1"
 _LOCAL_D0 = "local dimension must be at least 1"
 _MATRIX_NAN = "matrix entries must be finite (no NaN/Inf)"
