@@ -24,13 +24,14 @@ G = conj(V) V^T is Hermitian, so over its b x b blocks G_ij
 and r is summed over the blocks on and above the diagonal, one at a time.
 Two standard constructions are provided (generalized Bell and pure
 product), plus rotation into arbitrary custom bases and a validator that
-gates r.
+gates r.  The two constructions are valid by construction and are not
+gated at run time (``OperatorBasis.built_in``); every other basis is.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
 
@@ -38,7 +39,7 @@ import numpy as np
 
 from .choi import schmidt_shape
 from .errors import BasisStructureError, DimensionError
-from .linalg import _BLOCK_BYTES, as_square_matrix, read_only, require_dense_size, require_integer
+from .linalg import _BLOCK_BYTES, as_square_matrix, read_only, require_dense_size, require_dimension
 from .tolerances import BASIS_TOL
 
 
@@ -53,16 +54,22 @@ class OperatorBasis:
     the cached facts cannot go stale: ``element_shape`` and ``vectors_t``,
     the transposed vectors that ``verify_identity`` contracts over xi.
     Bases compare and hash by identity.
+
+    ``built_in`` is true only for a basis that :func:`bell_basis` or
+    :func:`product_basis` returned: valid and classified by construction,
+    which ``tests/test_bases.py`` proves over the whole accepted domain
+    d = 1..64, so :func:`~teleportlab.teleport.build_setup` does not check
+    it again.  It is not a constructor argument, and ``dataclasses.replace``
+    resets it, so every other basis is checked.
     """
 
     local_dim: int
     elements: np.ndarray
+    built_in: bool = field(default=False, init=False)
 
     def __post_init__(self):
         d = self.local_dim
-        require_integer(d, "local dimension")
-        if d < 1:
-            raise DimensionError("local dimension must be at least 1")
+        require_dimension(d, "local dimension")
         object.__setattr__(self, "elements", read_only(self.elements))
         if self.elements.shape != (d * d, d, d):
             raise BasisStructureError(
@@ -93,9 +100,20 @@ class OperatorBasis:
     @cached_property
     def element_shape(self) -> tuple[bool, bool]:
         """Cached ``(all_flat, all_rank_one)`` by :func:`~teleportlab.choi.schmidt_shape`
-        over the spectra of the whole stack, from one stacked SVD."""
+        over the spectra of the whole stack, from one stacked SVD.  A built-in
+        basis holds it preset by its builder, so its elements are not decomposed."""
         flat, rank = schmidt_shape(np.linalg.svd(self.elements, compute_uv=False))
         return bool(flat.all()), bool((rank == 1).all())
+
+
+def _built_in(local_dim: int, elements: np.ndarray, element_shape: tuple[bool, bool]) -> OperatorBasis:
+    """The basis of a builder's own stack, marked ``built_in`` and with its
+    ``element_shape`` preset."""
+    elements.setflags(write=False)
+    basis = OperatorBasis(local_dim=local_dim, elements=elements)
+    object.__setattr__(basis, "built_in", True)
+    basis.__dict__["element_shape"] = element_shape
+    return basis
 
 
 def bell_basis(local_dim: int) -> OperatorBasis:
@@ -108,29 +126,34 @@ def bell_basis(local_dim: int) -> OperatorBasis:
     operator form (1/sqrt(d)) Z^k X^j with Z the clock and X the shift
     matrix.  The phase must depend on the summation index a; a phase
     constant in a would collapse the k label and break orthonormality.
-    Every element has all singular values equal to 1/sqrt(d).
+    Every element has all singular values equal to 1/sqrt(d), so the preset
+    ``element_shape`` is ``(True, d == 1)``.  Element (j, k) holds the phase
+    table entry F[k, a] = exp(2 pi i k a / d) / sqrt(d) at (a, a - j mod d),
+    so the Gram matrix is d copies of conj(F) F^T and
+    r = sqrt(d) ||conj(F) F^T - I||_F.
     """
     d = local_dim
-    if d < 1:
-        raise DimensionError("local dimension must be at least 1")
+    require_dimension(d, "local dimension")
     require_dense_size(d**4, f"a basis for d = {d}")
     j, k, a = np.ogrid[:d, :d, :d]
     elements = np.zeros((d * d, d, d), dtype=complex)
     elements.reshape(d, d, d, d)[j, k, a, (a - j) % d] = np.exp(2j * np.pi * k * a / d) / np.sqrt(d)
-    elements.setflags(write=False)
-    return OperatorBasis(local_dim=d, elements=elements)
+    return _built_in(d, elements, (True, bool(d == 1)))
 
 
 def product_basis(local_dim: int) -> OperatorBasis:
-    """Pure product basis: element (j, k) is |j><k|, i.e. |j> ⊗ |k>."""
+    """Pure product basis: element (j, k) is |j><k|, i.e. |j> ⊗ |k>.
+
+    The vectorized elements are the identity matrix, so r = 0 exactly, and
+    each element has the one singular value 1: the preset ``element_shape``
+    is ``(d == 1, True)``.
+    """
     d = local_dim
-    if d < 1:
-        raise DimensionError("local dimension must be at least 1")
+    require_dimension(d, "local dimension")
     require_dense_size(d**4, f"a basis for d = {d}")
     elements = np.zeros((d * d, d, d), dtype=complex)
     np.fill_diagonal(elements.reshape(d * d, d * d), 1.0)
-    elements.setflags(write=False)
-    return OperatorBasis(local_dim=d, elements=elements)
+    return _built_in(d, elements, (bool(d == 1), True))
 
 
 def custom_basis(elements, local_dim: Optional[int] = None) -> OperatorBasis:

@@ -17,7 +17,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionError
-from .linalg import as_square_matrix, as_state, dagger, normalize_state, read_only, require_normalized
+from .linalg import (as_square_matrix, as_state, dagger, normalize_state, read_only, require_dimension,
+                     require_normalized)
 from .tolerances import RANK_TOL
 
 
@@ -28,8 +29,7 @@ def vec_to_op(vector, local_dim: int) -> np.ndarray:
     ``|j> ⊗ |k>``.
     """
     v = as_state(vector)
-    if local_dim < 1:
-        raise DimensionError("local dimension must be at least 1")
+    require_dimension(local_dim, "local dimension")
     if v.size != local_dim * local_dim:
         raise DimensionError(
             f"vector of length {v.size} is not bipartite for local dimension {local_dim}"
@@ -125,8 +125,7 @@ class BipartiteState:
 
 def maximally_entangled_state(local_dim: int) -> BipartiteState:
     """The standard maximally entangled state, operator form 1/sqrt(d)."""
-    if local_dim < 1:
-        raise DimensionError("local dimension must be at least 1")
+    require_dimension(local_dim, "local dimension")
     return BipartiteState.from_operator(np.eye(local_dim, dtype=complex) / math.sqrt(local_dim))
 
 

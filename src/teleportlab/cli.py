@@ -260,8 +260,8 @@ def _resolve_setup(cfg: argparse.Namespace) -> tuple[np.random.Generator, Telepo
     """The run's seeded generator and the setup built from ``cfg``.
 
     The resource is drawn from the generator before anything else the
-    run draws.  Every basis is validated once, by ``build_setup``; a basis
-    file that fails is named in the error.
+    run draws.  A basis file is validated once, by ``build_setup``, and a
+    failure names the file; a built-in basis is valid by construction.
     """
     rng = np.random.default_rng(cfg.seed)
     shared = _resolve_shared(cfg, rng)
@@ -269,8 +269,6 @@ def _resolve_setup(cfg: argparse.Namespace) -> tuple[np.random.Generator, Telepo
     try:
         return rng, build_setup(shared, basis)
     except BasisStructureError as exc:
-        if not cfg.basis_file:
-            raise
         raise ConfigurationError(f"{cfg.basis_file}: {exc}") from None
 
 

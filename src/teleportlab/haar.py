@@ -27,7 +27,7 @@ import numpy as np
 
 from .choi import BipartiteState, schmidt_shape
 from .errors import ConfigurationError, DimensionError
-from .linalg import as_square_matrix
+from .linalg import as_square_matrix, require_dimension
 from .teleport import TeleportSetup, state_fidelity_batch
 from .tolerances import RANK_TOL
 
@@ -59,8 +59,7 @@ def haar_trial_states(dim: int, count: int, rng: np.random.Generator) -> np.ndar
     ``count`` :func:`haar_state` calls, generator state included.
     :func:`haar_states` draws all real parts first: the Monte-Carlo stream.
     """
-    if dim < 1:
-        raise DimensionError("dimension must be at least 1")
+    require_dimension(dim)
     if count < 0:
         raise ValueError("count must be nonnegative")
     z = rng.standard_normal((count, 2, dim))
@@ -71,8 +70,7 @@ def haar_trial_states(dim: int, count: int, rng: np.random.Generator) -> np.ndar
 
 def haar_states(dim: int, count: int, rng: np.random.Generator) -> np.ndarray:
     """``count`` independent Haar-random states as rows of an (n, d) array."""
-    if dim < 1:
-        raise DimensionError("dimension must be at least 1")
+    require_dimension(dim)
     if count < 0:
         raise ValueError("count must be nonnegative")
     z = rng.standard_normal((count, dim)) + 1j * rng.standard_normal((count, dim))
@@ -88,8 +86,7 @@ def _haar_blocks(dim: int, samples: int, rng: np.random.Generator, per_block):
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed random unitary via phase-fixed QR."""
-    if dim < 1:
-        raise DimensionError("dimension must be at least 1")
+    require_dimension(dim)
     z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     q, r = np.linalg.qr(z)
     diag = np.diagonal(r)
@@ -98,6 +95,7 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 def random_shared_state(local_dim: int, rng: np.random.Generator) -> BipartiteState:
     """Haar-random bipartite resource state on d x d."""
+    require_dimension(local_dim, "local dimension")
     return BipartiteState.from_vector(haar_state(local_dim * local_dim, rng))
 
 

@@ -97,6 +97,13 @@ def require_integer(value, what: str) -> None:
         raise DimensionError(f"{what} must be an integer, got {value!r}")
 
 
+def require_dimension(value, what: str = "dimension") -> None:
+    """Refuse ``what`` unless it is an integer (:func:`require_integer`) of at least 1."""
+    require_integer(value, what)
+    if value < 1:
+        raise DimensionError(f"{what} must be at least 1")
+
+
 def read_only(array) -> np.ndarray:
     """``array`` as a complex array that nothing can write.  A read-only
     complex array that owns its data is kept; any other input, a view
@@ -111,8 +118,8 @@ def read_only(array) -> np.ndarray:
 
 def basis_state(dim: int, index: int) -> np.ndarray:
     """Computational basis vector |index> in dimension ``dim``."""
-    if dim < 1:
-        raise DimensionError("dimension must be at least 1")
+    require_dimension(dim)
+    require_integer(index, "basis index")
     if not 0 <= index < dim:
         raise DimensionError(f"basis index {index} out of range for dimension {dim}")
     v = np.zeros(dim, dtype=complex)

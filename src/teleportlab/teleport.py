@@ -170,13 +170,16 @@ def require_setup_fits(local_dim: int) -> None:
 
 def build_setup(shared: BipartiteState, basis: OperatorBasis) -> TeleportSetup:
     """Construct the setup, then check the basis: an invalid one raises
-    :class:`BasisStructureError` with the report's failure text.  T and the
-    packed |T| are built only when first read.
+    :class:`BasisStructureError` with the report's failure text.  A built-in
+    basis (``basis.built_in``) is valid by construction and is not checked;
+    every other basis is checked once.  T and the packed |T| are built only
+    when first read.
     """
     setup = TeleportSetup(shared, basis)
-    failure = validate_basis(basis).failure
-    if failure:
-        raise BasisStructureError(failure)
+    if not basis.built_in:
+        failure = validate_basis(basis).failure
+        if failure:
+            raise BasisStructureError(failure)
     return setup
 
 
@@ -198,8 +201,10 @@ def verify_identity(psi, setup: TeleportSetup) -> float | np.ndarray:
     ``basis.vectors_t`` and of the transposed T_xi psi in the order of the
     strided ``einsum("xi,xm->im", vectors(), transfer_ops @ psi)``; the left
     side multiplies operands of equal rank, as ``np.outer`` does (a rank-1
-    resource vector gives other bits at d = 1); and each row's norm is that
-    of one vector, since ``norm`` over an axis adds in another order.
+    resource vector gives other bits at d = 1); and each row's norm is the
+    square root of one stacked ``matmul`` of its real parts with themselves
+    plus one of its imaginary parts, the two dot products ``np.linalg.norm``
+    of that one row adds, since ``norm`` over an axis adds in another order.
     """
     d = setup.local_dim
     states = _sized_input(np.asarray(psi, dtype=complex), setup)
@@ -213,7 +218,7 @@ def verify_identity(psi, setup: TeleportSetup) -> float | np.ndarray:
     return residuals if states.ndim == 2 else float(residuals[0])
 
 
-def _chunk_residuals(v: np.ndarray, setup: TeleportSetup) -> list[float]:
+def _chunk_residuals(v: np.ndarray, setup: TeleportSetup) -> np.ndarray:
     """The identity residual of each row of ``v``, one batch per step.  The
     left side is written over the transposed T psi once the contraction has
     read it, and the chunk's arrays are freed on return, before the next
@@ -222,7 +227,9 @@ def _chunk_residuals(v: np.ndarray, setup: TeleportSetup) -> list[float]:
     t_psi = np.ascontiguousarray(_transfer_images(v, setup).transpose(0, 2, 1))
     diff = np.einsum("ix,nmx->nim", setup.basis.vectors_t, t_psi).reshape(m, d, d * d)
     diff -= np.multiply(v[:, :, None], setup.shared.vector[None, None, :], out=t_psi)
-    return [np.linalg.norm(row) for row in diff.reshape(m, -1)]
+    rows = diff.reshape(m, 1, -1)
+    re, im = rows.real, rows.imag
+    return np.sqrt((re @ re.transpose(0, 2, 1) + im @ im.transpose(0, 2, 1)).reshape(m))
 
 
 def _transfer_images(v: np.ndarray, setup: TeleportSetup) -> np.ndarray:

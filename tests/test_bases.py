@@ -381,6 +381,64 @@ def test_stacked_element_shape_matches_per_element_oracle(kind, d):
     assert [type(x) for x in per_element[0]] == [bool, int]
 
 
+# The built-in bases are not checked at run time (build_setup), so these
+# prove validity and the preset element shape over every d that
+# teleport.require_setup_fits accepts.  The dense check and the stacked SVD
+# are compared as well up to _DENSE, where they are affordable.
+_DOMAIN = range(1, 65)
+_DENSE = 32
+
+
+def _assert_declared_shape(basis, spectra):
+    """The preset element shape is the rule applied to ``spectra``, the
+    descending singular values derived from the stack's structure, and up to
+    ``_DENSE`` the shape an unmarked basis measures by its stacked SVD."""
+    flat, rank = schmidt_shape(spectra)
+    assert basis.element_shape == (bool(flat.all()), bool((rank == 1).all()))
+    assert [type(x) for x in basis.element_shape] == [bool, bool]
+    if basis.local_dim <= _DENSE:
+        assert basis.element_shape == OperatorBasis(basis.local_dim, basis.elements).element_shape
+
+
+@pytest.mark.parametrize("d", _DOMAIN)
+def test_product_basis_is_valid_and_classified_by_construction(d):
+    # The vectorized elements are exactly the identity, so V V^dag = I and
+    # r = 0 exactly; each element is a matrix unit, spectrum (1, 0, ..., 0).
+    basis = product_basis(d)
+    assert basis.built_in
+    vectors = basis.vectors()
+    assert (vectors.flat[::d * d + 1] == 1).all() and np.count_nonzero(vectors) == d * d
+    _assert_declared_shape(basis, np.eye(1, d))
+    if d <= _DENSE:
+        assert validate_basis(basis).residual == 0.0
+
+
+@pytest.mark.parametrize("d", _DOMAIN)
+def test_bell_basis_is_valid_and_classified_by_construction(d):
+    # Element (j, k) holds F[k, a] at (a, (a - j) mod d) and zeros elsewhere.
+    # Elements of different j have disjoint supports, so the Gram matrix is d
+    # copies of conj(F) F^T and r = sqrt(d) ||conj(F) F^T - I||_F.
+    basis = bell_basis(d)
+    assert basis.built_in
+    stack = basis.elements.reshape(d, d, d, d)
+    j, k, a = np.ogrid[:d, :d, :d]
+    tables = stack[j, k, a, (a - j) % d]
+    assert (tables == tables[0]).all()
+    # The d^3 table entries are nonzero, and they are all the nonzeros there are.
+    assert np.count_nonzero(tables) == np.count_nonzero(stack) == d**3
+    f = tables[0]
+    gram = f.conj() @ f.T
+    gram.flat[::d + 1] -= 1
+    residual = math.sqrt(d) * np.linalg.norm(gram)
+    assert residual <= BASIS_TOL
+    # A row of F spread over a permutation pattern has that row's moduli as
+    # its singular values.
+    _assert_declared_shape(basis, -np.sort(-np.abs(f), axis=1))
+    if d <= _DENSE:
+        dense = validate_basis(basis).residual
+        assert math.isclose(residual, dense, rel_tol=1e-2, abs_tol=d * np.finfo(float).eps)
+
+
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6, 8, 16, 32])
 def test_bell_stack_matches_double_loop_oracle(d):
     assert bell_basis(d).elements.tobytes() == oracles.bell_elements_double_loop(d).tobytes()

@@ -16,7 +16,6 @@ import oracles
 from bench import checks as bench_checks
 from bench.workloads import WORKLOADS, invocation_argv, write_inputs
 from teleportlab import (
-    BasisValidationReport,
     DimensionError,
     basis_state,
     bell_basis,
@@ -502,10 +501,12 @@ def test_custom_state_and_basis_files(tmp_path, capsys):
     assert float(rows[0]["residual"]) < 1e-10
 
 
-@pytest.mark.parametrize("basis", ["bell", "product", "custom"])
-def test_basis_is_validated_once(tmp_path, monkeypatch, basis):
-    # Every basis kind is checked once, inside build_setup, and the CLI holds
-    # no check of its own.
+@pytest.mark.parametrize("basis, checks", [("bell", 0), ("product", 0), ("custom", 1)],
+                         ids=["bell", "product", "custom"])
+def test_basis_is_validated_once(tmp_path, monkeypatch, basis, checks):
+    # A basis file is checked once, inside build_setup; the built-in bases
+    # are valid by construction and never checked.  The CLI holds no check
+    # of its own.
     assert not hasattr(cli, "validate_basis")
     calls = []
 
@@ -525,7 +526,7 @@ def test_basis_is_validated_once(tmp_path, monkeypatch, basis):
         "--samples", "5", "--no-timestamp", "--out", str(tmp_path / "out.csv"),
     ])
     assert code == 0
-    assert calls == ["build_setup", "validate_basis"]
+    assert calls == ["build_setup"] + ["validate_basis"] * checks
 
 
 def test_custom_psi_file_fixes_the_input(tmp_path):
@@ -543,14 +544,6 @@ def test_custom_psi_file_fixes_the_input(tmp_path):
     assert {row["xi"] for row in rows} == {"0"}
     for row in rows:
         assert float(row["conditional_fidelity"]) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_a_built_in_basis_that_fails_validation_exits_2_without_a_file_prefix(monkeypatch, capsys):
-    # No basis file to name, so the check's own text is the message.
-    monkeypatch.setattr(teleport, "validate_basis", lambda basis: BasisValidationReport(1.0))
-    code, out, err = run_cli(["verify", "--d", "2", "--no-timestamp"], capsys)
-    assert (code, out) == (2, "")
-    assert err == "error: basis is not orthonormal and complete (residual 1.000e+00)\n"
 
 
 def _bell_payload(d=2):

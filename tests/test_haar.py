@@ -227,15 +227,14 @@ def _count_svds(monkeypatch) -> list:
 # (argv, basis written to --basis-file or None, SVD calls, matrices they decompose)
 _SVD_COUNTS = [
     # d = 2, Bell basis, Haar resource: 1 SVD for the resource's Schmidt
-    # spectrum, 4 for the basis's element shape and 4 for the transfers'
-    # singular values, whose row sums are the trace norms.  The element shape
-    # and the singular values are one stacked call each, so 9 matrices take
-    # 3 calls, and no |T| is built.
-    (["fidelity", "--d", "2", "--shared", "haar-random"], None, 3, 9),
-    # The fidelity command's 3 calls over 9 matrices, plus one stacked SVD
+    # spectrum and 4 for the transfers' singular values, whose row sums are
+    # the trace norms, in one stacked call: 5 matrices take 2 calls.  The
+    # Bell element shape is preset by its builder, and no |T| is built.
+    (["fidelity", "--d", "2", "--shared", "haar-random"], None, 2, 5),
+    # The fidelity command's 2 calls over 5 matrices, plus one stacked SVD
     # that builds |T| for the Monte-Carlo kernel: at d = 2 all 4 outcomes
-    # fit in one block, so 13 matrices take 4 calls.
-    (["average", "--d", "2", "--shared", "haar-random", "--samples", "100"], None, 4, 13),
+    # fit in one block, so 9 matrices take 3 calls.
+    (["average", "--d", "2", "--shared", "haar-random", "--samples", "100"], None, 3, 9),
     # Only the correction of each distinct drawn xi needs an SVD; |T| is never
     # read.  Seven shots at seed 0 draw two distinct outcomes, so two SVDs of
     # one matrix each.
@@ -268,9 +267,11 @@ def test_analytic_fidelity_builds_no_abs_t():
 def test_setups_sharing_a_basis_decompose_its_elements_once(monkeypatch):
     # The element shape is cached on the basis, not on each setup: two
     # resources measured in one basis cost 2 resource SVDs and d^2 element
-    # SVDs, not 2 (1 + d^2); the d^2 in one stacked call, so 3 calls.
+    # SVDs, not 2 (1 + d^2); the d^2 in one stacked call, so 3 calls.  The
+    # Bell elements in reverse order, a rotated basis that measures its
+    # shape, since a built-in one holds it preset.
     d = 3
-    basis = bell_basis(d)
+    basis = rotated_basis(bell_basis(d), np.eye(d * d)[::-1])
     rng = np.random.default_rng(70)
     setups = [build_setup(random_shared_state(d, rng), basis) for _ in range(2)]
     calls = _count_svds(monkeypatch)

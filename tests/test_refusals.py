@@ -18,8 +18,8 @@ from teleportlab import (
     classical_baseline, component_overlap, custom_basis, haar_state, haar_states, haar_trial_states,
     haar_unitary, hs_inner, maximally_entangled_state, monte_carlo_fidelity, normalize_state, op_to_vec,
     operator_abs, outcome_probabilities, pair_average_analytic, polar_decompose, product_basis,
-    product_state, realize_outcome, reduced_states, rotated_basis, sample_outcome, state_fidelity,
-    state_fidelity_batch, tensor_product, vec_to_op, verify_identity,
+    product_state, random_shared_state, realize_outcome, reduced_states, rotated_basis, sample_outcome,
+    state_fidelity, state_fidelity_batch, tensor_product, vec_to_op, verify_identity,
 )
 from teleportlab.linalg import require_normalized
 from teleportlab.tolerances import BASIS_TOL
@@ -39,6 +39,8 @@ _VECTOR_NAN = "vector entries must be finite (no NaN/Inf)"
 _INPUT_D = "input state must have dimension 2"
 _NOT_UNITARY = "rotation matrix is not unitary"
 _BOOL_D = "local dimension must be an integer, got True"
+_FLOAT_D = "local dimension must be an integer, got 2.0"
+_FLOAT_DIM = "dimension must be an integer, got 2.0"
 _SETUP_DIMS = "shared state dimension 2 does not match basis dimension 3"
 _SHAPES_2_3 = "shape mismatch: (2, 2) vs (3, 3)"
 _COUNT = "count must be nonnegative"
@@ -86,11 +88,17 @@ _REFUSALS = [
     ("basis-state-d0", lambda: basis_state(0, 0), DimensionError, _D0),
     ("basis-state-index", lambda: basis_state(3, 3), DimensionError,
      "basis index 3 out of range for dimension 3"),
+    ("basis-state-float-d", lambda: basis_state(2.0, 0), DimensionError, _FLOAT_DIM),
+    ("basis-state-bool-index", lambda: basis_state(2, True), DimensionError,
+     "basis index must be an integer, got True"),
+    ("basis-state-float-index", lambda: basis_state(2, 1.5), DimensionError,
+     "basis index must be an integer, got 1.5"),
     ("tensor-too-large", lambda: tensor_product(np.ones((300, 300)), np.ones((300, 300))), DimensionError,
      "tensor product of shapes (300, 300) and (300, 300) needs 8,100,000,000 complex entries (120.7 GiB), "
      "over the dense size limit of 67,108,864"),
     # choi
     ("vec-to-op-d0", lambda: vec_to_op(np.ones(4) / 2, 0), DimensionError, _LOCAL_D0),
+    ("vec-to-op-float-d", lambda: vec_to_op(np.ones(4) / 2, 2.0), DimensionError, _FLOAT_D),
     ("vec-to-op-length", lambda: vec_to_op(np.ones(5), 2), DimensionError,
      "vector of length 5 is not bipartite for local dimension 2"),
     ("op-to-vec-nonsquare", lambda: op_to_vec(np.ones((2, 3))), DimensionError,
@@ -103,6 +111,7 @@ _REFUSALS = [
     ("bipartite-unnormalized", lambda: BipartiteState.from_vector(np.array([1.0, 0, 0, 1.0])),
      NormalizationError, "bipartite state must be normalized: |norm - 1| = 4.142e-01"),
     ("maxent-d0", lambda: maximally_entangled_state(0), DimensionError, _LOCAL_D0),
+    ("maxent-float-d", lambda: maximally_entangled_state(2.0), DimensionError, _FLOAT_D),
     ("product-state-dims", lambda: product_state([1.0, 0.0], [1.0, 0.0, 0.0]), DimensionError,
      "both factors must have the same dimension"),
     ("analyze-not-a-state", lambda: analyze_entanglement("x"), TypeError, "expected a BipartiteState"),
@@ -122,7 +131,10 @@ _REFUSALS = [
     ("basis-nan", lambda: OperatorBasis(2, _NAN_BELL), ValueError,
      "basis elements must be finite"),
     ("bell-d0", lambda: bell_basis(0), DimensionError, _LOCAL_D0),
+    ("bell-float-d", lambda: bell_basis(2.0), DimensionError, _FLOAT_D),
+    ("bell-bool-d", lambda: bell_basis(True), DimensionError, _BOOL_D),
     ("product-basis-d0", lambda: product_basis(0), DimensionError, _LOCAL_D0),
+    ("product-basis-bool-d", lambda: product_basis(True), DimensionError, _BOOL_D),
     ("custom-basis-unequal-shapes", lambda: custom_basis([np.eye(2)] * 3 + [np.eye(3)]), BasisStructureError,
      "elements must all have the same shape"),
     ("custom-basis-empty", lambda: custom_basis([]), BasisStructureError,
@@ -171,11 +183,17 @@ _REFUSALS = [
      "expected shape (n, 3)"),
     # haar
     ("haar-state-d0", lambda: haar_state(0, _rng()), DimensionError, _D0),
+    ("haar-state-bool-d", lambda: haar_state(True, _rng()), DimensionError, "dimension must be an integer, got True"),
     ("trial-states-d0", lambda: haar_trial_states(0, 3, _rng()), DimensionError, _D0),
+    ("trial-states-float-d", lambda: haar_trial_states(2.0, 3, _rng()), DimensionError, _FLOAT_DIM),
     ("trial-states-negative-count", lambda: haar_trial_states(2, -1, _rng()), ValueError, _COUNT),
     ("haar-states-d0", lambda: haar_states(0, 3, _rng()), DimensionError, _D0),
+    ("haar-states-float-d", lambda: haar_states(2.0, 3, _rng()), DimensionError, _FLOAT_DIM),
     ("haar-states-negative-count", lambda: haar_states(2, -1, _rng()), ValueError, _COUNT),
     ("haar-unitary-d0", lambda: haar_unitary(0, _rng()), DimensionError, _D0),
+    ("haar-unitary-float-d", lambda: haar_unitary(2.0, _rng()), DimensionError, _FLOAT_DIM),
+    ("shared-state-float-d", lambda: random_shared_state(2.0, _rng()), DimensionError, _FLOAT_D),
+    ("baseline-float-d", lambda: classical_baseline(2.0, 1000, _rng()), DimensionError, _FLOAT_DIM),
     ("pair-average-shapes", lambda: pair_average_analytic(np.eye(2), np.eye(3)), DimensionError, _SHAPES_2_3),
     ("monte-carlo-99-samples", lambda: monte_carlo_fidelity(_ideal(), 99, _rng()), ConfigurationError,
      "need at least 100 samples, got 99"),

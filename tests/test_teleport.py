@@ -8,6 +8,7 @@ import pytest
 
 import oracles
 from teleportlab import (
+    BasisStructureError,
     DimensionError,
     OperatorBasis,
     BipartiteState,
@@ -103,6 +104,45 @@ def test_build_setup_refuses_a_setup_over_the_dense_size_limit(monkeypatch):
             construct(maximally_entangled_state(4), bell_basis(4))
     monkeypatch.setattr(linalg, "_MAX_ELEMENTS", 1024)
     assert TeleportSetup(maximally_entangled_state(4), bell_basis(4)).transfer_abs_packed.shape == (16, 16)
+
+
+@pytest.mark.parametrize("corrupt", [False, True], ids=["bell", "stretched"])
+@pytest.mark.parametrize("way", ["constructor", "custom", "rotated", "replace"])
+def test_every_basis_but_a_builders_own_is_validated_once(monkeypatch, way, corrupt):
+    # Only bell_basis and product_basis mark what they return.  Their elements
+    # wrapped any other way, intact or with one element scaled by 1.01, are
+    # checked by build_setup once, and the stretched ones refused.
+    d = 3
+    elements = bell_basis(d).elements
+    if corrupt:
+        elements = elements * np.where(np.arange(d * d) == 1, 1.01, 1.0)[:, None, None]
+    basis = {
+        "constructor": lambda: OperatorBasis(d, elements),
+        "custom": lambda: custom_basis(elements),
+        "rotated": lambda: rotated_basis(OperatorBasis(d, elements), np.eye(d * d)),
+        "replace": lambda: dataclasses.replace(bell_basis(d), elements=elements),
+    }[way]()
+    checked = []
+    monkeypatch.setattr(teleport, "validate_basis", lambda b: checked.append(b) or validate_basis(b))
+    assert not basis.built_in
+    if corrupt:
+        with pytest.raises(BasisStructureError, match=r"^basis is not orthonormal and complete"):
+            build_setup(maximally_entangled_state(d), basis)
+    else:
+        build_setup(maximally_entangled_state(d), basis)
+    assert checked == [basis]
+
+
+def test_the_built_in_mark_is_not_a_constructor_argument(monkeypatch):
+    # A caller cannot claim the mark, and a builder's own basis is never checked.
+    monkeypatch.setattr(teleport, "validate_basis", lambda basis: pytest.fail("a built-in basis was checked"))
+    for make in (bell_basis, product_basis):
+        basis = make(2)
+        with pytest.raises(TypeError, match="built_in"):
+            OperatorBasis(2, basis.elements, built_in=True)
+        with pytest.raises(ValueError, match="built_in"):
+            dataclasses.replace(basis, built_in=True)
+        assert build_setup(maximally_entangled_state(2), basis).basis is basis
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
