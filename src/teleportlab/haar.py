@@ -27,7 +27,7 @@ import numpy as np
 
 from .choi import BipartiteState, schmidt_shape
 from .errors import ConfigurationError, DimensionError
-from .linalg import as_square_matrix, require_dimension
+from .linalg import as_square_matrix, require_dimension, require_integer
 from .teleport import TeleportSetup, state_fidelity_batch
 from .tolerances import RANK_TOL
 
@@ -60,6 +60,7 @@ def haar_trial_states(dim: int, count: int, rng: np.random.Generator) -> np.ndar
     :func:`haar_states` draws all real parts first: the Monte-Carlo stream.
     """
     require_dimension(dim)
+    require_integer(count, "count")
     if count < 0:
         raise ValueError("count must be nonnegative")
     z = rng.standard_normal((count, 2, dim))
@@ -71,6 +72,7 @@ def haar_trial_states(dim: int, count: int, rng: np.random.Generator) -> np.ndar
 def haar_states(dim: int, count: int, rng: np.random.Generator) -> np.ndarray:
     """``count`` independent Haar-random states as rows of an (n, d) array."""
     require_dimension(dim)
+    require_integer(count, "count")
     if count < 0:
         raise ValueError("count must be nonnegative")
     z = rng.standard_normal((count, dim)) + 1j * rng.standard_normal((count, dim))
@@ -235,6 +237,7 @@ def monte_carlo_fidelity(
     catastrophically, so a setup whose fidelity is the same for every
     input reports a standard error at rounding level, not 1e-10.
     """
+    require_integer(samples, "samples")
     if samples < MIN_SAMPLES:
         raise ConfigurationError(f"need at least {MIN_SAMPLES} samples, got {samples}")
     total = 0.0
@@ -273,6 +276,7 @@ def classical_baseline(dim: int, samples: int, rng: np.random.Generator) -> floa
     """
     if dim < 2:
         raise DimensionError("the baseline needs dimension at least 2")
+    require_integer(samples, "samples")
     if samples < 1:
         raise ConfigurationError("need at least one sample")
     total = sum(_haar_blocks(dim, samples, rng, lambda psis: float(np.sum(np.abs(psis) ** 4))))

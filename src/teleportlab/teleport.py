@@ -313,6 +313,10 @@ def sample_outcome(psi, setup: TeleportSetup, rng: np.random.Generator,
     correction SVDs whatever ``size`` is, and shots with the same xi
     share one record object.
     """
+    if size is not None:
+        require_integer(size, "size")
+        if size < 0:
+            raise ValueError("size must be nonnegative")
     probs = outcome_probabilities(psi, setup)
     total = probs.sum()
     if total <= 0.0:

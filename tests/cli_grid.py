@@ -4,9 +4,10 @@
 d in {1, 2, 3, 5} x {Bell, product, custom basis} x all four resources in
 CSV, JSON at d = 2, ``--psi-file`` at every d, an unnormalized shared
 file, ``--out`` files, the default sample counts, tolerance gates, error
-paths and malformed input files, plus ``verify`` at the benchmark's d = 8
-(a rotated custom basis with a custom resource, and Bell and product with
-a Haar-random resource) and at d = 16 (Bell and product, Haar-random).
+paths and malformed input files, plus ``verify`` and ``teleport`` at the
+benchmark's d = 8 (a rotated custom basis with a custom resource, and Bell
+and product with a Haar-random resource) and at d = 16 (Bell and product,
+Haar-random): 562 argvs.
 Each argv runs in-process through ``cli.main`` in a directory holding the input files that
 :func:`write_inputs` generates from fixed seeds; its record (:func:`run`)
 keeps the exit code and the texts of stdout, stderr and any ``--out`` file.
@@ -71,10 +72,10 @@ SEEDS = (0, 1)
 COMMANDS = ("verify", "teleport", "fidelity", "average")
 BASES = ("bell", "product", "custom")
 RESOURCES = ("maximally-entangled", "product", "haar-random", "custom")
-# (basis, resource) pairs of verify at the benchmark's d = 8 and at d = 16;
-# custom files at d = 8 only, which keeps the replay fast.
-VERIFY_RUNS = {8: (("custom", "custom"), ("bell", "haar-random"), ("product", "haar-random")),
-               16: (("bell", "haar-random"), ("product", "haar-random"))}
+# (basis, resource) pairs of verify and teleport at the benchmark's d = 8 and
+# at d = 16; custom files at d = 8 only, which keeps the replay fast.
+LARGE_D_RUNS = {8: (("custom", "custom"), ("bell", "haar-random"), ("product", "haar-random")),
+                16: (("bell", "haar-random"), ("product", "haar-random"))}
 
 # Small sample counts keep the replay fast; the default counts run once per
 # command in _extra_argvs.
@@ -149,14 +150,15 @@ def _grid_argvs() -> list[list[str]]:
                             if fmt == "json":
                                 argv += ["--format", "json"]
                             argvs.append(argv)
-    for seed in SEEDS:
-        for d, runs in VERIFY_RUNS.items():
-            for basis, shared in runs:
-                argv = ["verify", "--d", str(d), "--basis", basis, "--shared", shared,
-                        "--seed", str(seed), *_SAMPLES["verify"], "--no-timestamp"]
-                if basis == "custom":
-                    argv += ["--basis-file", f"basis_d{d}.json", "--shared-file", f"shared_d{d}.json"]
-                argvs.append(argv)
+    for command in ("verify", "teleport"):
+        for seed in SEEDS:
+            for d, runs in LARGE_D_RUNS.items():
+                for basis, shared in runs:
+                    argv = [command, "--d", str(d), "--basis", basis, "--shared", shared,
+                            "--seed", str(seed), *_SAMPLES[command], "--no-timestamp"]
+                    if basis == "custom":
+                        argv += ["--basis-file", f"basis_d{d}.json", "--shared-file", f"shared_d{d}.json"]
+                    argvs.append(argv)
     return argvs
 
 

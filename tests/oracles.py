@@ -113,11 +113,9 @@ def sample_outcome_per_shot(psi, transfer_ops, rng):
     be compared bit for bit.  Returns (xi, probability, conditional_fidelity).
     """
     v = np.asarray(psi, dtype=complex)
-    amplitudes = transfer_ops @ v
-    probs = np.einsum("xi,xi->x", amplitudes.conj(), amplitudes).real
-    cdf = np.cumsum(probs / probs.sum())
+    cdf = outcome_cdf(v, transfer_ops)
     xi = int(np.searchsorted(cdf, rng.random(), side="right"))
-    xi = min(xi, len(probs) - 1)
+    xi = min(xi, len(cdf) - 1)
     t = transfer_ops[xi]
     t_psi = t @ v
     norm = float(np.linalg.norm(t_psi))
@@ -126,6 +124,14 @@ def sample_outcome_per_shot(psi, transfer_ops, rng):
     u, _, vh = np.linalg.svd(t)
     corrected = dagger(u @ vh) @ (t_psi / norm)
     return xi, norm * norm, float(np.abs(np.vdot(v, corrected)) ** 2)
+
+
+def outcome_cdf(psi, transfer_ops):
+    """The per-shot sampler's CDF: ||T_xi psi||^2 for every xi, renormalized
+    by their computed sum, then accumulated."""
+    amplitudes = transfer_ops @ np.asarray(psi, dtype=complex)
+    probs = np.einsum("xi,xi->x", amplitudes.conj(), amplitudes).real
+    return np.cumsum(probs / probs.sum())
 
 
 def transfer_ops(shared_operator, elements):
@@ -155,6 +161,15 @@ def pack_hermitian(a):
     d = len(a)
     upper = np.array([a[i, j] for i in range(d) for j in range(i + 1, d)], dtype=complex)
     return np.concatenate([a.diagonal().real, 2 * upper.view(float)])
+
+
+def pack_state(psi):
+    """The d^2 reals of |psi><psi| in the kernel's layout, without the factor 2
+    of :func:`pack_hermitian`: |psi_i|^2, then Re and Im of psi_i conj(psi_j),
+    interleaved, for i < j in row order, entry by entry."""
+    d = len(psi)
+    upper = np.array([psi[i] * psi[j].conj() for i in range(d) for j in range(i + 1, d)], dtype=complex)
+    return np.concatenate([np.abs(psi) ** 2, upper.view(float)])
 
 
 def state_fidelity_batch_per_outcome(psis, transfer_abs):

@@ -361,26 +361,6 @@ def test_constructed_bases_refuse_a_stack_over_the_dense_size_limit(monkeypatch,
     assert len(make(2)) == 4
 
 
-_STACK_GRID = [(kind, d) for kind in ("bell", "product", "rotated") for d in range(1, 7)]
-
-
-@pytest.mark.parametrize("kind, d", _STACK_GRID + [("bell", 32)])
-def test_stacked_element_shape_matches_per_element_oracle(kind, d):
-    # One stacked SVD gives the per-element spectra bit for bit, and the
-    # rule applied along the stack gives each element's flag and rank.
-    basis = _make_basis(kind, d)
-    spectra, all_flat, all_rank_one = oracles.element_shape_per_element(basis.elements)
-    stacked = np.linalg.svd(basis.elements, compute_uv=False)
-    assert stacked.tobytes() == spectra.tobytes()
-    flat, rank = schmidt_shape(stacked)
-    per_element = [schmidt_shape(s) for s in spectra]
-    np.testing.assert_array_equal(flat, [f for f, _ in per_element])
-    np.testing.assert_array_equal(rank, [r for _, r in per_element])
-    assert basis.element_shape == (all_flat, all_rank_one)
-    assert [type(x) for x in basis.element_shape] == [bool, bool]
-    assert [type(x) for x in per_element[0]] == [bool, int]
-
-
 # The built-in bases are not checked at run time (build_setup), so these
 # prove validity and the preset element shape over every d that
 # teleport.require_setup_fits accepts.  The dense check and the stacked SVD
@@ -437,11 +417,6 @@ def test_bell_basis_is_valid_and_classified_by_construction(d):
     if d <= _DENSE:
         dense = validate_basis(basis).residual
         assert math.isclose(residual, dense, rel_tol=1e-2, abs_tol=d * np.finfo(float).eps)
-
-
-@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6, 8, 16, 32])
-def test_bell_stack_matches_double_loop_oracle(d):
-    assert bell_basis(d).elements.tobytes() == oracles.bell_elements_double_loop(d).tobytes()
 
 
 def test_read_only_view_of_a_writable_array_is_copied():

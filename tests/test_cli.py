@@ -17,12 +17,10 @@ from bench import checks as bench_checks
 from bench.workloads import WORKLOADS, invocation_argv, write_inputs
 from teleportlab import (
     DimensionError,
-    basis_state,
     bell_basis,
     build_setup,
     haar_state,
     product_basis,
-    product_state,
     random_shared_state,
     rotated_basis,
 )
@@ -247,35 +245,6 @@ def test_teleport_shots_format_each_distinct_row_once(monkeypatch, capsys, fmt):
     monkeypatch.setattr(cli, "_format_scalar", counting)
     assert run_cli(_TELEPORT_SHOTS_ARGV + ["--format", fmt], capsys)[0] == 0
     assert len(calls) <= 4 * len(cli.TRANSCRIPT_COLUMNS) + 8
-
-
-@pytest.mark.parametrize("seed", [5, 11])
-@pytest.mark.parametrize("basis, shared", [("bell", "haar-random"), ("product", "product")])
-def test_teleport_transcript_equals_per_shot_oracle(tmp_path, seed, basis, shared):
-    d, shots = 3, 400
-    rng = np.random.default_rng(seed)
-    if shared == "haar-random":
-        setup = build_setup(random_shared_state(d, rng), bell_basis(d))
-    else:
-        setup = build_setup(product_state(basis_state(d, 0), basis_state(d, 0)), product_basis(d))
-    psi = haar_state(d, rng)
-    expected = [oracles.sample_outcome_per_shot(psi, setup.transfer_ops, rng) for _ in range(shots)]
-
-    args = ["teleport", "--d", str(d), "--basis", basis, "--shared", shared,
-            "--samples", str(shots), "--seed", str(seed), "--no-timestamp"]
-    csv_out, json_out = tmp_path / "t.csv", tmp_path / "t.json"
-    assert main(args + ["--out", str(csv_out)]) == 0
-    assert main(args + ["--format", "json", "--out", str(json_out)]) == 0
-
-    _, csv_rows = read_csv_report(csv_out)
-    assert [(int(r["shot"]), int(r["xi"]), r["probability"], r["conditional_fidelity"])
-            for r in csv_rows] == [
-        (shot, xi, format(p, ".17g"), format(f, ".17g"))
-        for shot, (xi, p, f) in enumerate(expected)
-    ]
-    json_rows = json.loads(json_out.read_text())["rows"]
-    assert [(r["shot"], r["xi"], r["probability"], r["conditional_fidelity"])
-            for r in json_rows] == [(shot, *outcome) for shot, outcome in enumerate(expected)]
 
 
 def test_csv_and_json_scalar_formatting_is_pinned():
@@ -731,20 +700,6 @@ def test_oversized_dimension_is_refused_with_its_estimate():
 def _verify_config(d, samples):
     argv = ["verify", "--d", str(d), "--shared", "haar-random", "--samples", str(samples), "--no-timestamp"]
     return config_from_namespace(build_parser().parse_args(argv))
-
-
-@pytest.mark.parametrize("d", [2, 3, 8, 16])
-def test_verify_reports_the_worst_residual_of_the_per_trial_loop(d, capsys):
-    # Two full chunks and one state more: the resource is drawn first, then
-    # every trial, from the one seeded generator.
-    samples = 2 * teleport._trials_per_chunk(d) + 1
-    rng = np.random.default_rng(5)
-    setup = build_setup(random_shared_state(d, rng), bell_basis(d))
-    residuals = oracles.verify_residuals_per_trial(
-        rng, samples, setup.transfer_ops, setup.basis.elements, setup.shared.vector)
-    assert main(["verify", "--d", str(d), "--shared", "haar-random", "--samples", str(samples),
-                 "--seed", "5", "--no-timestamp"]) == 0
-    assert capsys.readouterr().out.splitlines()[-1].split(",")[-1] == format(max(residuals), ".17g")
 
 
 @pytest.mark.parametrize("d, samples", [(8, 5000), (16, 200)])

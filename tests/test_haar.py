@@ -20,7 +20,6 @@ from teleportlab import (
     closed_form_gap_bound,
     haar_state,
     haar_states,
-    haar_trial_states,
     haar_unitary,
     maximally_entangled_state,
     monte_carlo_fidelity,
@@ -35,7 +34,6 @@ from teleportlab import (
     state_fidelity_batch,
 )
 from teleportlab.cli import main, save_basis_file
-from teleportlab.haar import MIN_SAMPLES
 
 
 def test_haar_states_are_normalized():
@@ -43,18 +41,6 @@ def test_haar_states_are_normalized():
     for d in (1, 2, 5):
         for _ in range(50):
             assert np.linalg.norm(haar_state(d, rng)) == pytest.approx(1.0, abs=1e-12)
-
-
-@pytest.mark.parametrize("d", [1, 2, 8, 64])
-def test_one_trial_draw_of_n_states_equals_n_single_draws(d):
-    # verify draws its trials in chunks; each row must be what one
-    # haar_state call gives, and the generator must end where n calls leave it.
-    n = 9
-    rng, chunk_rng, oracle_rng = (np.random.default_rng(d) for _ in range(3))
-    singles = np.array([haar_state(d, rng) for _ in range(n)])
-    assert np.array_equal(haar_trial_states(d, n, chunk_rng), singles)
-    assert np.array_equal(singles, [oracles.haar_states_gaussian(oracle_rng, d, 1)[0] for _ in range(n)])
-    assert rng.bit_generator.state == chunk_rng.bit_generator.state == oracle_rng.bit_generator.state
 
 
 def test_haar_component_moments():
@@ -290,28 +276,6 @@ def test_entanglement_report_reads_the_detected_spectrum(monkeypatch):
     report = analyze_entanglement(setup.shared)
     assert calls == []
     assert report.schmidt_coefficients is setup.shared.schmidt_coefficients
-
-
-@pytest.mark.parametrize("d", range(1, 6))
-def test_detected_labels_match_per_element_oracle(d):
-    rng = np.random.default_rng(40 + d)
-    bases = [
-        bell_basis(d),
-        product_basis(d),
-        rotated_basis(bell_basis(d), oracles.random_unitary(rng, d * d)),
-    ]
-    resources = [
-        random_shared_state(d, rng),
-        product_state(oracles.random_complex(rng, d), oracles.random_complex(rng, d)),
-        maximally_entangled_state(d),
-    ]
-    for basis in bases:
-        for shared in resources:
-            setup = build_setup(shared, basis)
-            case, _ = special_case_fidelity(setup)
-            assert monte_carlo_fidelity(setup, MIN_SAMPLES, np.random.default_rng(d)).special_case is case
-            assert case.value == oracles.special_case_label(basis.elements, shared.operator_form)
-
 
 def _near_identity(rng, n, eps):
     # exp(i eps H) for a random Hermitian H scaled to unit spectral norm.

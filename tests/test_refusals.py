@@ -177,6 +177,10 @@ _REFUSALS = [
      "outcome index must be an integer, got 1.5"),
     ("sample-vanishing-probabilities", lambda: sample_outcome(_KET_0, _vanishing_setup(), _rng()),
      AssertionError, "probability vector vanished for a normalized input"),
+    ("sample-float-size", lambda: sample_outcome(_KET_0, _ideal(), _rng(), size=2.5), DimensionError,
+     "size must be an integer, got 2.5"),
+    ("sample-negative-size", lambda: sample_outcome(_KET_0, _ideal(), _rng(), size=-1), ValueError,
+     "size must be nonnegative"),
     ("batch-one-state", lambda: state_fidelity_batch(_KET_0, _ideal()), DimensionError,
      "expected shape (n, 2)"),
     ("batch-rows-of-4", lambda: state_fidelity_batch(np.ones((2, 4)), _ideal(3)), DimensionError,
@@ -187,9 +191,13 @@ _REFUSALS = [
     ("trial-states-d0", lambda: haar_trial_states(0, 3, _rng()), DimensionError, _D0),
     ("trial-states-float-d", lambda: haar_trial_states(2.0, 3, _rng()), DimensionError, _FLOAT_DIM),
     ("trial-states-negative-count", lambda: haar_trial_states(2, -1, _rng()), ValueError, _COUNT),
+    ("trial-states-bool-count", lambda: haar_trial_states(2, True, _rng()), DimensionError,
+     "count must be an integer, got True"),
     ("haar-states-d0", lambda: haar_states(0, 3, _rng()), DimensionError, _D0),
     ("haar-states-float-d", lambda: haar_states(2.0, 3, _rng()), DimensionError, _FLOAT_DIM),
     ("haar-states-negative-count", lambda: haar_states(2, -1, _rng()), ValueError, _COUNT),
+    ("haar-states-float-count", lambda: haar_states(2, 2.5, _rng()), DimensionError,
+     "count must be an integer, got 2.5"),
     ("haar-unitary-d0", lambda: haar_unitary(0, _rng()), DimensionError, _D0),
     ("haar-unitary-float-d", lambda: haar_unitary(2.0, _rng()), DimensionError, _FLOAT_DIM),
     ("shared-state-float-d", lambda: random_shared_state(2.0, _rng()), DimensionError, _FLOAT_D),
@@ -197,10 +205,16 @@ _REFUSALS = [
     ("pair-average-shapes", lambda: pair_average_analytic(np.eye(2), np.eye(3)), DimensionError, _SHAPES_2_3),
     ("monte-carlo-99-samples", lambda: monte_carlo_fidelity(_ideal(), 99, _rng()), ConfigurationError,
      "need at least 100 samples, got 99"),
+    ("monte-carlo-float-samples", lambda: monte_carlo_fidelity(_ideal(), 150.5, _rng()), DimensionError,
+     "samples must be an integer, got 150.5"),
     ("baseline-d1", lambda: classical_baseline(1, 1000, _rng()), DimensionError,
      "the baseline needs dimension at least 2"),
     ("baseline-no-samples", lambda: classical_baseline(2, 0, _rng()), ConfigurationError,
      "need at least one sample"),
+    ("baseline-float-samples", lambda: classical_baseline(2, 10.5, _rng()), DimensionError,
+     "samples must be an integer, got 10.5"),
+    ("baseline-bool-samples", lambda: classical_baseline(2, True, _rng()), DimensionError,
+     "samples must be an integer, got True"),
 ]
 
 

@@ -14,7 +14,6 @@ from teleportlab import (
     BipartiteState,
     EntanglementClass,
     SpecialCase,
-    TeleportOutcome,
     TeleportSetup,
     analyze_entanglement,
     basis_state,
@@ -23,10 +22,8 @@ from teleportlab import (
     custom_basis,
     dagger,
     enumerate_outcomes,
-    haar_trial_states,
     maximally_entangled_state,
     normalize_state,
-    operator_abs,
     optimal_correction,
     outcome_probabilities,
     product_basis,
@@ -41,7 +38,7 @@ from teleportlab import (
     verify_identity,
 )
 from teleportlab import linalg, teleport
-from teleportlab.teleport import _BLOCK_BYTES, _trials_per_chunk
+from teleportlab.teleport import _BLOCK_BYTES
 
 
 def _random_shared(rng, d):
@@ -173,32 +170,6 @@ def test_transfer_trace_sum_is_d_for_normalized_shared(d):
         assert total == pytest.approx(d, abs=1e-10)
 
 
-def test_transfer_operators_match_their_definition():
-    rng = np.random.default_rng(44)
-    d = 3
-    shared = _random_shared(rng, d)
-    basis = bell_basis(d)
-    setup = build_setup(shared, basis)
-    for xi in range(d * d):
-        expected = shared.operator_form.T @ oracles.dagger(basis.elements[xi])
-        # same formula, possibly a different BLAS kernel: allow rounding dust
-        np.testing.assert_allclose(setup.transfer_ops[xi], expected, atol=1e-15, rtol=0)
-
-
-@pytest.mark.parametrize("d", [1, 2, 3, 5, 8, 16, 24, 32])
-@pytest.mark.parametrize("kind", ["bell", "product", "rotated"])
-def test_transfer_operators_are_bit_equal_to_the_conjugated_product(d, kind):
-    # T is conjugated in place from C^dag B^t; negation is exact, so it keeps
-    # the bits of C^t times the conjugate-transposed elements.
-    rng = np.random.default_rng(80 + d)
-    basis = product_basis(d) if kind == "product" else bell_basis(d)
-    if kind == "rotated":
-        basis = rotated_basis(basis, oracles.random_unitary(rng, d * d))
-    setup = TeleportSetup(_random_shared(rng, d), basis)
-    expected = oracles.transfer_ops(setup.shared.operator_form, basis.elements)
-    np.testing.assert_array_equal(setup.transfer_ops, expected)
-
-
 def test_transfer_operators_hold_no_stack_sized_temporary():
     # Only C^dag, a d x d copy, is allocated beside the result: a conjugated
     # copy of the elements would be a whole 16 MiB stack at d = 32.
@@ -207,25 +178,6 @@ def test_transfer_operators_hold_no_stack_sized_temporary():
     transfer_ops, peak = oracles.peak_bytes(lambda: setup.transfer_ops)
     assert transfer_ops.nbytes == 16 * d**4
     assert peak - transfer_ops.nbytes <= 0.1 * 16 * d**4
-
-
-@pytest.mark.parametrize("d", [1, 2, 3, 5, 8, 24])
-@pytest.mark.parametrize("rotated", [False, True], ids=["bell", "rotated"])
-def test_stacked_transfer_abs_equals_per_outcome_operator_abs(d, rotated):
-    # The packed |T| comes from stacked SVDs over blocks of outcomes; each
-    # block must give the bits of one operator_abs call per T_xi, packed row by
-    # row.  At d = 24 the 576 outcomes end in a partial block.
-    rng = np.random.default_rng(50 + d)
-    basis = bell_basis(d)
-    if rotated:
-        basis = rotated_basis(basis, oracles.random_unitary(rng, d * d))
-    setup = TeleportSetup(_random_shared(rng, d), basis)
-    if d == 24:
-        assert (d * d) % teleport._rows_per_block(d) != 0
-    transfer_abs = oracles.transfer_abs(setup.transfer_ops)
-    np.testing.assert_array_equal(transfer_abs, [operator_abs(t) for t in setup.transfer_ops])
-    expected = np.array([oracles.pack_hermitian(t_abs) for t_abs in transfer_abs])
-    np.testing.assert_array_equal(setup.transfer_abs_packed, expected)
 
 
 def test_value_objects_hold_read_only_arrays():
@@ -293,76 +245,6 @@ def test_identity_holds_for_random_setups(d):
         setup = build_setup(_random_shared(rng, d), basis)
         for _ in range(5):
             assert verify_identity(_random_psi(rng, d), setup) < 1e-10
-
-
-@pytest.mark.parametrize("d", [1, 2, 3, 5, 8, 16])
-def test_identity_residual_is_bit_equal_to_the_strided_contraction(d):
-    # The contiguous contraction over xi adds in the order the strided one
-    # did; that is numpy's einsum loop, not a formula, so it is pinned here.
-    rng = np.random.default_rng(600 + d)
-    bases = [
-        bell_basis(d),
-        product_basis(d),
-        rotated_basis(bell_basis(d), oracles.random_unitary(rng, d * d)),
-    ]
-    for basis in bases:
-        setup = TeleportSetup(_random_shared(rng, d), basis)
-        for psi in oracles.haar_states_gaussian(rng, d, 200):
-            expected = oracles.identity_residual_strided(
-                psi, basis.vectors(), setup.transfer_ops, setup.shared.vector)
-            assert verify_identity(psi, setup) == expected
-        vectors_t = basis.vectors_t
-        assert vectors_t.flags.c_contiguous and not vectors_t.flags.writeable
-        assert basis.vectors_t is vectors_t
-        assert np.array_equal(vectors_t, basis.vectors().T)
-
-
-@pytest.mark.parametrize("d", [1, 2, 3, 5, 8, 16])
-def test_chunked_residuals_are_bit_equal_to_the_per_trial_loop(d):
-    # The counts end in partial chunks, or in none.  A count's draws are the
-    # first of the oracle's stream, so its residuals are the oracle's first.
-    # Valid bases leave rounding noise with few significant bits, which most
-    # summation orders add alike; the unvalidated random stack leaves O(1)
-    # entries, where the order of the norm's sum shows in the last bit.
-    chunk = _trials_per_chunk(d)
-    counts = (chunk - 1, chunk, chunk + 1, 2 * chunk + 1)
-    rng = np.random.default_rng(700 + d)
-    bases = [
-        bell_basis(d),
-        product_basis(d),
-        rotated_basis(bell_basis(d), oracles.random_unitary(rng, d * d)),
-        OperatorBasis(local_dim=d, elements=oracles.random_complex(rng, (d * d, d, d))),
-    ]
-    for basis in bases:
-        setup = TeleportSetup(_random_shared(rng, d), basis)
-        expected = oracles.verify_residuals_per_trial(
-            np.random.default_rng(d), max(counts), setup.transfer_ops, basis.elements, setup.shared.vector)
-        for count in counts:
-            states = haar_trial_states(d, count, np.random.default_rng(d))
-            assert verify_identity(states, setup).tolist() == expected[:count]
-        one = verify_identity(states[-1], setup)
-        assert type(one) is float and one == expected[len(states) - 1]
-
-
-@pytest.mark.parametrize("d", [1, 2, 3, 5, 8, 16, 24, 32])
-@pytest.mark.parametrize("kind", ["bell", "product", "rotated"])
-def test_transfer_images_of_rows_are_bit_equal_to_each_state_and_each_outcome(d, kind):
-    # The probabilities and verify's chunks read one product, and
-    # realize_outcome computes transfer_ops[xi] @ v alone; a row of a batch,
-    # one state alone and one T_xi at a time must give the same bits.
-    rng = np.random.default_rng(900 + d)
-    basis = product_basis(d) if kind == "product" else bell_basis(d)
-    if kind == "rotated":
-        basis = rotated_basis(basis, oracles.random_unitary(rng, d * d))
-    setup = TeleportSetup(_random_shared(rng, d), basis)
-    rows = oracles.haar_states_gaussian(rng, d, 3)
-    images = teleport._transfer_images(rows, setup)
-    assert images.shape == (3, d * d, d)
-    for v, image in zip(rows, images):
-        one = teleport._transfer_images(v, setup)
-        assert one.shape == (d * d, d)
-        assert np.array_equal(image, one)
-        assert np.array_equal(one, np.stack([setup.transfer_ops[x] @ v for x in range(d * d)]))
 
 
 def test_identity_ideal_qubit_case_tight():
@@ -448,45 +330,6 @@ def test_sampling_frequencies_match_uniform_law():
     p = 0.25
     sigma = math.sqrt(draws * p * (1 - p))  # binomial standard error
     assert np.all(np.abs(counts - draws * p) <= 3 * sigma)
-
-
-def _sampler_setup(d, basis_kind, resource_kind):
-    rng = np.random.default_rng(1000 + d)
-    basis = {
-        "bell": lambda: bell_basis(d),
-        "product": lambda: product_basis(d),
-        "rotated": lambda: rotated_basis(bell_basis(d), oracles.random_unitary(rng, d * d)),
-    }[basis_kind]()
-    shared = {
-        "haar": lambda: _random_shared(rng, d),
-        "product": lambda: product_state(basis_state(d, 0), basis_state(d, 0)),
-        "maximally-entangled": lambda: maximally_entangled_state(d),
-    }[resource_kind]()
-    return build_setup(shared, basis), _random_psi(rng, d)
-
-
-@pytest.mark.parametrize("resource_kind", ["haar", "product", "maximally-entangled"])
-@pytest.mark.parametrize("basis_kind", ["bell", "product", "rotated"])
-@pytest.mark.parametrize("d", [1, 2, 3, 4])
-def test_batched_sampling_matches_per_shot_oracle(d, basis_kind, resource_kind):
-    # size=n must replay n per-shot draws: same xi sequence, bit-equal
-    # numbers and the generator left in the same state.
-    setup, psi = _sampler_setup(d, basis_kind, resource_kind)
-    for n in (0, 1, 500):
-        rng, oracle_rng = np.random.default_rng(n + d), np.random.default_rng(n + d)
-        outcomes = sample_outcome(psi, setup, rng, size=n)
-        expected = [oracles.sample_outcome_per_shot(psi, setup.transfer_ops, oracle_rng)
-                    for _ in range(n)]
-        assert isinstance(outcomes, list)
-        assert [(o.xi, o.probability, o.conditional_fidelity) for o in outcomes] == expected
-        assert rng.bit_generator.state == oracle_rng.bit_generator.state
-
-    rng, oracle_rng = np.random.default_rng(d), np.random.default_rng(d)
-    single = sample_outcome(psi, setup, rng)
-    assert isinstance(single, TeleportOutcome)
-    expected = oracles.sample_outcome_per_shot(psi, setup.transfer_ops, oracle_rng)
-    assert (single.xi, single.probability, single.conditional_fidelity) == expected
-    assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
 
 def test_sampling_concentrated_distribution():
@@ -615,61 +458,6 @@ def test_a_numpy_integer_outcome_index_gives_the_int_record():
     by_int, by_numpy = realize_outcome(psi, setup, 3), realize_outcome(psi, setup, np.int64(3))
     assert (by_numpy.xi, by_numpy.probability) == (3, by_int.probability)
     np.testing.assert_array_equal(by_numpy.corrected_state, by_int.corrected_state)
-
-
-def test_state_fidelity_batch_matches_scalar_path():
-    rng = np.random.default_rng(20)
-    setup = build_setup(_random_shared(rng, 3), bell_basis(3))
-    psis = oracles.haar_states_gaussian(rng, 3, 40)
-    batch = state_fidelity_batch(psis, setup)
-    for row, psi in zip(batch, psis):
-        assert row == pytest.approx(state_fidelity(psi, setup), abs=1e-12)
-
-
-@pytest.mark.parametrize("resource_kind", ["haar", "product", "maximally-entangled"])
-@pytest.mark.parametrize("basis_kind", ["bell", "product", "rotated"])
-@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
-def test_state_fidelity_batch_matches_per_outcome_oracle(d, basis_kind, resource_kind):
-    # Row counts around the block size exercise empty, partial and
-    # multiple blocks of the GEMM kernel.
-    setup, _ = _sampler_setup(d, basis_kind, resource_kind)
-    rows = _BLOCK_BYTES // (16 * d * d)
-    psis = oracles.haar_states_gaussian(np.random.default_rng(d), d, 3 * rows + 7)
-    transfer_abs = oracles.transfer_abs(setup.transfer_ops)
-    for n in (0, 1, rows - 1, rows, rows + 1, 3 * rows + 7):
-        batch = state_fidelity_batch(psis[:n], setup)
-        expected = oracles.state_fidelity_batch_per_outcome(psis[:n], transfer_abs)
-        assert batch.shape == (n,)
-        np.testing.assert_allclose(batch, expected, rtol=0, atol=1e-14)
-
-
-@pytest.mark.parametrize("d", [1, 2, 3, 5, 16])
-def test_packed_weights_give_each_outcome_overlap(d):
-    # Features |psi_i|^2, then (re, im) of psi_i conj(psi_j) for i < j in row
-    # order, dotted with the packed |T_xi|, give Re <psi| |T_xi| |psi>.
-    rng = np.random.default_rng(60 + d)
-    basis = rotated_basis(bell_basis(d), oracles.random_unitary(rng, d * d))
-    setup = TeleportSetup(_random_shared(rng, d), basis)
-    psis = oracles.haar_states_gaussian(rng, d, 20)
-    pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
-    transfer_abs = oracles.transfer_abs(setup.transfer_ops)
-    for psi in psis:
-        off_diagonal = [psi[i] * psi[j].conj() for i, j in pairs]
-        features = np.concatenate([np.abs(psi) ** 2, np.array(off_diagonal, dtype=complex).view(float)])
-        assert features.shape == (d * d,)
-        expected = ((transfer_abs @ psi) @ psi.conj()).real
-        np.testing.assert_allclose(features @ setup.transfer_abs_packed.T, expected, rtol=0, atol=1e-14)
-
-
-@pytest.mark.parametrize("basis_kind", ["bell", "rotated"])
-@pytest.mark.parametrize("d", [16, 32])
-def test_state_fidelity_batch_matches_per_outcome_oracle_at_bench_sizes(d, basis_kind):
-    # The benchmark's sizes, d = 16 (average-mc) and d = 32 (fidelity-setup),
-    # over a few hundred rows: more than one block, the last one partial.
-    setup, _ = _sampler_setup(d, basis_kind, "haar")
-    psis = oracles.haar_states_gaussian(np.random.default_rng(d), d, 300)
-    expected = oracles.state_fidelity_batch_per_outcome(psis, oracles.transfer_abs(setup.transfer_ops))
-    np.testing.assert_allclose(state_fidelity_batch(psis, setup), expected, rtol=0, atol=1e-14)
 
 
 def test_state_fidelity_batch_memory_is_bounded_per_block():
