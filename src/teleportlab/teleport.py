@@ -34,14 +34,16 @@ from .tolerances import ZERO_OUTCOME_TOL
 # Complex d^4-entry stacks live at a setup's peak.  No command holds more
 # than 3 at once, whatever order it reads T_xi and the rest in: the basis
 # check holds the elements, one conjugated row block and one Gram block;
-# later verify holds the elements, T and the basis's vectors_t, and average
-# the elements, T and the packed |T_xi| weights (half a stack).  The rest is
+# verify holds the elements, T and the basis's vectors_t; fidelity the
+# elements and one block of T_xi, and average the elements and the packed
+# |T_xi| weights (half a stack), since neither builds T.  The rest is
 # fixed-size working sets (average's 20,000-state draw chunk, verify's chunk
 # of states, _BLOCK_BYTES blocks), which shrink against a stack as d grows
 # and pass 4 stacks only while a stack is small (1 MiB at d = 16).
 # tests/test_cli.py::test_each_command_peaks_below_the_setup_estimate checks
-# every command against this budget at d = 24 and 32.  4 * 64^4 is 2^26, so
-# the constant sets the d <= 64 limit.
+# every command against this budget at d = 24 and 32.  verify's three stacks
+# keep the budget at 4, and 4 * 64^4 is 2^26, so the constant sets the
+# d <= 64 limit.
 _PEAK_STACKS = 4
 
 
@@ -49,12 +51,15 @@ _PEAK_STACKS = 4
 class TeleportSetup:
     """Immutable pair of resource state and measurement basis.
 
-    ``transfer_ops[xi]`` is T_xi and ``transfer_trace_norms[xi]`` its trace
-    norm Tr|T_xi|, all that the analytic E(F) needs.
-    |T_xi| is held only as ``transfer_abs_packed[xi]``, the Monte-Carlo
-    kernel's weights, in the layout that property describes.  Each is derived
-    on first read and cached read-only.  For a normalized resource,
-    sum_xi Tr(T_xi^dag T_xi) = d.
+    T_xi has one formula, :meth:`_transfer_block`, over any range of
+    outcomes.  ``transfer_ops[xi]`` is T_xi, its whole-range case, which
+    ``verify`` and ``teleport`` read.  ``transfer_trace_norms[xi]`` is the
+    trace norm Tr|T_xi|, all that the analytic E(F) needs, and |T_xi| is
+    held only as ``transfer_abs_packed[xi]``, the Monte-Carlo kernel's
+    weights, in the layout that property describes; both read fresh blocks
+    of T_xi, never ``transfer_ops``, so ``fidelity`` and ``average`` hold no
+    T stack.  Each is derived on first read and cached read-only.  For a
+    normalized resource, sum_xi Tr(T_xi^dag T_xi) = d.
     Rank and flatness are cached on ``shared`` and ``basis``, which they
     describe.  The constructor checks dimensions and size, not the basis.
     """
@@ -74,22 +79,36 @@ class TeleportSetup:
     def local_dim(self) -> int:
         return self.shared.local_dim
 
+    def _transfer_block(self, start: int, stop: int) -> np.ndarray:
+        """T_xi = C^t B_xi^dag for the outcomes start <= xi < stop, a fresh
+        writable array of shape (stop - start, d, d): C^dag B_xi^t over a
+        transposed view of the elements, conjugated in place, so no conjugated
+        copy of the elements is made.  Negation is exact, so the bits are
+        those of C^t conj(B_xi)^t, and each T_xi is one product, the same
+        whichever block it falls in."""
+        elements_t = self.basis.elements[start:stop].transpose(0, 2, 1)
+        block = np.matmul(dagger(self.shared.operator_form), elements_t)
+        np.conjugate(block, out=block)
+        return block
+
     @cached_property
     def transfer_ops(self) -> np.ndarray:
-        """T_xi = C^t B_xi^dag for every outcome, shape (d^2, d, d): C^dag B_xi^t
-        over a transposed view of the elements, conjugated in place, so no
-        conjugated copy of the elements is made.  Negation is exact, so the
-        bits are those of C^t conj(B_xi)^t."""
-        transfer_ops = np.matmul(dagger(self.shared.operator_form), self.basis.elements.transpose(0, 2, 1))
-        np.conjugate(transfer_ops, out=transfer_ops)
+        """T_xi for every outcome, shape (d^2, d, d): the whole-range
+        :meth:`_transfer_block`."""
+        transfer_ops = self._transfer_block(0, len(self.basis))
         transfer_ops.setflags(write=False)
         return transfer_ops
 
     @cached_property
     def transfer_trace_norms(self) -> np.ndarray:
-        """Tr|T_xi| for every outcome, shape (d^2,): the row sums of one stacked
-        singular-value call, so no singular vector and no |T_xi| is built."""
-        trace_norms = np.linalg.svd(self.transfer_ops, compute_uv=False).sum(axis=1)
+        """Tr|T_xi| for every outcome, shape (d^2,): the row sums of one
+        singular-value call per ``_rows_per_block`` block of fresh T_xi, so
+        no singular vector, no |T_xi| and no whole T stack is built."""
+        trace_norms = np.empty(len(self.basis))
+        rows = _rows_per_block(self.local_dim)
+        for start in range(0, len(trace_norms), rows):
+            s = np.linalg.svd(self._transfer_block(start, start + rows), compute_uv=False)
+            trace_norms[start:start + rows] = s.sum(axis=1)
         trace_norms.setflags(write=False)
         return trace_norms
 
@@ -103,10 +122,11 @@ class TeleportSetup:
         is the conjugate of the upper.  <psi| |T_xi| |psi> is the dot product
         of that row with the same packing of |psi><psi| without the factor 2
         (:func:`state_fidelity_batch`).
-        One ``_rows_per_block`` block of outcomes at a time takes one stacked
-        SVD of its T_xi, forms their |T_xi| (bit-equal to :func:`operator_abs`
-        of each) and packs them, so no complex |T| stack is ever held and the
-        temporaries stay within a few ``_BLOCK_BYTES`` on top of the result.
+        One ``_rows_per_block`` block of outcomes at a time forms its T_xi
+        fresh, takes one stacked SVD of them, forms their |T_xi| (bit-equal
+        to :func:`operator_abs` of each) and packs them, so neither T nor a
+        complex |T| stack is ever held and the temporaries stay within a few
+        ``_BLOCK_BYTES`` on top of the result.
         """
         d = self.local_dim
         i, j = np.triu_indices(d, 1)
@@ -115,7 +135,7 @@ class TeleportSetup:
         rows = _rows_per_block(d)
         for start in range(0, len(packed), rows):
             # U is freed as soon as the call returns, not held through the block.
-            s, vh = np.linalg.svd(self.transfer_ops[start:start + rows])[1:]
+            s, vh = np.linalg.svd(self._transfer_block(start, start + rows))[1:]
             block = _abs_from_svd(s, vh).reshape(-1, d * d)
             packed[start:start + rows, :d] = block[:, ::d + 1].real
             np.multiply(block.take(upper, axis=1).view(float), 2.0, out=packed[start:start + rows, d:])
@@ -323,7 +343,9 @@ def sample_outcome(psi, setup: TeleportSetup, rng: np.random.Generator,
         raise AssertionError("probability vector vanished for a normalized input")
     cdf = np.cumsum(probs / total)
     draws = rng.random(1 if size is None else size)
-    xis = np.minimum(np.searchsorted(cdf, draws, side="right"), len(probs) - 1).tolist()
+    # A draw at or past a CDF that ends below 1 lands past the end: it takes
+    # the last outcome of nonzero probability, not the last outcome.
+    xis = np.minimum(np.searchsorted(cdf, draws, side="right"), np.flatnonzero(probs)[-1]).tolist()
     records = {xi: realize_outcome(psi, setup, xi) for xi in set(xis)}
     outcomes = [records[xi] for xi in xis]
     return outcomes[0] if size is None else outcomes

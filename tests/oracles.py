@@ -107,15 +107,17 @@ def sample_outcome_per_shot(psi, transfer_ops, rng):
 
     The scalar sampler as it stood before batching: probabilities
     ||T_xi psi||^2, a CDF renormalized by its computed sum, exactly one
-    ``rng.random()``, a clamped right-side search, then the polar
-    correction of T_xi from its own SVD.  The arithmetic is the package's
-    operation for operation, so probability and conditional fidelity can
-    be compared bit for bit.  Returns (xi, probability, conditional_fidelity).
+    ``rng.random()``, a right-side search clamped to the last outcome of
+    nonzero probability, then the polar correction of T_xi from its own
+    SVD.  The arithmetic is the package's operation for operation, so
+    probability and conditional fidelity can be compared bit for bit.
+    Returns (xi, probability, conditional_fidelity).
     """
     v = np.asarray(psi, dtype=complex)
-    cdf = outcome_cdf(v, transfer_ops)
+    probs = outcome_probabilities(v, transfer_ops)
+    cdf = np.cumsum(probs / probs.sum())
     xi = int(np.searchsorted(cdf, rng.random(), side="right"))
-    xi = min(xi, len(cdf) - 1)
+    xi = min(xi, int(np.flatnonzero(probs)[-1]))
     t = transfer_ops[xi]
     t_psi = t @ v
     norm = float(np.linalg.norm(t_psi))
@@ -126,11 +128,16 @@ def sample_outcome_per_shot(psi, transfer_ops, rng):
     return xi, norm * norm, float(np.abs(np.vdot(v, corrected)) ** 2)
 
 
-def outcome_cdf(psi, transfer_ops):
-    """The per-shot sampler's CDF: ||T_xi psi||^2 for every xi, renormalized
-    by their computed sum, then accumulated."""
+def outcome_probabilities(psi, transfer_ops):
+    """||T_xi psi||^2 for every xi, from the stacked product."""
     amplitudes = transfer_ops @ np.asarray(psi, dtype=complex)
-    probs = np.einsum("xi,xi->x", amplitudes.conj(), amplitudes).real
+    return np.einsum("xi,xi->x", amplitudes.conj(), amplitudes).real
+
+
+def outcome_cdf(psi, transfer_ops):
+    """The per-shot sampler's CDF: the outcome probabilities renormalized by
+    their computed sum, then accumulated."""
+    probs = outcome_probabilities(psi, transfer_ops)
     return np.cumsum(probs / probs.sum())
 
 

@@ -119,9 +119,11 @@ class _Replay(list):
 def _sampling(c, shots):
     """``shots(rng, size)`` and the generator's state after it, for sizes 0, 1,
     500 and None (one outcome) on ``default_rng(d + size)``, then for 0.0 and
-    every CDF value below 1 replayed: there the search's side decides xi."""
+    every CDF value below 1 replayed, where the search's side decides xi, and
+    the largest double below 1, which lands past the end of a CDF that ends
+    below 1."""
     cdf = oracles.outcome_cdf(c.states[0], c.setup.transfer_ops)
-    edges = [0.0, *cdf[cdf < 1].tolist()]
+    edges = [0.0, *cdf[cdf < 1].tolist(), float(np.nextafter(1.0, 0.0))]
     runs = [(size, np.random.default_rng(c.d + (size or 0))) for size in (0, 1, 500, None)]
     return tuple((shots(rng, size), rng.bit_generator.state) for size, rng in [*runs, (len(edges), _Replay(edges))])
 
@@ -212,6 +214,12 @@ _ROWS = [
     ("transfer-abs-packed", _grid((1, 2, 3, 5, 8, 24), ("bell", "rotated"), ("haar-random",), 50),
      lambda c: (c.setup.transfer_abs_packed, np.array([operator_abs(t) for t in c.setup.transfer_ops])),
      _packed_abs_per_outcome, "equal"),
+    # One singular-value call per block of fresh T_xi, two blocks at d = 17 and
+    # six at d = 24 (the last partial), against one call over the whole stack.
+    ("transfer-trace-norms", _grid((1, 2, 3, 17, 24), (*_BELL_PRODUCT_ROTATED, "random"), ("haar-random",), 85),
+     lambda c: c.setup.transfer_trace_norms,
+     lambda c: np.linalg.svd(oracles.transfer_ops(c.setup.shared.operator_form, c.basis.elements),
+                             compute_uv=False).sum(axis=1), "bytes"),
     # Each state's features dotted with the packed weights: <psi| |T_xi| |psi>.
     ("packed-overlaps", _grid((1, 2, 3, 5, 16), ("rotated",), ("haar-random",), 60, states=20),
      lambda c: np.array([oracles.pack_state(psi) for psi in c.states]) @ c.setup.transfer_abs_packed.T,
@@ -231,7 +239,10 @@ _ROWS = [
                 np.array([teleport._transfer_images(v, c.setup) for v in c.states])),
      lambda c: (np.array([[t @ v for t in c.setup.transfer_ops] for v in c.states]),) * 2, "equal"),
     # size=n is a list of n per-shot draws and leaves the generator where they do.
-    ("sample-outcome", _grid((1, 2, 3, 4), _BELL_PRODUCT_ROTATED, _CLI_RESOURCES, 1000, states=1),
+    # On seed 16 the product resource and basis at d = 2 give probabilities
+    # (p, 0, 1 - p, 0) whose CDF ends below 1: a draw past it takes xi = 2.
+    ("sample-outcome", _grid((1, 2, 3, 4), _BELL_PRODUCT_ROTATED, _CLI_RESOURCES, 1000, states=1)
+     + [Spec(2, "product", "product", 16, states=1)],
      lambda c: _sampling(c, lambda rng, size: _shots(sample_outcome(c.states[0], c.setup, rng, size=size))),
      lambda c: _sampling(c, lambda rng, size: _per_shot(c, rng, size)), "equal"),
     ("fidelity-batch", _grid(range(1, 7), _BELL_PRODUCT_ROTATED, _CLI_RESOURCES, 1000),

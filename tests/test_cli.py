@@ -734,6 +734,23 @@ def test_each_command_peaks_below_the_setup_estimate(command, d, capsys):
     assert peak < teleport._PEAK_STACKS * 16 * d**4
 
 
+# Complex d^4-entry stacks that fidelity and average stay below at d = 32.
+# Neither builds T: fidelity holds the elements and one block of T_xi, and
+# average the elements, the packed |T_xi| weights (half a stack) and its
+# fixed-size working sets.  A whole T stack held as well, one more, takes
+# either past its bound.
+_NO_T_STACKS = {"fidelity": 1.5, "average": 2.5}
+
+
+@pytest.mark.parametrize("command", list(_NO_T_STACKS))
+def test_fidelity_and_average_peak_without_a_transfer_stack(command, capsys):
+    d = 32
+    argv = [command, "--d", str(d), "--shared", "haar-random", *_BUDGET_SAMPLES[command], "--no-timestamp"]
+    code, peak = oracles.peak_bytes(lambda: main(argv))
+    assert code == 0
+    assert peak < _NO_T_STACKS[command] * 16 * d**4
+
+
 @pytest.mark.parametrize("d", [24, 32])
 def test_verify_peak_does_not_depend_on_read_order(d):
     # T is built without a conjugated copy of the elements, so reading the

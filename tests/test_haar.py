@@ -210,27 +210,31 @@ def _count_svds(monkeypatch) -> list:
     return calls
 
 
-# (argv, basis written to --basis-file or None, SVD calls, matrices they decompose)
+# (id, argv, basis written to --basis-file or None, SVD calls, matrices they decompose)
 _SVD_COUNTS = [
     # d = 2, Bell basis, Haar resource: 1 SVD for the resource's Schmidt
     # spectrum and 4 for the transfers' singular values, whose row sums are
-    # the trace norms, in one stacked call: 5 matrices take 2 calls.  The
-    # Bell element shape is preset by its builder, and no |T| is built.
-    (["fidelity", "--d", "2", "--shared", "haar-random"], None, 2, 5),
+    # the trace norms, all 4 outcomes in one block: 5 matrices take 2 calls.
+    # The Bell element shape is preset by its builder, and no |T| is built.
+    ("fidelity", ["fidelity", "--d", "2", "--shared", "haar-random"], None, 2, 5),
+    # d = 32: the 1,024 transfers' singular values take one call per
+    # _rows_per_block block of 64 outcomes, so 1,025 matrices take 17 calls.
+    ("fidelity-d32", ["fidelity", "--d", "32", "--shared", "haar-random"], None, 17, 1025),
     # The fidelity command's 2 calls over 5 matrices, plus one stacked SVD
     # that builds |T| for the Monte-Carlo kernel: at d = 2 all 4 outcomes
     # fit in one block, so 9 matrices take 3 calls.
-    (["average", "--d", "2", "--shared", "haar-random", "--samples", "100"], None, 3, 9),
+    ("average", ["average", "--d", "2", "--shared", "haar-random", "--samples", "100"], None, 3, 9),
     # Only the correction of each distinct drawn xi needs an SVD; |T| is never
     # read.  Seven shots at seed 0 draw two distinct outcomes, so two SVDs of
     # one matrix each.
-    (["teleport", "--d", "2", "--samples", "7"], None, 2, 2),
+    ("teleport", ["teleport", "--d", "2", "--samples", "7"], None, 2, 2),
     # The identity reads T only, and a custom basis is checked without an SVD.
-    (["verify", "--d", "3", "--basis", "custom"], bell_basis(3), 0, 0),
+    ("verify", ["verify", "--d", "3", "--basis", "custom"], bell_basis(3), 0, 0),
 ]
 
 
-@pytest.mark.parametrize("argv, basis, calls, matrices", _SVD_COUNTS, ids=[row[0][0] for row in _SVD_COUNTS])
+@pytest.mark.parametrize("argv, basis, calls, matrices", [row[1:] for row in _SVD_COUNTS],
+                         ids=[row[0] for row in _SVD_COUNTS])
 def test_each_command_runs_its_pinned_svds(tmp_path, monkeypatch, capsys, argv, basis, calls, matrices):
     if basis is not None:
         path = tmp_path / "basis.json"
@@ -244,10 +248,19 @@ def test_each_command_runs_its_pinned_svds(tmp_path, monkeypatch, capsys, argv, 
 
 
 def test_analytic_fidelity_builds_no_abs_t():
+    # The trace norms read fresh blocks of T_xi: neither |T| nor the cached T is built.
     setup = build_setup(random_shared_state(3, np.random.default_rng(72)), bell_basis(3))
     average_fidelity_analytic(setup)
-    assert "transfer_abs_packed" not in vars(setup)
+    assert "transfer_abs_packed" not in vars(setup) and "transfer_ops" not in vars(setup)
     assert "transfer_trace_norms" in vars(setup)
+
+
+def test_monte_carlo_fidelity_builds_no_t():
+    # The packed |T| and the trace norms both read fresh blocks of T_xi.
+    setup = build_setup(random_shared_state(3, np.random.default_rng(73)), bell_basis(3))
+    monte_carlo_fidelity(setup, 100, np.random.default_rng(0))
+    assert "transfer_abs_packed" in vars(setup) and "transfer_trace_norms" in vars(setup)
+    assert "transfer_ops" not in vars(setup)
 
 
 def test_setups_sharing_a_basis_decompose_its_elements_once(monkeypatch):

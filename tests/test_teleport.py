@@ -474,12 +474,11 @@ def test_state_fidelity_batch_memory_is_bounded_per_block():
 
 def test_transfer_abs_packed_temporaries_are_bounded_per_block():
     # The packed |T| is filled one _rows_per_block block of outcomes at a
-    # time: an SVD of the block's T_xi, their |T_xi|, then the packing, about
-    # 5 MiB of temporaries at d = 32 on top of the 8 MiB result.  A whole
-    # complex |T| stack is 16 MiB there, so building it before packing fails.
+    # time: the block's T_xi, their SVD, their |T_xi|, then the packing, a
+    # few _BLOCK_BYTES of temporaries on top of the result.  A whole complex
+    # T or |T| stack is 16 _BLOCK_BYTES at d = 32, so building either fails.
     d = 32
     setup = TeleportSetup(maximally_entangled_state(d), bell_basis(d))
-    setup.transfer_ops  # T, built on first read, outside the measured packing
     packed, peak = oracles.peak_bytes(lambda: setup.transfer_abs_packed)
     assert packed.nbytes == 8 * d**4
     assert peak - packed.nbytes < 8 * _BLOCK_BYTES
