@@ -7,8 +7,8 @@ file, ``--out`` files, the default sample counts, tolerance gates, error
 paths and malformed input files, plus ``verify`` and ``teleport`` at the
 benchmark's d = 8 (a rotated custom basis with a custom resource, and Bell
 and product with a Haar-random resource) and at d = 16 (Bell and product,
-Haar-random), and ``fidelity`` and ``average`` at d = 17 and 24 (Bell and
-product, Haar-random): 578 argvs.
+Haar-random), and ``fidelity``, ``average`` and ``teleport`` (2,000 shots)
+at d = 17 and 24 (Bell and product, Haar-random): 586 argvs.
 Each argv runs in-process through ``cli.main`` in a directory holding the input files that
 :func:`write_inputs` generates from fixed seeds; its record (:func:`run`)
 keeps the exit code and the texts of stdout, stderr and any ``--out`` file.
@@ -77,15 +77,17 @@ RESOURCES = ("maximally-entangled", "product", "haar-random", "custom")
 # at d = 16; custom files at d = 8 only, which keeps the replay fast.
 LARGE_D_RUNS = {8: (("custom", "custom"), ("bell", "haar-random"), ("product", "haar-random")),
                 16: (("bell", "haar-random"), ("product", "haar-random"))}
-# (basis, resource) pairs of fidelity and average at d = 17 and 24, the first
-# sizes whose d^2 outcomes span more than one block of T; d = 24 ends in a
-# partial block.
+# (basis, resource) pairs of fidelity, average and teleport at d = 17 and 24,
+# the first sizes whose d^2 outcomes span more than one block of T; d = 24
+# ends in a partial block.  2,000 shots draw hundreds of distinct outcomes,
+# more than a block of them holds at either size.
 BLOCKED_D_RUNS = {d: (("bell", "haar-random"), ("product", "haar-random")) for d in (17, 24)}
 
 # Small sample counts keep the replay fast; the default counts run once per
 # command in _extra_argvs.
 _SAMPLES = {"verify": ["--samples", "10"], "teleport": ["--samples", "40"],
             "fidelity": [], "average": ["--samples", "1000"]}
+_BLOCKED_SAMPLES = {**_SAMPLES, "teleport": ["--samples", "2000"]}
 
 # Malformed files, written verbatim; those in _MALFORMED_BASES are read as bases.
 _MALFORMED = {
@@ -155,13 +157,14 @@ def _grid_argvs() -> list[list[str]]:
                             if fmt == "json":
                                 argv += ["--format", "json"]
                             argvs.append(argv)
-    for commands, large_d_runs in ((("verify", "teleport"), LARGE_D_RUNS), (("fidelity", "average"), BLOCKED_D_RUNS)):
+    for commands, large_d_runs, samples in ((("verify", "teleport"), LARGE_D_RUNS, _SAMPLES),
+                                            (("fidelity", "average", "teleport"), BLOCKED_D_RUNS, _BLOCKED_SAMPLES)):
         for command in commands:
             for seed in SEEDS:
                 for d, runs in large_d_runs.items():
                     for basis, shared in runs:
                         argv = [command, "--d", str(d), "--basis", basis, "--shared", shared,
-                                "--seed", str(seed), *_SAMPLES[command], "--no-timestamp"]
+                                "--seed", str(seed), *samples[command], "--no-timestamp"]
                         if basis == "custom":
                             argv += ["--basis-file", f"basis_d{d}.json", "--shared-file", f"shared_d{d}.json"]
                         argvs.append(argv)
