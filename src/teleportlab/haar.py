@@ -274,6 +274,7 @@ def classical_baseline(dim: int, samples: int, rng: np.random.Generator) -> floa
     result achieves F(psi) = sum_j |psi_j|^4, whose Haar average is
     2/(d+1), the bar any genuine teleportation setup must beat.
     """
+    require_integer(dim, "dimension")
     if dim < 2:
         raise DimensionError("the baseline needs dimension at least 2")
     require_integer(samples, "samples")

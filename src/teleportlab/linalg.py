@@ -21,25 +21,27 @@ _MAX_ELEMENTS = 1 << 26
 # against a d^4-entry stack.  bases._unitarity_residual sizes the basis
 # check's b x b Gram blocks from it (b = 256); teleport._rows_per_block the
 # blocks of T_xi whose |T_xi| transfer_abs_packed packs and the blocks of
-# input rows of state_fidelity_batch; teleport._trials_per_chunk verify's
-# chunks of states.
+# input rows of state_fidelity_batch, and a quarter of it the blocks of
+# outcomes whose corrections teleport._outcome_records takes at once;
+# teleport._trials_per_chunk verify's chunks of states.
 _BLOCK_BYTES = 1 << 20
 
 
-def as_matrix(matrix) -> np.ndarray:
-    """Validate and return ``matrix`` as a finite complex 2-d array."""
+def as_matrix(matrix, stack: bool = False) -> np.ndarray:
+    """Validate and return ``matrix`` as a finite complex 2-d array; with
+    ``stack``, a stack of matrices (..., m, n) is accepted too."""
     m = np.asarray(matrix, dtype=complex)
-    if m.ndim != 2:
+    if m.ndim != 2 and not (stack and m.ndim > 2):
         raise DimensionError(f"expected a matrix, got array of shape {m.shape}")
     if m.size and not np.all(np.isfinite(m)):
         raise ValueError("matrix entries must be finite (no NaN/Inf)")
     return m
 
 
-def as_square_matrix(matrix) -> np.ndarray:
+def as_square_matrix(matrix, stack: bool = False) -> np.ndarray:
     """Like :func:`as_matrix` but additionally require a square shape."""
-    m = as_matrix(matrix)
-    if m.shape[0] != m.shape[1]:
+    m = as_matrix(matrix, stack)
+    if m.shape[-2] != m.shape[-1]:
         raise DimensionError(f"expected a square matrix, got shape {m.shape}")
     return m
 
@@ -139,6 +141,14 @@ def _abs_from_svd(s: np.ndarray, vh: np.ndarray) -> np.ndarray:
     return 0.5 * (positive + dagger(positive))
 
 
+def _polar_svd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # (W V^dagger, S, V^dagger) from one SVD M = W S V^dagger: the one place SVD
+    # factors become a unitary polar factor.  A stack gives the stack of each,
+    # each with the bits of its own call; W is freed on return.
+    u, s, vh = np.linalg.svd(m)
+    return u @ vh, s, vh
+
+
 def polar_decompose(matrix) -> tuple[np.ndarray, np.ndarray]:
     """Polar decomposition M = U P with U unitary, P = |M| = sqrt(M^dag M).
 
@@ -149,9 +159,14 @@ def polar_decompose(matrix) -> tuple[np.ndarray, np.ndarray]:
         (U, P) with ``U @ P`` equal to M up to rounding and P Hermitian
         positive semidefinite.
     """
-    m = as_square_matrix(matrix)
-    u, s, vh = np.linalg.svd(m)
-    return u @ vh, _abs_from_svd(s, vh)
+    unitary, s, vh = _polar_svd(as_square_matrix(matrix))
+    return unitary, _abs_from_svd(s, vh)
+
+
+def polar_unitary(matrix) -> np.ndarray:
+    """The factor U of :func:`polar_decompose`, for a square matrix or for each
+    matrix of a stack (..., n, n), from one SVD call and without forming |M|."""
+    return _polar_svd(as_square_matrix(matrix, stack=True))[0]
 
 
 def operator_abs(matrix) -> np.ndarray:

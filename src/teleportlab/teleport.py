@@ -27,8 +27,8 @@ import numpy as np
 from .bases import BasisStructureError, OperatorBasis, validate_basis
 from .choi import BipartiteState
 from .errors import DimensionError
-from .linalg import (_BLOCK_BYTES, _abs_from_svd, dagger, polar_decompose, require_dense_size,
-                     require_integer, require_normalized)
+from .linalg import (_BLOCK_BYTES, _abs_from_svd, dagger, polar_unitary, require_dense_size, require_integer,
+                     require_normalized)
 from .tolerances import ZERO_OUTCOME_TOL
 
 # Complex d^4-entry stacks live at a setup's peak.  No command holds more
@@ -271,22 +271,62 @@ def _input_state(psi, setup: TeleportSetup) -> np.ndarray:
     return _sized_input(require_normalized(psi, what="input state"), setup)
 
 
+def _probabilities(images: np.ndarray) -> np.ndarray:
+    return np.einsum("xi,xi->x", images.conj(), images).real
+
+
 def outcome_probabilities(psi, setup: TeleportSetup) -> np.ndarray:
     """p(xi | psi) = ||T_xi psi||^2 for every outcome; sums to 1."""
-    amplitudes = _transfer_images(_input_state(psi, setup), setup)
-    return np.einsum("xi,xi->x", amplitudes.conj(), amplitudes).real
+    return _probabilities(_transfer_images(_input_state(psi, setup), setup))
 
 
 def optimal_correction(transfer) -> np.ndarray:
-    """The receiver's best recovery unitary for one transfer operator.
+    """The receiver's best recovery unitary for a transfer operator, or for
+    each of a stack of them.
 
     Returns U^dag for the polar decomposition T = U |T|, so that
-    applying it to the raw conditional state yields |T| psi normalized.
-    On the null space of a singular T the unitary is an arbitrary
-    completion, which cannot matter: those directions never receive
-    amplitude.
+    applying it to the raw conditional state yields |T| psi normalized;
+    |T| itself is not formed.  On the null space of a singular T the
+    unitary is an arbitrary completion, which cannot matter: those
+    directions never receive amplitude.
     """
-    return dagger(polar_decompose(transfer)[0])
+    return dagger(polar_unitary(transfer))
+
+
+def _outcome_records(v: np.ndarray, images: np.ndarray, setup: TeleportSetup, xis) -> list[TeleportOutcome]:
+    """The record of each of the distinct outcomes ``xis``, in their order,
+    for the checked input ``v`` whose T_xi v are ``images``.
+
+    An outcome whose row of ``images`` has norm at most ``ZERO_OUTCOME_TOL``
+    gets the zero-vector sentinel and needs no correction.  The others go
+    through in blocks of a quarter of ``_rows_per_block(d)``, each one stacked
+    :func:`optimal_correction`, so the gathered T block, U, V^dag and U V^dag
+    fit in ``_BLOCK_BYTES``.
+    """
+    d = setup.local_dim
+    norms = {xi: float(np.linalg.norm(images[xi])) for xi in xis}
+    live = [xi for xi, norm in norms.items() if norm > ZERO_OUTCOME_TOL]
+    records = {}
+    rows = max(1, _rows_per_block(d) // 4)
+    for start in range(0, len(live), rows):
+        block = live[start:start + rows]
+        for xi, correction in zip(block, optimal_correction(setup.transfer_ops[block])):
+            norm = norms[xi]
+            raw = images[xi] / norm
+            corrected = correction @ raw
+            records[xi] = _record(xi, norm * norm, raw, corrected, float(np.abs(np.vdot(v, corrected)) ** 2))
+    for xi in norms.keys() - records.keys():
+        zero = np.zeros(d, dtype=complex)
+        records[xi] = _record(xi, 0.0, zero, zero, 0.0)
+    return [records[xi] for xi in xis]
+
+
+def _record(xi, probability, raw, corrected, fidelity) -> TeleportOutcome:
+    """A read-only :class:`TeleportOutcome`; ``raw`` and ``corrected`` are frozen."""
+    raw.setflags(write=False)
+    corrected.setflags(write=False)
+    return TeleportOutcome(xi=xi, probability=probability, raw_conditional_state=raw,
+                           corrected_state=corrected, conditional_fidelity=fidelity)
 
 
 def realize_outcome(psi, setup: TeleportSetup, xi: int) -> TeleportOutcome:
@@ -295,26 +335,13 @@ def realize_outcome(psi, setup: TeleportSetup, xi: int) -> TeleportOutcome:
     require_integer(xi, "outcome index")
     if not 0 <= xi < len(setup.basis):
         raise DimensionError(f"outcome index {xi} out of range")
-    t = setup.transfer_ops[xi]
-    t_psi = t @ v
-    norm = float(np.linalg.norm(t_psi))
-    if norm <= ZERO_OUTCOME_TOL:
-        raw = corrected = np.zeros(setup.local_dim, dtype=complex)
-        probability = fidelity = 0.0
-    else:
-        raw = t_psi / norm
-        corrected = optimal_correction(t) @ raw
-        probability = norm * norm
-        fidelity = float(np.abs(np.vdot(v, corrected)) ** 2)
-    raw.setflags(write=False)
-    corrected.setflags(write=False)
-    return TeleportOutcome(xi=xi, probability=probability, raw_conditional_state=raw,
-                           corrected_state=corrected, conditional_fidelity=fidelity)
+    return _outcome_records(v, _transfer_images(v, setup), setup, [xi])[0]
 
 
 def enumerate_outcomes(psi, setup: TeleportSetup) -> list[TeleportOutcome]:
     """Outcome records for all d^2 measurement results, in xi order."""
-    return [realize_outcome(psi, setup, xi) for xi in range(len(setup.basis))]
+    v = _input_state(psi, setup)
+    return _outcome_records(v, _transfer_images(v, setup), setup, range(len(setup.basis)))
 
 
 def sample_outcome(psi, setup: TeleportSetup, rng: np.random.Generator,
@@ -329,25 +356,30 @@ def sample_outcome(psi, setup: TeleportSetup, rng: np.random.Generator,
     leaves ``rng`` exactly where n scalar calls would and selects the
     same xi sequence.  Zero-probability outcomes are never selected.
 
-    One record is built per distinct xi, so a call runs at most d^2
-    correction SVDs whatever ``size`` is, and shots with the same xi
-    share one record object.
+    T_xi psi is formed once, for the probabilities and the records alike.
+    One record is built per distinct xi, so shots with the same xi share
+    one record object, and the corrections take one stacked SVD call per
+    block of distinct outcomes (:func:`_outcome_records`), whatever ``size`` is.
     """
     if size is not None:
         require_integer(size, "size")
         if size < 0:
             raise ValueError("size must be nonnegative")
-    probs = outcome_probabilities(psi, setup)
+    v = _input_state(psi, setup)
+    images = _transfer_images(v, setup)
+    probs = _probabilities(images)
     total = probs.sum()
     if total <= 0.0:
         raise AssertionError("probability vector vanished for a normalized input")
     cdf = np.cumsum(probs / total)
-    draws = rng.random(1 if size is None else size)
     # A draw at or past a CDF that ends below 1 lands past the end: it takes
-    # the last outcome of nonzero probability, not the last outcome.
-    xis = np.minimum(np.searchsorted(cdf, draws, side="right"), np.flatnonzero(probs)[-1]).tolist()
-    records = {xi: realize_outcome(psi, setup, xi) for xi in set(xis)}
-    outcomes = [records[xi] for xi in xis]
+    # the last outcome of nonzero probability, not the last outcome.  The
+    # shots' xi stay one integer array until the records are built.
+    xis = np.minimum(np.searchsorted(cdf, rng.random(1 if size is None else size), side="right"),
+                     np.flatnonzero(probs)[-1])
+    distinct = np.flatnonzero(np.bincount(xis)).tolist()
+    records = dict(zip(distinct, _outcome_records(v, images, setup, distinct)))
+    outcomes = [records[xi] for xi in xis.tolist()]
     return outcomes[0] if size is None else outcomes
 
 

@@ -118,14 +118,29 @@ def sample_outcome_per_shot(psi, transfer_ops, rng):
     cdf = np.cumsum(probs / probs.sum())
     xi = int(np.searchsorted(cdf, rng.random(), side="right"))
     xi = min(xi, int(np.flatnonzero(probs)[-1]))
+    probability, _, _, fidelity = outcome_record(v, transfer_ops, xi)
+    return xi, probability, fidelity
+
+
+def outcome_record(psi, transfer_ops, xi):
+    """(probability, raw state, corrected state, conditional fidelity) of
+    outcome xi, one outcome alone: one ``T_xi @ psi``, its ``np.linalg.norm``,
+    and the polar correction from one 2-d SVD of T_xi, applied to the raw
+    state.  A norm at or below ZERO_OUTCOME_TOL gives the zero vector for
+    both states and probability and fidelity 0.  The arithmetic is the
+    package's, so every field can be compared bit for bit.
+    """
+    v = np.asarray(psi, dtype=complex)
     t = transfer_ops[xi]
     t_psi = t @ v
     norm = float(np.linalg.norm(t_psi))
     if norm <= ZERO_OUTCOME_TOL:
-        return xi, 0.0, 0.0
+        zero = np.zeros(len(v), dtype=complex)
+        return 0.0, zero, zero, 0.0
+    raw = t_psi / norm
     u, _, vh = np.linalg.svd(t)
-    corrected = dagger(u @ vh) @ (t_psi / norm)
-    return xi, norm * norm, float(np.abs(np.vdot(v, corrected)) ** 2)
+    corrected = dagger(u @ vh) @ raw
+    return norm * norm, raw, corrected, float(np.abs(np.vdot(v, corrected)) ** 2)
 
 
 def outcome_probabilities(psi, transfer_ops):

@@ -7,6 +7,7 @@ unless the row says otherwise) and one comparison kind.  One assertion,
 tuple), shape and dtype, then ``"bytes"`` (the same ``tobytes()``, so -0.0
 and +0.0 differ), ``"equal"`` (``np.array_equal``, so -0.0 equals 0.0 and
 NaN fails) or, for a float kind, every entry within that absolute tolerance.
+A tuple of kinds gives each item of a tuple result its own kind.
 """
 
 from __future__ import annotations
@@ -22,11 +23,13 @@ import pytest
 import cli_grid
 import oracles
 from teleportlab import (
-    BipartiteState, OperatorBasis, TeleportSetup, basis_state, bell_basis, haar_state, haar_trial_states,
-    maximally_entangled_state, monte_carlo_fidelity, operator_abs, product_basis, product_state, rotated_basis,
-    sample_outcome, special_case_fidelity, state_fidelity, state_fidelity_batch, teleport, verify_identity,
+    BipartiteState, OperatorBasis, TeleportSetup, basis_state, bell_basis, enumerate_outcomes, haar_state,
+    haar_trial_states, maximally_entangled_state, monte_carlo_fidelity, operator_abs, product_basis, product_state,
+    realize_outcome, rotated_basis, sample_outcome, special_case_fidelity, state_fidelity, state_fidelity_batch,
+    teleport, verify_identity,
 )
 from teleportlab.choi import schmidt_shape
+from teleportlab.linalg import polar_unitary
 
 
 class Spec(NamedTuple):
@@ -73,7 +76,8 @@ def matches(got, want, kind) -> bool:
     if type(got) is not type(want):
         return False
     if isinstance(want, tuple):
-        return len(got) == len(want) and all(matches(g, w, kind) for g, w in zip(got, want))
+        kinds = kind if isinstance(kind, tuple) else (kind,) * len(want)
+        return len(got) == len(want) == len(kinds) and all(map(matches, got, want, kinds))
     got, want = np.asarray(got), np.asarray(want)
     if got.shape != want.shape or got.dtype != want.dtype:
         return False
@@ -138,6 +142,31 @@ def _per_shot(c, rng, size):
     shots = [oracles.sample_outcome_per_shot(c.states[0], c.setup.transfer_ops, rng)
              for _ in range(1 if size is None else size)]
     return shots[0] if size is None else shots
+
+
+_RECORD_SHOTS = 200
+
+
+def _record_fields(records):
+    """(xi, probability, raw state, corrected state, conditional fidelity)
+    tuples as one array per field, the states stacked."""
+    return tuple(np.array(field) for field in zip(*records))
+
+
+def _records(c):
+    # realize_outcome at each xi, enumerate_outcomes, then the records of the shots.
+    psi, setup = c.states[0], c.setup
+    records = [realize_outcome(psi, setup, xi) for xi in range(c.d**2)] + enumerate_outcomes(psi, setup)
+    records += sample_outcome(psi, setup, np.random.default_rng(c.d), size=_RECORD_SHOTS)
+    return _record_fields([(r.xi, r.probability, r.raw_conditional_state, r.corrected_state,
+                            r.conditional_fidelity) for r in records])
+
+
+def _records_per_outcome(c):
+    psi, transfer_ops, rng = c.states[0], c.setup.transfer_ops, np.random.default_rng(c.d)
+    shots = [oracles.sample_outcome_per_shot(psi, transfer_ops, rng)[0] for _ in range(_RECORD_SHOTS)]
+    return _record_fields([(xi, *oracles.outcome_record(psi, transfer_ops, xi))
+                           for xi in [*range(c.d**2), *range(c.d**2), *shots]])
 
 
 def _block_counts(d):
@@ -245,6 +274,16 @@ _ROWS = [
      + [Spec(2, "product", "product", 16, states=1)],
      lambda c: _sampling(c, lambda rng, size: _shots(sample_outcome(c.states[0], c.setup, rng, size=size))),
      lambda c: _sampling(c, lambda rng, size: _per_shot(c, rng, size)), "equal"),
+    # One stacked SVD against one per T_xi, and the polar factor U V^dag of each.
+    ("polar-unitary", _grid((1, 2, 3, 8), (*_BELL_PRODUCT_ROTATED, "random"), ("haar-random",), 1200),
+     lambda c: polar_unitary(c.setup.transfer_ops),
+     lambda c: np.array([u @ vh for u, _, vh in map(np.linalg.svd, c.setup.transfer_ops)]), "bytes"),
+    # Every record against the outcome alone: states "bytes", the rest "equal".
+    # From d = 17 the corrections span several blocks of outcomes, and the
+    # product resource gives zero-outcome sentinels.
+    ("outcome-records", _grid((1, 2, 3, 8, 17, 24), (*_BELL_PRODUCT_ROTATED, "random"), ("haar-random", "product"),
+                              1100, states=1),
+     _records, _records_per_outcome, ("equal", "equal", "bytes", "bytes", "equal")),
     ("fidelity-batch", _grid(range(1, 7), _BELL_PRODUCT_ROTATED, _CLI_RESOURCES, 1000),
      lambda c: _fidelities(c, _block_counts(c.d)), lambda c: _fidelities(c, _block_counts(c.d), True), 1e-14),
     # The benchmark's d = 16 (average-mc) and d = 32 (fidelity-setup).

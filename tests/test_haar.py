@@ -225,9 +225,12 @@ _SVD_COUNTS = [
     # fit in one block, so 9 matrices take 3 calls.
     ("average", ["average", "--d", "2", "--shared", "haar-random", "--samples", "100"], None, 3, 9),
     # Only the correction of each distinct drawn xi needs an SVD; |T| is never
-    # read.  Seven shots at seed 0 draw two distinct outcomes, so two SVDs of
-    # one matrix each.
-    ("teleport", ["teleport", "--d", "2", "--samples", "7"], None, 2, 2),
+    # read.  Seven shots at seed 0 draw two distinct outcomes, and a block of
+    # outcomes holds _rows_per_block(2) // 4 = 4096, so one call over two.
+    ("teleport", ["teleport", "--d", "2", "--samples", "7"], None, 1, 2),
+    # 500 shots at seed 0 draw 138 of the 144 outcomes at d = 12, and a block
+    # holds _rows_per_block(12) // 4 = 455 // 4 = 113: 113 + 25 in two calls.
+    ("teleport-blocks", ["teleport", "--d", "12", "--samples", "500"], None, 2, 138),
     # The identity reads T only, and a custom basis is checked without an SVD.
     ("verify", ["verify", "--d", "3", "--basis", "custom"], bell_basis(3), 0, 0),
 ]

@@ -17,6 +17,7 @@ from teleportlab import (
     bell_basis,
     build_setup,
     closed_form_gap_bound,
+    enumerate_outcomes,
     haar_state,
     haar_unitary,
     normalize_state,
@@ -26,6 +27,7 @@ from teleportlab import (
     random_shared_state,
     rotated_basis,
     special_case_fidelity,
+    state_fidelity,
     verify_identity,
 )
 
@@ -78,6 +80,10 @@ def test_protocol_invariants(params):
     psi = haar_state(d, rng)
     assert verify_identity(psi, setup) <= 1e-12
     assert abs(outcome_probabilities(psi, setup).sum() - 1.0) <= 1e-12
+    # The records carry the same law, and sum_xi p F_cond is F(psi).
+    records = enumerate_outcomes(psi, setup)
+    assert abs(sum(r.probability for r in records) - 1.0) <= 1e-12
+    assert abs(sum(r.probability * r.conditional_fidelity for r in records) - state_fidelity(psi, setup)) <= 1e-12
     # sum_xi Tr(T_xi^dag T_xi) = d for a normalized resource
     assert abs(np.vdot(setup.transfer_ops, setup.transfer_ops).real - d) <= 1e-12 * d
 

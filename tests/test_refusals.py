@@ -17,9 +17,9 @@ from teleportlab import (
     OperatorBasis, TeleportSetup, analyze_entanglement, basis_state, bell_basis, build_setup,
     classical_baseline, component_overlap, custom_basis, haar_state, haar_states, haar_trial_states,
     haar_unitary, hs_inner, maximally_entangled_state, monte_carlo_fidelity, normalize_state, op_to_vec,
-    operator_abs, outcome_probabilities, pair_average_analytic, polar_decompose, product_basis,
-    product_state, random_shared_state, realize_outcome, reduced_states, rotated_basis, sample_outcome,
-    state_fidelity, state_fidelity_batch, tensor_product, vec_to_op, verify_identity,
+    operator_abs, optimal_correction, outcome_probabilities, pair_average_analytic, polar_decompose,
+    product_basis, product_state, random_shared_state, realize_outcome, reduced_states, rotated_basis,
+    sample_outcome, state_fidelity, state_fidelity_batch, tensor_product, vec_to_op, verify_identity,
 )
 from teleportlab.linalg import require_normalized
 from teleportlab.tolerances import BASIS_TOL
@@ -167,6 +167,9 @@ _REFUSALS = [
      NormalizationError, "input state must be normalized: |norm - 1| = 4.142e-01"),
     ("fidelity-unnormalized", lambda: state_fidelity(np.array([2.0, 0.0]), _ideal()), NormalizationError,
      "input state must be normalized: |norm - 1| = 1.000e+00"),
+    ("correction-nonsquare", lambda: optimal_correction(np.ones((3, 2))), DimensionError,
+     "expected a square matrix, got shape (3, 2)"),
+    ("correction-nan", lambda: optimal_correction(_NAN), ValueError, _MATRIX_NAN),
     ("realize-xi-4", lambda: realize_outcome(_KET_0, _ideal(), 4), DimensionError,
      "outcome index 4 out of range"),
     ("realize-xi-negative", lambda: realize_outcome(_KET_0, _ideal(), -1), DimensionError,
@@ -202,6 +205,10 @@ _REFUSALS = [
     ("haar-unitary-float-d", lambda: haar_unitary(2.0, _rng()), DimensionError, _FLOAT_DIM),
     ("shared-state-float-d", lambda: random_shared_state(2.0, _rng()), DimensionError, _FLOAT_D),
     ("baseline-float-d", lambda: classical_baseline(2.0, 1000, _rng()), DimensionError, _FLOAT_DIM),
+    ("baseline-str-d", lambda: classical_baseline("3", 10, _rng()), DimensionError,
+     "dimension must be an integer, got '3'"),
+    ("baseline-bool-d", lambda: classical_baseline(True, 10, _rng()), DimensionError,
+     "dimension must be an integer, got True"),
     ("pair-average-shapes", lambda: pair_average_analytic(np.eye(2), np.eye(3)), DimensionError, _SHAPES_2_3),
     ("monte-carlo-99-samples", lambda: monte_carlo_fidelity(_ideal(), 99, _rng()), ConfigurationError,
      "need at least 100 samples, got 99"),

@@ -482,3 +482,20 @@ def test_transfer_abs_packed_temporaries_are_bounded_per_block():
     packed, peak = oracles.peak_bytes(lambda: setup.transfer_abs_packed)
     assert packed.nbytes == 8 * d**4
     assert peak - packed.nbytes < 8 * _BLOCK_BYTES
+
+
+def test_outcome_records_take_their_corrections_a_quarter_block_at_a_time():
+    # A block of outcomes holds its gathered T_xi, U, V^dag and U V^dag, a
+    # quarter of _rows_per_block matrices each, so one _BLOCK_BYTES in all;
+    # T psi, the 1,024 records, the shots' xi and the last block's corrections
+    # come to under 2.5 more at d = 32.  Whole _rows_per_block blocks would
+    # hold 4 _BLOCK_BYTES at once and break the bound.
+    d = 32
+    setup = TeleportSetup(maximally_entangled_state(d), bell_basis(d))
+    psi = oracles.haar_states_gaussian(np.random.default_rng(33), d, 1)[0]
+    setup.transfer_ops  # T, built on first read, outside the measured calls
+    for call in (lambda: enumerate_outcomes(psi, setup),
+                 lambda: sample_outcome(psi, setup, np.random.default_rng(0), size=20000)):
+        records, peak = oracles.peak_bytes(call)
+        assert len({r.xi for r in records}) == d * d
+        assert peak < 4 * _BLOCK_BYTES
