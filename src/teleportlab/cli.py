@@ -82,8 +82,8 @@ TRANSCRIPT_COLUMNS = (
 # Peak bytes one teleport shot adds to a run, sampled and rendered to stdout
 # or --out.  tracemalloc measured 692 in JSON and 388 in CSV per shot over
 # 100,000 shots at d = 64, a setup too large for the test suite; 1,024 leaves
-# room for longer shot numbers.  At d = 2 and 8 the charge is checked by
-# test_a_teleport_shot_peaks_below_its_transcript_charge in tests/test_cli.py.
+# room for longer shot numbers.  At d = 2 and 8 the charge is checked by the
+# teleport-20000-shots rows of tests/test_budgets.py.
 _SHOT_BYTES = 1024
 
 _BASIS_KINDS = ("bell", "product", "custom")

@@ -27,7 +27,7 @@ import numpy as np
 
 from .choi import BipartiteState, schmidt_shape
 from .errors import ConfigurationError, DimensionError
-from .linalg import as_square_matrix, require_dimension, require_integer
+from .linalg import as_square_matrix, require_count, require_dimension, require_integer
 from .teleport import TeleportSetup, state_fidelity_batch
 from .tolerances import RANK_TOL
 
@@ -60,9 +60,7 @@ def haar_trial_states(dim: int, count: int, rng: np.random.Generator) -> np.ndar
     :func:`haar_states` draws all real parts first: the Monte-Carlo stream.
     """
     require_dimension(dim)
-    require_integer(count, "count")
-    if count < 0:
-        raise ValueError("count must be nonnegative")
+    require_count(count, "count")
     z = rng.standard_normal((count, 2, dim))
     states = z[:, 0] + 1j * z[:, 1]
     states /= np.linalg.norm(states, axis=1, keepdims=True)
@@ -72,9 +70,7 @@ def haar_trial_states(dim: int, count: int, rng: np.random.Generator) -> np.ndar
 def haar_states(dim: int, count: int, rng: np.random.Generator) -> np.ndarray:
     """``count`` independent Haar-random states as rows of an (n, d) array."""
     require_dimension(dim)
-    require_integer(count, "count")
-    if count < 0:
-        raise ValueError("count must be nonnegative")
+    require_count(count, "count")
     z = rng.standard_normal((count, dim)) + 1j * rng.standard_normal((count, dim))
     return z / np.linalg.norm(z, axis=1, keepdims=True)
 

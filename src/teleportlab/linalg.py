@@ -106,6 +106,14 @@ def require_dimension(value, what: str = "dimension") -> None:
         raise DimensionError(f"{what} must be at least 1")
 
 
+def require_count(value, what: str) -> None:
+    """Refuse ``what`` unless it is an integer (:func:`require_integer`) of at least 0;
+    a negative one raises ``ValueError``."""
+    require_integer(value, what)
+    if value < 0:
+        raise ValueError(f"{what} must be nonnegative")
+
+
 def read_only(array) -> np.ndarray:
     """``array`` as a complex array that nothing can write.  A read-only
     complex array that owns its data is kept; any other input, a view

@@ -27,23 +27,23 @@ import numpy as np
 from .bases import BasisStructureError, OperatorBasis, validate_basis
 from .choi import BipartiteState
 from .errors import DimensionError
-from .linalg import (_BLOCK_BYTES, _abs_from_svd, dagger, polar_unitary, require_dense_size, require_integer,
-                     require_normalized)
+from .linalg import (_BLOCK_BYTES, _abs_from_svd, dagger, polar_unitary, require_count, require_dense_size,
+                     require_integer, require_normalized)
 from .tolerances import ZERO_OUTCOME_TOL
 
 # Complex d^4-entry stacks live at a setup's peak.  No command holds more
 # than 3 at once, whatever order it reads T_xi and the rest in: the basis
 # check holds the elements, one conjugated row block and one Gram block;
-# verify holds the elements, T and the basis's vectors_t; fidelity the
-# elements and one block of T_xi, and average the elements and the packed
-# |T_xi| weights (half a stack), since neither builds T.  The rest is
-# fixed-size working sets (average's 20,000-state draw chunk, verify's chunk
-# of states, _BLOCK_BYTES blocks), which shrink against a stack as d grows
-# and pass 4 stacks only while a stack is small (1 MiB at d = 16).
-# tests/test_cli.py::test_each_command_peaks_below_the_setup_estimate checks
-# every command against this budget at d = 24 and 32.  verify's three stacks
-# keep the budget at 4, and 4 * 64^4 is 2^26, so the constant sets the
-# d <= 64 limit.
+# verify holds the elements, T and the basis's vectors_t (3); teleport the
+# elements and T (2); fidelity the elements and one block of T_xi (1), and
+# average the elements and the packed |T_xi| weights (1.5), since neither
+# builds T.  The rest is fixed-size working sets (average's 20,000-state draw
+# chunk, verify's chunk of states, _BLOCK_BYTES blocks), which shrink against
+# a stack as d grows and pass 4 stacks only while a stack is small (1 MiB at
+# d = 16).  The command rows of tests/test_budgets.py (verify-d24 to
+# average-d32) bound each command by these held stacks plus a few blocks.
+# verify's three stacks keep the budget at 4, and 4 * 64^4 is 2^26, so the
+# constant sets the d <= 64 limit.
 _PEAK_STACKS = 4
 
 
@@ -293,9 +293,10 @@ def optimal_correction(transfer) -> np.ndarray:
     return dagger(polar_unitary(transfer))
 
 
-def _outcome_records(v: np.ndarray, images: np.ndarray, setup: TeleportSetup, xis) -> list[TeleportOutcome]:
+def _outcome_records(v: np.ndarray, images, setup: TeleportSetup, xis) -> list[TeleportOutcome]:
     """The record of each of the distinct outcomes ``xis``, in their order,
-    for the checked input ``v`` whose T_xi v are ``images``.
+    for the checked input ``v``; ``images[xi]`` is T_xi v, a row of one
+    :func:`_transfer_images` call or, for one outcome, its own product.
 
     An outcome whose row of ``images`` has norm at most ``ZERO_OUTCOME_TOL``
     gets the zero-vector sentinel and needs no correction.  The others go
@@ -330,12 +331,13 @@ def _record(xi, probability, raw, corrected, fidelity) -> TeleportOutcome:
 
 
 def realize_outcome(psi, setup: TeleportSetup, xi: int) -> TeleportOutcome:
-    """Construct the full outcome record for measurement result ``xi``."""
+    """Construct the full outcome record for measurement result ``xi``, from
+    its own T_xi psi alone: one d x d product, not all d^2 of them."""
     v = _input_state(psi, setup)
     require_integer(xi, "outcome index")
     if not 0 <= xi < len(setup.basis):
         raise DimensionError(f"outcome index {xi} out of range")
-    return _outcome_records(v, _transfer_images(v, setup), setup, [xi])[0]
+    return _outcome_records(v, {xi: setup.transfer_ops[xi] @ v}, setup, [xi])[0]
 
 
 def enumerate_outcomes(psi, setup: TeleportSetup) -> list[TeleportOutcome]:
@@ -362,9 +364,7 @@ def sample_outcome(psi, setup: TeleportSetup, rng: np.random.Generator,
     block of distinct outcomes (:func:`_outcome_records`), whatever ``size`` is.
     """
     if size is not None:
-        require_integer(size, "size")
-        if size < 0:
-            raise ValueError("size must be nonnegative")
+        require_count(size, "size")
     v = _input_state(psi, setup)
     images = _transfer_images(v, setup)
     probs = _probabilities(images)

@@ -15,15 +15,7 @@ import pytest
 import oracles
 from bench import checks as bench_checks
 from bench.workloads import WORKLOADS, invocation_argv, write_inputs
-from teleportlab import (
-    DimensionError,
-    bell_basis,
-    build_setup,
-    haar_state,
-    product_basis,
-    random_shared_state,
-    rotated_basis,
-)
+from teleportlab import DimensionError, bell_basis, product_basis, rotated_basis
 from teleportlab import cli, linalg, teleport
 from teleportlab.cli import (
     build_parser,
@@ -695,93 +687,6 @@ def test_oversized_dimension_is_refused_with_its_estimate():
     ns = build_parser().parse_args(["fidelity", "--d", "65"])
     with pytest.raises(DimensionError, match=r"d = 65 at peak needs 71,402,500 complex entries \(1\.1 GiB\)"):
         config_from_namespace(ns)
-
-
-def _verify_config(d, samples):
-    argv = ["verify", "--d", str(d), "--shared", "haar-random", "--samples", str(samples), "--no-timestamp"]
-    return config_from_namespace(build_parser().parse_args(argv))
-
-
-@pytest.mark.parametrize("d, samples", [(8, 5000), (16, 200)])
-def test_verify_chunk_working_set_stays_within_one_block(d, samples):
-    # A chunk holds T psi, its transposed copy, the right side and the left
-    # side, each d^3 complex entries per state, so _trials_per_chunk keeps
-    # the four within _BLOCK_BYTES above the held elements, T and vectors_t.
-    # For all 5,000 states at once, each would take 39 MiB at d = 8.
-    rng = np.random.default_rng(d)
-    basis = rotated_basis(bell_basis(d), oracles.random_unitary(rng, d * d))
-    setup = build_setup(random_shared_state(d, rng), basis)
-    setup.transfer_ops, setup.basis.vectors_t  # the held stacks, built outside the measured run
-    cfg = _verify_config(d, samples)
-    (excess, _, _), peak = oracles.peak_bytes(lambda: cli.run_verify(cfg, rng, setup))
-    assert excess < 1e-12
-    assert peak < teleport._BLOCK_BYTES
-
-
-_BUDGET_SAMPLES = {"fidelity": [], "teleport": ["--samples", "20"],
-                   "average": ["--samples", "100"], "verify": ["--samples", "20"]}
-
-
-@pytest.mark.parametrize("d", [24, 32])
-@pytest.mark.parametrize("command", list(_BUDGET_SAMPLES))
-def test_each_command_peaks_below_the_setup_estimate(command, d, capsys):
-    # require_setup_fits budgets _PEAK_STACKS complex d^4-entry stacks for
-    # one whole command, set-up, run and report; the fixed-size working sets
-    # weigh the most against a stack at the smallest d here.
-    argv = [command, "--d", str(d), "--shared", "haar-random", *_BUDGET_SAMPLES[command], "--no-timestamp"]
-    code, peak = oracles.peak_bytes(lambda: main(argv))
-    assert code == 0
-    assert peak < teleport._PEAK_STACKS * 16 * d**4
-
-
-# Complex d^4-entry stacks that fidelity and average stay below at d = 32.
-# Neither builds T: fidelity holds the elements and one block of T_xi, and
-# average the elements, the packed |T_xi| weights (half a stack) and its
-# fixed-size working sets.  A whole T stack held as well, one more, takes
-# either past its bound.
-_NO_T_STACKS = {"fidelity": 1.5, "average": 2.5}
-
-
-@pytest.mark.parametrize("command", list(_NO_T_STACKS))
-def test_fidelity_and_average_peak_without_a_transfer_stack(command, capsys):
-    d = 32
-    argv = [command, "--d", str(d), "--shared", "haar-random", *_BUDGET_SAMPLES[command], "--no-timestamp"]
-    code, peak = oracles.peak_bytes(lambda: main(argv))
-    assert code == 0
-    assert peak < _NO_T_STACKS[command] * 16 * d**4
-
-
-@pytest.mark.parametrize("d", [24, 32])
-def test_verify_peak_does_not_depend_on_read_order(d):
-    # T is built without a conjugated copy of the elements, so reading the
-    # basis's vectors_t before T adds nothing to the peak, one state at a
-    # time or in verify's chunks.
-    def run(first):
-        rng = np.random.default_rng(d)
-        setup = build_setup(random_shared_state(d, rng), bell_basis(d))
-        getattr(setup.basis if first == "vectors_t" else setup, first)
-        for _ in range(20):
-            teleport.verify_identity(haar_state(d, rng), setup)
-        cli.run_verify(_verify_config(d, 2), rng, setup)
-
-    peaks = {first: oracles.peak_bytes(lambda: run(first))[1] / (16 * d**4)
-             for first in ("vectors_t", "transfer_ops")}
-    assert max(peaks.values()) < teleport._PEAK_STACKS
-    assert abs(peaks["vectors_t"] - peaks["transfer_ops"]) <= 0.05
-
-
-@pytest.mark.parametrize("d", [2, 8])
-@pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_a_teleport_shot_peaks_below_its_transcript_charge(fmt, d, capsys):
-    # The transcript guard charges _SHOT_BYTES per shot: the peak that 20,000
-    # shots add over none, sampled and rendered, stays below it per shot.
-    def peak_of(shots):
-        argv = ["teleport", "--d", str(d), "--samples", str(shots), "--format", fmt, "--no-timestamp"]
-        code, peak = oracles.peak_bytes(lambda: main(argv))
-        assert code == 0
-        return peak
-
-    assert (peak_of(20000) - peak_of(0)) / 20000 < cli._SHOT_BYTES
 
 
 def test_oversized_transcript_is_refused_before_sampling(monkeypatch, capsys):

@@ -33,12 +33,10 @@ from teleportlab import (
     sample_outcome,
     special_case_fidelity,
     state_fidelity,
-    state_fidelity_batch,
     validate_basis,
     verify_identity,
 )
 from teleportlab import linalg, teleport
-from teleportlab.teleport import _BLOCK_BYTES
 
 
 def _random_shared(rng, d):
@@ -168,16 +166,6 @@ def test_transfer_trace_sum_is_d_for_normalized_shared(d):
         setup = build_setup(_random_shared(rng, d), basis)
         total = sum(np.trace(dagger(t) @ t).real for t in setup.transfer_ops)
         assert total == pytest.approx(d, abs=1e-10)
-
-
-def test_transfer_operators_hold_no_stack_sized_temporary():
-    # Only C^dag, a d x d copy, is allocated beside the result: a conjugated
-    # copy of the elements would be a whole 16 MiB stack at d = 32.
-    d = 32
-    setup = TeleportSetup(_random_shared(np.random.default_rng(32), d), bell_basis(d))
-    transfer_ops, peak = oracles.peak_bytes(lambda: setup.transfer_ops)
-    assert transfer_ops.nbytes == 16 * d**4
-    assert peak - transfer_ops.nbytes <= 0.1 * 16 * d**4
 
 
 def test_value_objects_hold_read_only_arrays():
@@ -458,44 +446,3 @@ def test_a_numpy_integer_outcome_index_gives_the_int_record():
     by_int, by_numpy = realize_outcome(psi, setup, 3), realize_outcome(psi, setup, np.int64(3))
     assert (by_numpy.xi, by_numpy.probability) == (3, by_int.probability)
     np.testing.assert_array_equal(by_numpy.corrected_state, by_int.corrected_state)
-
-
-def test_state_fidelity_batch_memory_is_bounded_per_block():
-    # 2000 inputs at d=32 are 1 MB; forming all their |psi><psi| at once
-    # would take 32 MB, one block takes 1 MiB.
-    d, n = 32, 2000
-    setup = TeleportSetup(maximally_entangled_state(d), bell_basis(d))
-    psis = oracles.haar_states_gaussian(np.random.default_rng(32), d, n)
-    setup.transfer_abs_packed  # the packed |T|, built on first read, outside the measured kernel
-    fidelities, peak = oracles.peak_bytes(lambda: state_fidelity_batch(psis, setup))
-    assert peak - fidelities.nbytes < 4 * 2**20
-    np.testing.assert_allclose(fidelities, 1.0, atol=1e-12)
-
-
-def test_transfer_abs_packed_temporaries_are_bounded_per_block():
-    # The packed |T| is filled one _rows_per_block block of outcomes at a
-    # time: the block's T_xi, their SVD, their |T_xi|, then the packing, a
-    # few _BLOCK_BYTES of temporaries on top of the result.  A whole complex
-    # T or |T| stack is 16 _BLOCK_BYTES at d = 32, so building either fails.
-    d = 32
-    setup = TeleportSetup(maximally_entangled_state(d), bell_basis(d))
-    packed, peak = oracles.peak_bytes(lambda: setup.transfer_abs_packed)
-    assert packed.nbytes == 8 * d**4
-    assert peak - packed.nbytes < 8 * _BLOCK_BYTES
-
-
-def test_outcome_records_take_their_corrections_a_quarter_block_at_a_time():
-    # A block of outcomes holds its gathered T_xi, U, V^dag and U V^dag, a
-    # quarter of _rows_per_block matrices each, so one _BLOCK_BYTES in all;
-    # T psi, the 1,024 records, the shots' xi and the last block's corrections
-    # come to under 2.5 more at d = 32.  Whole _rows_per_block blocks would
-    # hold 4 _BLOCK_BYTES at once and break the bound.
-    d = 32
-    setup = TeleportSetup(maximally_entangled_state(d), bell_basis(d))
-    psi = oracles.haar_states_gaussian(np.random.default_rng(33), d, 1)[0]
-    setup.transfer_ops  # T, built on first read, outside the measured calls
-    for call in (lambda: enumerate_outcomes(psi, setup),
-                 lambda: sample_outcome(psi, setup, np.random.default_rng(0), size=20000)):
-        records, peak = oracles.peak_bytes(call)
-        assert len({r.xi for r in records}) == d * d
-        assert peak < 4 * _BLOCK_BYTES
