@@ -689,6 +689,27 @@ def test_oversized_dimension_is_refused_with_its_estimate():
         config_from_namespace(ns)
 
 
+# Complex d^4-entry stacks that fidelity and average stay below at d = 32.
+# Neither builds T: fidelity holds the elements and one block of T_xi, and
+# average the elements, the packed |T_xi| weights (half a stack) and its
+# fixed-size working sets.  A read of the whole T stack fails the test at
+# once; the tighter per-command bounds are the fidelity-d32 and average-d32
+# rows of tests/test_budgets.py.
+_NO_T_STACKS = {"fidelity": 1.5, "average": 2.5}
+
+
+@pytest.mark.parametrize("command", list(_NO_T_STACKS))
+def test_fidelity_and_average_peak_without_a_transfer_stack(command, monkeypatch, capsys):
+    monkeypatch.setattr(teleport.TeleportSetup, "transfer_ops",
+                        property(lambda setup: pytest.fail(f"{command} built the T stack")))
+    d = 32
+    flags = ["--samples", "100"] if command == "average" else []
+    argv = [command, "--d", str(d), "--shared", "haar-random", *flags, "--no-timestamp"]
+    code, peak = oracles.peak_bytes(lambda: main(argv))
+    assert code == 0
+    assert peak < _NO_T_STACKS[command] * 16 * d**4
+
+
 def test_oversized_transcript_is_refused_before_sampling(monkeypatch, capsys):
     # A shot costs _SHOT_BYTES of the dense budget, 16 bytes per entry.  With
     # the limit shrunk to 100 shots' worth, 100 shots run and 101 exit 2 with
