@@ -39,7 +39,8 @@ import numpy as np
 
 from .choi import schmidt_shape
 from .errors import BasisStructureError, DimensionError
-from .linalg import _BLOCK_BYTES, as_square_matrix, read_only, require_dense_size, require_dimension
+from .linalg import (_BLOCK_BYTES, as_square_matrix, read_only, require_dense_size, require_dimension,
+                     require_finite)
 from .tolerances import BASIS_TOL
 
 
@@ -76,8 +77,7 @@ class OperatorBasis:
                 f"a basis for local dimension {d} needs {d * d} elements of shape "
                 f"{d} x {d}, got array of shape {self.elements.shape}"
             )
-        if not np.all(np.isfinite(self.elements)):
-            raise ValueError("basis elements must be finite")
+        require_finite(self.elements, ValueError("basis elements must be finite"))
 
     def __len__(self) -> int:
         return self.elements.shape[0]

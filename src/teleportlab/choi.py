@@ -17,8 +17,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionError
-from .linalg import (as_square_matrix, as_state, dagger, normalize_state, read_only, require_dimension,
-                     require_normalized)
+from .linalg import (as_square_matrix, as_square_pair, as_state, dagger, normalize_state, read_only,
+                     require_dimension, require_normalized)
 from .tolerances import RANK_TOL
 
 
@@ -44,10 +44,7 @@ def op_to_vec(operator) -> np.ndarray:
 
 def hs_inner(a, b) -> complex:
     """Hilbert-Schmidt inner product Tr(A^dag B)."""
-    ma = as_square_matrix(a)
-    mb = as_square_matrix(b)
-    if ma.shape != mb.shape:
-        raise DimensionError(f"shape mismatch: {ma.shape} vs {mb.shape}")
+    ma, mb = as_square_pair(a, b)
     # vdot conjugates its first argument and flattens, which is exactly
     # sum_jk conj(A_jk) B_jk = Tr(A^dag B).
     return complex(np.vdot(ma, mb))

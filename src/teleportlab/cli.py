@@ -59,7 +59,7 @@ from .haar import (
     random_shared_state,
     special_case_fidelity,
 )
-from .linalg import basis_state, require_dense_size, scaled_norm
+from .linalg import basis_state, require_dense_size, require_finite, scaled_norm
 from .teleport import (
     TeleportSetup,
     _trials_per_chunk,
@@ -152,8 +152,7 @@ def _parse_complex_pairs(values, what: str) -> np.ndarray:
         arr = arr.astype(float, copy=False)
     except OverflowError:
         raise ConfigurationError(f"{what}: entries must fit in a float") from None
-    if not np.all(np.isfinite(arr)):
-        raise ConfigurationError(f"{what}: entries must be finite")
+    require_finite(arr, ConfigurationError(f"{what}: entries must be finite"))
     return arr[..., 0] + 1j * arr[..., 1]
 
 

@@ -27,7 +27,7 @@ import numpy as np
 
 from .choi import BipartiteState, schmidt_shape
 from .errors import ConfigurationError, DimensionError
-from .linalg import as_square_matrix, require_count, require_dimension, require_integer
+from .linalg import as_square_pair, require_count, require_dimension, require_integer
 from .teleport import TeleportSetup, state_fidelity_batch
 from .tolerances import RANK_TOL
 
@@ -103,10 +103,7 @@ def pair_average_analytic(a, b) -> complex:
     Equals (Tr(AB) + Tr A Tr B) / (d (d + 1)); real when A and B are
     Hermitian.
     """
-    ma = as_square_matrix(a)
-    mb = as_square_matrix(b)
-    if ma.shape != mb.shape:
-        raise DimensionError(f"shape mismatch: {ma.shape} vs {mb.shape}")
+    ma, mb = as_square_pair(a, b)
     d = ma.shape[0]
     return complex(np.trace(ma @ mb) + np.trace(ma) * np.trace(mb)) / (d * (d + 1))
 

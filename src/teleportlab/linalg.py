@@ -23,8 +23,21 @@ _MAX_ELEMENTS = 1 << 26
 # blocks of T_xi whose |T_xi| transfer_abs_packed packs and the blocks of
 # input rows of state_fidelity_batch, and a quarter of it the blocks of
 # outcomes whose corrections teleport._outcome_records takes at once;
-# teleport._trials_per_chunk verify's chunks of states.
+# teleport._trials_per_chunk verify's chunks of states; require_finite its
+# slices.
 _BLOCK_BYTES = 1 << 20
+
+
+def require_finite(array: np.ndarray, error: Exception) -> None:
+    """Raise ``error`` unless every entry of ``array`` is finite.  The
+    entries are read in memory order (a view for any dense layout, a
+    transposed stack included), one ``_BLOCK_BYTES`` slice at a time, so the
+    masks stay small against a d^4-entry stack."""
+    flat = array.ravel(order="K")
+    step = _BLOCK_BYTES // flat.itemsize
+    for start in range(0, flat.size, step):
+        if not np.isfinite(flat[start:start + step]).all():
+            raise error
 
 
 def as_matrix(matrix, stack: bool = False) -> np.ndarray:
@@ -33,8 +46,7 @@ def as_matrix(matrix, stack: bool = False) -> np.ndarray:
     m = np.asarray(matrix, dtype=complex)
     if m.ndim != 2 and not (stack and m.ndim > 2):
         raise DimensionError(f"expected a matrix, got array of shape {m.shape}")
-    if m.size and not np.all(np.isfinite(m)):
-        raise ValueError("matrix entries must be finite (no NaN/Inf)")
+    require_finite(m, ValueError("matrix entries must be finite (no NaN/Inf)"))
     return m
 
 
@@ -46,6 +58,14 @@ def as_square_matrix(matrix, stack: bool = False) -> np.ndarray:
     return m
 
 
+def as_square_pair(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """``a`` and ``b`` by :func:`as_square_matrix`, refused unless their shapes match."""
+    ma, mb = as_square_matrix(a), as_square_matrix(b)
+    if ma.shape != mb.shape:
+        raise DimensionError(f"shape mismatch: {ma.shape} vs {mb.shape}")
+    return ma, mb
+
+
 def as_state(vector) -> np.ndarray:
     """Validate and return ``vector`` as a finite complex 1-d array."""
     v = np.asarray(vector, dtype=complex)
@@ -53,8 +73,7 @@ def as_state(vector) -> np.ndarray:
         raise DimensionError(f"expected a vector, got array of shape {v.shape}")
     if v.size == 0:
         raise DimensionError("state vectors must have positive dimension")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("vector entries must be finite (no NaN/Inf)")
+    require_finite(v, ValueError("vector entries must be finite (no NaN/Inf)"))
     return v
 
 

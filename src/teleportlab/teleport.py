@@ -28,7 +28,7 @@ from .bases import BasisStructureError, OperatorBasis, validate_basis
 from .choi import BipartiteState
 from .errors import DimensionError
 from .linalg import (_BLOCK_BYTES, _abs_from_svd, dagger, polar_unitary, require_count, require_dense_size,
-                     require_integer, require_normalized)
+                     require_finite, require_integer, require_normalized)
 from .tolerances import ZERO_OUTCOME_TOL
 
 # Complex d^4-entry stacks live at a setup's peak.  No command holds more
@@ -228,8 +228,7 @@ def verify_identity(psi, setup: TeleportSetup) -> float | np.ndarray:
     """
     d = setup.local_dim
     states = _sized_input(np.asarray(psi, dtype=complex), setup)
-    if not np.all(np.isfinite(states)):
-        raise ValueError("vector entries must be finite (no NaN/Inf)")
+    require_finite(states, ValueError("vector entries must be finite (no NaN/Inf)"))
     rows = states.reshape(-1, d)
     chunk = _trials_per_chunk(d)
     residuals = np.empty(len(rows))

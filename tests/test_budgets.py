@@ -24,9 +24,9 @@ import pytest
 
 import oracles
 from teleportlab import (
-    OperatorBasis, TeleportSetup, bell_basis, build_setup, enumerate_outcomes, haar_state, maximally_entangled_state,
-    random_shared_state, realize_outcome, rotated_basis, sample_outcome, state_fidelity_batch, validate_basis,
-    verify_identity,
+    OperatorBasis, TeleportSetup, bell_basis, build_setup, custom_basis, enumerate_outcomes, haar_state,
+    maximally_entangled_state, random_shared_state, realize_outcome, rotated_basis, sample_outcome,
+    state_fidelity_batch, validate_basis, verify_identity,
 )
 from teleportlab.cli import _SHOT_BYTES, build_parser, config_from_namespace, main, run_verify
 from teleportlab.linalg import _BLOCK_BYTES
@@ -115,11 +115,18 @@ _ROWS = [
     # time; the whole conjugate or the whole Gram matrix is one more stack.
     Row("validate-basis-d24", 24, bell_basis, validate_basis, lambda report: report.passed, 0, 5),
     Row("validate-basis-d32", 32, bell_basis, validate_basis, lambda report: report.passed, 0, 7),
-    # The conversion to complex is the stored stack itself, not a second copy.
+    # The conversion to complex is the stored stack itself, not a second copy,
+    # and the finiteness check reads it in slices: a whole-stack mask is one block.
     Row("real-stack-to-complex-d32", 32, lambda d: bell_basis(d).elements.real.copy(),
         lambda real: OperatorBasis(local_dim=32, elements=real).elements,
         lambda stored: stored.dtype == complex and not stored.flags.writeable
-        and np.array_equal(stored, bell_basis(32).elements.real), 1, 2),
+        and np.array_equal(stored, bell_basis(32).elements.real), 1, 0.25),
+    # A list of matrices stacked once, and bell_basis beside its d^3 index
+    # arrays; a whole-stack finiteness mask would be one block more.
+    Row("custom-basis-d32", 32, lambda d: [m.copy() for m in bell_basis(d).elements], custom_basis,
+        lambda basis: np.array_equal(basis.elements, bell_basis(32).elements), 1, 0.25),
+    Row("bell-basis-d32", 32, lambda d: d, bell_basis,
+        lambda basis: basis.built_in and basis.elements.shape == (32**2, 32, 32), 1, 0.75),
     # A verify chunk: T psi, its transposed copy, the right and the left side
     # within one block; for all 5,000 states at once each would take 39 MiB at d = 8.
     Row("run-verify-d8", 8, lambda d: _verify_input(d, 5000), lambda args: run_verify(*args),

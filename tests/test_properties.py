@@ -7,7 +7,7 @@ search is derandomized and bounded, so every run checks the same cases.
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -74,6 +74,10 @@ def _build(params):
 
 @bounded
 @given(setups)
+# Haar resources on the Bell basis at d = 2 and the product basis at d = 3,
+# which the derandomized draws miss.
+@example((2, "haar", "bell", 1.0, 0))
+@example((3, "haar", "product", 1.0, 0))
 def test_protocol_invariants(params):
     setup, rng = _build(params)
     d = setup.local_dim

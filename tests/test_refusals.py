@@ -21,7 +21,7 @@ from teleportlab import (
     product_basis, product_state, random_shared_state, realize_outcome, reduced_states, rotated_basis,
     sample_outcome, state_fidelity, state_fidelity_batch, tensor_product, vec_to_op, verify_identity,
 )
-from teleportlab.linalg import require_normalized
+from teleportlab.linalg import polar_unitary, require_normalized
 from teleportlab.tolerances import BASIS_TOL
 
 _NAN = np.array([[1.0, np.nan], [0.0, 1.0]])
@@ -36,6 +36,7 @@ _D0 = "dimension must be at least 1"
 _LOCAL_D0 = "local dimension must be at least 1"
 _MATRIX_NAN = "matrix entries must be finite (no NaN/Inf)"
 _VECTOR_NAN = "vector entries must be finite (no NaN/Inf)"
+_BASIS_NAN = "basis elements must be finite"
 _INPUT_D = "input state must have dimension 2"
 _NOT_UNITARY = "rotation matrix is not unitary"
 _BOOL_D = "local dimension must be an integer, got True"
@@ -59,6 +60,23 @@ def _defective_rotation(d=24):
     return w
 
 
+def _with_entry(array, index, value):
+    """A copy of ``array`` with one entry of the flattened copy set to ``value``."""
+    array = np.array(array)
+    array.reshape(-1)[index] = value
+    return array
+
+
+# Non-finite entries past the first _BLOCK_BYTES slice of the finiteness check
+# (65,536 complex entries), and one that ends the first slice: the basis at
+# d = 17 (83,521 entries) and the 65,537 d = 1 states hold theirs in the last,
+# partial slice, and the stack of two 200 x 200 matrices holds its Inf in its
+# last matrix at entry 65,535.
+_LATE_NAN_BASIS = partial(_with_entry, bell_basis(17).elements, -1, np.nan)
+_LATE_INF_STACK = partial(_with_entry, np.ones((2, 200, 200)), 65535, np.inf)
+_LATE_NAN_STATES = partial(_with_entry, np.ones((65537, 1)), -1, np.nan)
+
+
 def _vanishing_setup():
     # TeleportSetup does not validate its basis, so an all-zero stack gives
     # every outcome probability 0 for a normalized input.
@@ -72,6 +90,7 @@ _REFUSALS = [
     ("polar-nan", lambda: polar_decompose(_NAN), ValueError, _MATRIX_NAN),
     ("abs-nan", lambda: operator_abs(_NAN), ValueError, _MATRIX_NAN),
     ("tensor-nan", lambda: tensor_product(_NAN, np.eye(2)), ValueError, _MATRIX_NAN),
+    ("polar-stack-late-inf", lambda: polar_unitary(_LATE_INF_STACK()), ValueError, _MATRIX_NAN),
     ("polar-nonsquare", lambda: polar_decompose(np.ones((3, 2))), DimensionError,
      "expected a square matrix, got shape (3, 2)"),
     ("normalize-matrix", lambda: normalize_state(np.ones((2, 2))), DimensionError,
@@ -128,8 +147,8 @@ _REFUSALS = [
      "a basis for local dimension 2 needs 4 elements of shape 2 x 2, got array of shape (4, 3, 3)"),
     ("custom-basis-count", lambda: custom_basis([np.eye(2)] * 3), BasisStructureError,
      "a basis for local dimension 2 needs 4 elements of shape 2 x 2, got array of shape (3, 2, 2)"),
-    ("basis-nan", lambda: OperatorBasis(2, _NAN_BELL), ValueError,
-     "basis elements must be finite"),
+    ("basis-nan", lambda: OperatorBasis(2, _NAN_BELL), ValueError, _BASIS_NAN),
+    ("basis-late-nan-d17", lambda: OperatorBasis(17, _LATE_NAN_BASIS()), ValueError, _BASIS_NAN),
     ("bell-d0", lambda: bell_basis(0), DimensionError, _LOCAL_D0),
     ("bell-float-d", lambda: bell_basis(2.0), DimensionError, _FLOAT_D),
     ("bell-bool-d", lambda: bell_basis(True), DimensionError, _BOOL_D),
@@ -157,6 +176,7 @@ _REFUSALS = [
      BasisStructureError, "basis is not orthonormal and complete (residual 2.010e-02)"),
     ("verify-nan", lambda: verify_identity(np.array([[1.0, 0.0], [np.nan, 0.0]]), _ideal()), ValueError,
      _VECTOR_NAN),
+    ("verify-late-nan-d1", lambda: verify_identity(_LATE_NAN_STATES(), _ideal(1)), ValueError, _VECTOR_NAN),
     ("verify-length-3", lambda: verify_identity(_LENGTH_3, _ideal()), DimensionError, _INPUT_D),
     ("verify-rows-of-3", lambda: verify_identity(np.ones((4, 3)), _ideal()), DimensionError, _INPUT_D),
     ("verify-rank-3", lambda: verify_identity(np.ones((1, 1, 2)), _ideal()), DimensionError, _INPUT_D),
