@@ -20,6 +20,7 @@ from teleportlab import (
     bell_basis,
     build_setup,
     custom_basis,
+    dagger,
     enumerate_outcomes,
     maximally_entangled_state,
     normalize_state,
@@ -156,6 +157,17 @@ def test_product_shared_gives_rank_one_transfers():
             assert np.all(s[1:] <= 1e-10)
 
 
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_transfer_trace_sum_is_d_for_normalized_shared(d):
+    # sum_xi Tr(T_xi^dag T_xi) = d * Tr(C^dag C) = d; the completeness
+    # relation applied to the conjugated resource fixes the factor d.
+    rng = np.random.default_rng(30 + d)
+    for basis in (bell_basis(d), product_basis(d)):
+        setup = build_setup(_random_shared(rng, d), basis)
+        total = sum(np.trace(dagger(t) @ t).real for t in setup.transfer_ops)
+        assert total == pytest.approx(d, abs=1e-10)
+
+
 def test_value_objects_hold_read_only_arrays():
     # Built from writable inputs, none of the stored arrays can be written.
     # Shots with the same xi share one outcome, so writing its states would
@@ -283,6 +295,16 @@ def test_probabilities_concentrate_for_classical_setup():
             expected[j * 2 + k] = np.linalg.norm(t @ psi) ** 2
     np.testing.assert_allclose(expected, [0, 0, 1, 0], atol=1e-14)
     np.testing.assert_allclose(outcome_probabilities(psi, setup), expected, atol=1e-12)
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_probabilities_sum_to_one(d):
+    rng = np.random.default_rng(90 + d)
+    setup = build_setup(_random_shared(rng, d), bell_basis(d))
+    for _ in range(10):
+        assert outcome_probabilities(_random_psi(rng, d), setup).sum() == pytest.approx(
+            1.0, abs=1e-10
+        )
 
 
 def test_sampling_frequencies_match_uniform_law():
