@@ -8,7 +8,8 @@ paths and malformed input files, plus ``verify`` and ``teleport`` at the
 benchmark's d = 8 (a rotated custom basis with a custom resource, and Bell
 and product with a Haar-random resource) and at d = 16 (Bell and product,
 Haar-random), and ``fidelity``, ``average`` and ``teleport`` (2,000 shots)
-at d = 17 and 24 (Bell and product, Haar-random): 586 argvs.
+at d = 17 and 24 (Bell and product, Haar-random), the last also in JSON at
+d = 17: 590 argvs.
 Each argv runs in-process through ``cli.main`` in a directory holding the input files that
 :func:`write_inputs` generates from fixed seeds; its record (:func:`run`)
 keeps the exit code and the texts of stdout, stderr and any ``--out`` file.
@@ -168,6 +169,11 @@ def _grid_argvs() -> list[list[str]]:
                         if basis == "custom":
                             argv += ["--basis-file", f"basis_d{d}.json", "--shared-file", f"shared_d{d}.json"]
                         argvs.append(argv)
+    # The transcript as JSON where the shots' distinct outcomes span more than one block.
+    for seed in SEEDS:
+        for basis, shared in BLOCKED_D_RUNS[17]:
+            argvs.append(["teleport", "--d", "17", "--basis", basis, "--shared", shared, "--seed", str(seed),
+                          *_BLOCKED_SAMPLES["teleport"], "--no-timestamp", "--format", "json"])
     return argvs
 
 
