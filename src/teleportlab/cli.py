@@ -36,6 +36,7 @@ measures is above the larger of its floor and ``--tolerance`` (in ``main``).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -80,9 +81,12 @@ TRANSCRIPT_COLUMNS = (
 )
 
 # Peak bytes one teleport shot adds to a run, sampled and rendered to stdout
-# or --out.  tracemalloc measured 692 in JSON and 388 in CSV per shot over
-# 100,000 shots at d = 64, a setup too large for the test suite; 1,024 leaves
-# room for longer shot numbers.  At d = 2 and 8 the charge is checked by the
+# or --out: the run's tracemalloc peak less that of a run of no shots, per
+# shot.  Over 20,000 shots at d = 2 and 8 that was 600 in JSON and 160-164 in
+# CSV.  Over 100,000 shots at d = 64, a setup too large for the test suite,
+# it was 115 and 106: the setup is freed before the report is rendered, so
+# there the sampling, beside the elements, sets the peak.  1,024 leaves room
+# for longer shot numbers.  At d = 2 and 8 the charge is checked by the
 # teleport-20000-shots rows of tests/test_budgets.py.
 _SHOT_BYTES = 1024
 
@@ -312,7 +316,7 @@ def run_teleport(cfg: argparse.Namespace, rng: np.random.Generator, setup: Telep
                 for outcome in dict.fromkeys(outcomes)}
     largest = max((value for outcome in distinct
                    for value in (outcome.probability, outcome.conditional_fidelity)), default=1.0)
-    return largest - 1.0, PROBABILITY_TOL, [distinct[outcome] for outcome in outcomes]
+    return largest - 1.0, PROBABILITY_TOL, list(map(distinct.__getitem__, outcomes))
 
 
 def run_fidelity(cfg: argparse.Namespace, rng: np.random.Generator, setup: TeleportSetup):
@@ -383,11 +387,12 @@ def _format_scalar(value, null: str = "", text=str) -> str:
     return text(str(value))
 
 
-def _row_texts(columns, rows, cell, labels, sep: str) -> list[str]:
+def _row_texts(columns, rows, cell, labels, sep: str, end: str) -> list[str]:
     """The text of each row in order: ``labels[i] + cell(value)`` per column,
-    joined by ``sep``.  A ``shot`` cell is the row's position in ``rows``.
-    Each distinct row object is formatted once, into the text before and
-    after its shot cell, so rows that share one object cost a join each.
+    joined by ``sep``, then ``end``.  A ``shot`` cell is the row's position in
+    ``rows``.  Each distinct row object is formatted once, into the text
+    before and after its shot cell, so rows that share one object cost a
+    join each.
     """
     shot = columns.index("shot") if "shot" in columns else None
     cached = {}
@@ -397,9 +402,9 @@ def _row_texts(columns, rows, cell, labels, sep: str) -> list[str]:
         if parts is None:
             items = [label + cell(row[c]) for label, c in zip(labels, columns)]
             if shot is None:
-                parts = (sep.join(items), None)
+                parts = (sep.join(items) + end, None)
             else:
-                parts = (sep.join(items[:shot] + [labels[shot]]), sep.join([""] + items[shot + 1:]))
+                parts = (sep.join(items[:shot] + [labels[shot]]), sep.join([""] + items[shot + 1:]) + end)
             cached[id(row)] = parts
         head, tail = parts
         texts.append(head if tail is None else head + str(position) + tail)
@@ -409,10 +414,10 @@ def _row_texts(columns, rows, cell, labels, sep: str) -> list[str]:
 def render_csv(meta: dict, columns, rows) -> str:
     """The CSV report: ``#`` meta lines, the header, one line per row.  A
     ``shot`` cell is the row's position in ``rows``."""
-    lines = [f"# {key}: {_format_scalar(value)}" for key, value in meta.items()]
-    lines.append(",".join(columns))
-    lines += _row_texts(columns, rows, _format_scalar, ("",) * len(columns), ",")
-    return "\n".join(lines) + "\n"
+    lines = [f"# {key}: {_format_scalar(value)}\n" for key, value in meta.items()]
+    lines.append(",".join(columns) + "\n")
+    lines += _row_texts(columns, rows, _format_scalar, ("",) * len(columns), ",", "\n")
+    return "".join(lines)
 
 
 def render_json(meta: dict, columns, rows) -> str:
@@ -422,8 +427,10 @@ def render_json(meta: dict, columns, rows) -> str:
         return _format_scalar(value, "null", json.dumps)
 
     meta_items = ", ".join(f"{json.dumps(k)}: {cell(v)}" for k, v in meta.items())
+    # Each row's object opens before its first label and closes at its end.
     labels = [f"{json.dumps(c)}: " for c in columns]
-    rows_block = ",\n".join("    {" + text + "}" for text in _row_texts(columns, rows, cell, labels, ", "))
+    labels[0] = "    {" + labels[0]
+    rows_block = ",\n".join(_row_texts(columns, rows, cell, labels, ", ", "}"))
     return (
         "{\n"
         f'  "meta": {{{meta_items}}},\n'
@@ -452,7 +459,10 @@ def _build_meta(cfg: argparse.Namespace) -> dict:
 # entry point
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on the first call: parsing
+    reads it and leaves it unchanged, so every ``main`` call shares it."""
     parser = argparse.ArgumentParser(
         prog="teleportlab",
         description="Numerical laboratory for qudit teleportation experiments.",

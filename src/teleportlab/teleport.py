@@ -35,8 +35,8 @@ from .tolerances import ZERO_OUTCOME_TOL
 # than 3 at once, whatever order it reads T_xi and the rest in: the basis
 # check holds the elements, one conjugated row block and one Gram block;
 # verify holds the elements, T and the basis's vectors_t (3); teleport the
-# elements and T (2); fidelity the elements and one block of T_xi (1), and
-# average the elements and the packed |T_xi| weights (1.5), since neither
+# elements and one block of T_xi (1), fidelity the same (1), and average the
+# elements and the packed |T_xi| weights (1.5), since none of the three
 # builds T.  The rest is fixed-size working sets (average's 20,000-state draw
 # chunk, verify's chunk of states, _BLOCK_BYTES blocks), which shrink against
 # a stack as d grows and pass 4 stacks only while a stack is small (1 MiB at
@@ -51,14 +51,14 @@ _PEAK_STACKS = 4
 class TeleportSetup:
     """Immutable pair of resource state and measurement basis.
 
-    T_xi has one formula, :meth:`_transfer_block`, over any range of
-    outcomes.  ``transfer_ops[xi]`` is T_xi, its whole-range case, which
-    ``verify`` and ``teleport`` read.  ``transfer_trace_norms[xi]`` is the
-    trace norm Tr|T_xi|, all that the analytic E(F) needs, and |T_xi| is
-    held only as ``transfer_abs_packed[xi]``, the Monte-Carlo kernel's
-    weights, in the layout that property describes; both read fresh blocks
-    of T_xi, never ``transfer_ops``, so ``fidelity`` and ``average`` hold no
-    T stack.  Each is derived on first read and cached read-only.  For a
+    T_xi has one formula, :meth:`_transfer_block`, over any range or list
+    of outcomes.  ``transfer_ops[xi]`` is T_xi, its whole-range case, which
+    only ``verify`` reads.  ``transfer_trace_norms[xi]`` is the trace norm
+    Tr|T_xi|, all that the analytic E(F) needs, and |T_xi| is held only as
+    ``transfer_abs_packed[xi]``, the Monte-Carlo kernel's weights, in the
+    layout that property describes; both read fresh blocks of T_xi, never
+    ``transfer_ops``, as ``teleport``'s images and corrections do, so
+    ``teleport``, ``fidelity`` and ``average`` hold no T stack.  Each is derived on first read and cached read-only.  For a
     normalized resource, sum_xi Tr(T_xi^dag T_xi) = d.
     Rank and flatness are cached on ``shared`` and ``basis``, which they
     describe.  The constructor checks dimensions and size, not the basis.
@@ -79,14 +79,15 @@ class TeleportSetup:
     def local_dim(self) -> int:
         return self.shared.local_dim
 
-    def _transfer_block(self, start: int, stop: int) -> np.ndarray:
-        """T_xi = C^t B_xi^dag for the outcomes start <= xi < stop, a fresh
-        writable array of shape (stop - start, d, d): C^dag B_xi^t over a
-        transposed view of the elements, conjugated in place, so no conjugated
-        copy of the elements is made.  Negation is exact, so the bits are
-        those of C^t conj(B_xi)^t, and each T_xi is one product, the same
-        whichever block it falls in."""
-        elements_t = self.basis.elements[start:stop].transpose(0, 2, 1)
+    def _transfer_block(self, outcomes) -> np.ndarray:
+        """T_xi = C^t B_xi^dag for the outcomes ``outcomes``, a slice or a
+        list of xi, as a fresh writable array of shape (len(outcomes), d, d):
+        C^dag B_xi^t over a transposed view of the sliced or gathered
+        elements, conjugated in place, so no conjugated copy of the elements
+        is made.  Negation is exact, so the bits are those of
+        C^t conj(B_xi)^t, and each T_xi is one product, the same whichever
+        block it falls in."""
+        elements_t = self.basis.elements[outcomes].transpose(0, 2, 1)
         block = np.matmul(dagger(self.shared.operator_form), elements_t)
         np.conjugate(block, out=block)
         return block
@@ -95,7 +96,7 @@ class TeleportSetup:
     def transfer_ops(self) -> np.ndarray:
         """T_xi for every outcome, shape (d^2, d, d): the whole-range
         :meth:`_transfer_block`."""
-        transfer_ops = self._transfer_block(0, len(self.basis))
+        transfer_ops = self._transfer_block(slice(None))
         transfer_ops.setflags(write=False)
         return transfer_ops
 
@@ -107,7 +108,7 @@ class TeleportSetup:
         trace_norms = np.empty(len(self.basis))
         rows = _rows_per_block(self.local_dim)
         for start in range(0, len(trace_norms), rows):
-            s = np.linalg.svd(self._transfer_block(start, start + rows), compute_uv=False)
+            s = np.linalg.svd(self._transfer_block(slice(start, start + rows)), compute_uv=False)
             trace_norms[start:start + rows] = s.sum(axis=1)
         trace_norms.setflags(write=False)
         return trace_norms
@@ -135,7 +136,7 @@ class TeleportSetup:
         rows = _rows_per_block(d)
         for start in range(0, len(packed), rows):
             # U is freed as soon as the call returns, not held through the block.
-            s, vh = np.linalg.svd(self._transfer_block(start, start + rows))[1:]
+            s, vh = np.linalg.svd(self._transfer_block(slice(start, start + rows)))[1:]
             block = _abs_from_svd(s, vh).reshape(-1, d * d)
             packed[start:start + rows, :d] = block[:, ::d + 1].real
             np.multiply(block.take(upper, axis=1).view(float), 2.0, out=packed[start:start + rows, d:])
@@ -243,7 +244,7 @@ def _chunk_residuals(v: np.ndarray, setup: TeleportSetup) -> np.ndarray:
     read it, and the chunk's arrays are freed on return, before the next
     chunk's are made."""
     m, d = v.shape
-    t_psi = np.ascontiguousarray(_transfer_images(v, setup).transpose(0, 2, 1))
+    t_psi = np.ascontiguousarray(_transfer_images(v, setup.transfer_ops).transpose(0, 2, 1))
     diff = np.einsum("ix,nmx->nim", setup.basis.vectors_t, t_psi).reshape(m, d, d * d)
     diff -= np.multiply(v[:, :, None], setup.shared.vector[None, None, :], out=t_psi)
     rows = diff.reshape(m, 1, -1)
@@ -251,12 +252,22 @@ def _chunk_residuals(v: np.ndarray, setup: TeleportSetup) -> np.ndarray:
     return np.sqrt((re @ re.transpose(0, 2, 1) + im @ im.transpose(0, 2, 1)).reshape(m))
 
 
-def _transfer_images(v: np.ndarray, setup: TeleportSetup) -> np.ndarray:
-    """T_xi v for every xi: shape (d^2, d) for one state v of shape (d,), and
-    (n, d^2, d) for rows of states (n, d).  Each state takes one flat (d^3, d)
-    product with its column; tests pin its bits to each T_xi @ v."""
-    d = setup.local_dim
-    return (setup.transfer_ops.reshape(-1, d) @ v[..., None]).reshape(*v.shape[:-1], d * d, d)
+def _transfer_images(v: np.ndarray, transfer: np.ndarray) -> np.ndarray:
+    """T_xi v for each T_xi of the stack ``transfer`` (k, d, d): shape (k, d)
+    for one state v of shape (d,), and (n, k, d) for rows of states (n, d).
+    Each state takes one flat (k d, d) product with its column; tests pin its
+    bits to each T_xi @ v."""
+    k, d = transfer.shape[:2]
+    return (transfer.reshape(-1, d) @ v[..., None]).reshape(*v.shape[:-1], k, d)
+
+
+def _state_images(v: np.ndarray, setup: TeleportSetup) -> np.ndarray:
+    """T_xi v for every xi of one state v, shape (d^2, d): the
+    :func:`_transfer_images` of one ``_rows_per_block`` block of fresh T_xi
+    at a time, so no T stack is held; tests pin its bits to each T_xi @ v."""
+    rows = _rows_per_block(setup.local_dim)
+    return np.concatenate([_transfer_images(v, setup._transfer_block(slice(start, start + rows)))
+                           for start in range(0, len(setup.basis), rows)])
 
 
 def _sized_input(states: np.ndarray, setup: TeleportSetup) -> np.ndarray:
@@ -276,7 +287,7 @@ def _probabilities(images: np.ndarray) -> np.ndarray:
 
 def outcome_probabilities(psi, setup: TeleportSetup) -> np.ndarray:
     """p(xi | psi) = ||T_xi psi||^2 for every outcome; sums to 1."""
-    return _probabilities(_transfer_images(_input_state(psi, setup), setup))
+    return _probabilities(_state_images(_input_state(psi, setup), setup))
 
 
 def optimal_correction(transfer) -> np.ndarray:
@@ -295,13 +306,13 @@ def optimal_correction(transfer) -> np.ndarray:
 def _outcome_records(v: np.ndarray, images, setup: TeleportSetup, xis) -> list[TeleportOutcome]:
     """The record of each of the distinct outcomes ``xis``, in their order,
     for the checked input ``v``; ``images[xi]`` is T_xi v, a row of one
-    :func:`_transfer_images` call or, for one outcome, its own product.
+    :func:`_state_images` call or, for one outcome, its own product.
 
     An outcome whose row of ``images`` has norm at most ``ZERO_OUTCOME_TOL``
     gets the zero-vector sentinel and needs no correction.  The others go
     through in blocks of a quarter of ``_rows_per_block(d)``, each one stacked
-    :func:`optimal_correction`, so the gathered T block, U, V^dag and U V^dag
-    fit in ``_BLOCK_BYTES``.
+    :func:`optimal_correction` of the block's T_xi, formed from the gathered
+    elements, so that T block, U, V^dag and U V^dag fit in ``_BLOCK_BYTES``.
     """
     d = setup.local_dim
     norms = {xi: float(np.linalg.norm(images[xi])) for xi in xis}
@@ -310,7 +321,7 @@ def _outcome_records(v: np.ndarray, images, setup: TeleportSetup, xis) -> list[T
     rows = max(1, _rows_per_block(d) // 4)
     for start in range(0, len(live), rows):
         block = live[start:start + rows]
-        for xi, correction in zip(block, optimal_correction(setup.transfer_ops[block])):
+        for xi, correction in zip(block, optimal_correction(setup._transfer_block(block))):
             norm = norms[xi]
             raw = images[xi] / norm
             corrected = correction @ raw
@@ -336,13 +347,13 @@ def realize_outcome(psi, setup: TeleportSetup, xi: int) -> TeleportOutcome:
     require_integer(xi, "outcome index")
     if not 0 <= xi < len(setup.basis):
         raise DimensionError(f"outcome index {xi} out of range")
-    return _outcome_records(v, {xi: setup.transfer_ops[xi] @ v}, setup, [xi])[0]
+    return _outcome_records(v, {xi: setup._transfer_block(slice(xi, xi + 1))[0] @ v}, setup, [xi])[0]
 
 
 def enumerate_outcomes(psi, setup: TeleportSetup) -> list[TeleportOutcome]:
     """Outcome records for all d^2 measurement results, in xi order."""
     v = _input_state(psi, setup)
-    return _outcome_records(v, _transfer_images(v, setup), setup, range(len(setup.basis)))
+    return _outcome_records(v, _state_images(v, setup), setup, range(len(setup.basis)))
 
 
 def sample_outcome(psi, setup: TeleportSetup, rng: np.random.Generator,
@@ -365,7 +376,7 @@ def sample_outcome(psi, setup: TeleportSetup, rng: np.random.Generator,
     if size is not None:
         require_count(size, "size")
     v = _input_state(psi, setup)
-    images = _transfer_images(v, setup)
+    images = _state_images(v, setup)
     probs = _probabilities(images)
     total = probs.sum()
     if total <= 0.0:
@@ -378,7 +389,7 @@ def sample_outcome(psi, setup: TeleportSetup, rng: np.random.Generator,
                      np.flatnonzero(probs)[-1])
     distinct = np.flatnonzero(np.bincount(xis)).tolist()
     records = dict(zip(distinct, _outcome_records(v, images, setup, distinct)))
-    outcomes = [records[xi] for xi in xis.tolist()]
+    outcomes = list(map(records.__getitem__, xis.tolist()))
     return outcomes[0] if size is None else outcomes
 
 

@@ -325,6 +325,29 @@ def test_same_seed_gives_identical_bytes(tmp_path):
     assert paths[0] == paths[1]
 
 
+def test_the_one_parser_carries_no_flag_from_call_to_call(tmp_path, monkeypatch, capsys):
+    # main parses every argv with the one parser of the process: flags that
+    # one call sets, and an argparse refusal, must not reach a later call,
+    # which prints what it prints with a freshly built parser.
+    assert build_parser() is build_parser()
+    psi = tmp_path / "psi.json"
+    save_state_file(str(psi), 2, np.array([0.6, 0.8j]))
+    out = tmp_path / "report.json"
+    assert main(["teleport", "--samples", "7", "--format", "json", "--out", str(out),
+                 "--psi-file", str(psi), "--no-timestamp"]) == 0
+    assert json.loads(out.read_text())["meta"]["samples"] == 7
+    bare = ["teleport", "--shared", "haar-random", "--no-timestamp"]
+    reused = run_cli(bare, capsys)
+    assert reused[0] == 0 and reused[1].startswith("# command: teleport\n") and "# samples: 1000\n" in reused[1]
+    with pytest.raises(SystemExit) as refusal:
+        main(["teleport", "--format", "xml", "--samples", "3"])
+    assert refusal.value.code == 2
+    capsys.readouterr()
+    assert run_cli(bare, capsys) == reused
+    monkeypatch.setattr(cli, "build_parser", build_parser.__wrapped__)
+    assert run_cli(bare, capsys) == reused
+
+
 def test_fidelity_product_resource(capsys):
     code, out, _ = run_cli(
         ["fidelity", "--d", "2", "--shared", "product", "--no-timestamp"], capsys
@@ -689,13 +712,13 @@ def test_oversized_dimension_is_refused_with_its_estimate():
         config_from_namespace(ns)
 
 
-# Complex d^4-entry stacks that fidelity and average stay below at d = 32.
-# Neither builds T: fidelity holds the elements and one block of T_xi, and
-# average the elements, the packed |T_xi| weights (half a stack) and its
-# fixed-size working sets.  A read of the whole T stack fails the test at
-# once; the tighter per-command bounds are the fidelity-d32 and average-d32
-# rows of tests/test_budgets.py.
-_NO_T_STACKS = {"fidelity": 1.5, "average": 2.5}
+# Complex d^4-entry stacks that teleport, fidelity and average stay below at
+# d = 32.  None builds T: teleport and fidelity hold the elements and one
+# block of T_xi, and average the elements, the packed |T_xi| weights (half a
+# stack) and its fixed-size working sets.  A read of the whole T stack fails
+# the test at once; the tighter per-command bounds are the teleport-d32,
+# fidelity-d32 and average-d32 rows of tests/test_budgets.py.
+_NO_T_STACKS = {"fidelity": 1.5, "average": 2.5, "teleport": 1.5}
 
 
 @pytest.mark.parametrize("command", list(_NO_T_STACKS))
