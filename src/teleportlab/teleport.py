@@ -58,8 +58,9 @@ class TeleportSetup:
     ``transfer_abs_packed[xi]``, the Monte-Carlo kernel's weights, in the
     layout that property describes; both read fresh blocks of T_xi, never
     ``transfer_ops``, as ``teleport``'s images and corrections do, so
-    ``teleport``, ``fidelity`` and ``average`` hold no T stack.  Each is derived on first read and cached read-only.  For a
-    normalized resource, sum_xi Tr(T_xi^dag T_xi) = d.
+    ``teleport``, ``fidelity`` and ``average`` hold no T stack.  Each is
+    derived on first read and cached read-only.  For a normalized resource,
+    sum_xi Tr(T_xi^dag T_xi) = d.
     Rank and flatness are cached on ``shared`` and ``basis``, which they
     describe.  The constructor checks dimensions and size, not the basis.
     """
@@ -81,7 +82,7 @@ class TeleportSetup:
 
     def _transfer_block(self, outcomes) -> np.ndarray:
         """T_xi = C^t B_xi^dag for the outcomes ``outcomes``, a slice or a
-        list of xi, as a fresh writable array of shape (len(outcomes), d, d):
+        list of xi, as a fresh writable (k, d, d) array, one T_xi per outcome:
         C^dag B_xi^t over a transposed view of the sliced or gathered
         elements, conjugated in place, so no conjugated copy of the elements
         is made.  Negation is exact, so the bits are those of
@@ -342,7 +343,7 @@ def _record(xi, probability, raw, corrected, fidelity) -> TeleportOutcome:
 
 def realize_outcome(psi, setup: TeleportSetup, xi: int) -> TeleportOutcome:
     """Construct the full outcome record for measurement result ``xi``, from
-    its own T_xi psi alone: one d x d product, not all d^2 of them."""
+    its own T_xi and T_xi psi alone, not all d^2 of them."""
     v = _input_state(psi, setup)
     require_integer(xi, "outcome index")
     if not 0 <= xi < len(setup.basis):
