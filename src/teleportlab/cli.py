@@ -36,7 +36,6 @@ measures is above the larger of its floor and ``--tolerance`` (in ``main``).
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import sys
 import time
@@ -459,10 +458,7 @@ def _build_meta(cfg: argparse.Namespace) -> dict:
 # entry point
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The one parser of the process, built on the first call: parsing
-    reads it and leaves it unchanged, so every ``main`` call shares it."""
     parser = argparse.ArgumentParser(
         prog="teleportlab",
         description="Numerical laboratory for qudit teleportation experiments.",

@@ -325,29 +325,6 @@ def test_same_seed_gives_identical_bytes(tmp_path):
     assert paths[0] == paths[1]
 
 
-def test_the_one_parser_carries_no_flag_from_call_to_call(tmp_path, monkeypatch, capsys):
-    # main parses every argv with the one parser of the process: flags that
-    # one call sets, and an argparse refusal, must not reach a later call,
-    # which prints what it prints with a freshly built parser.
-    assert build_parser() is build_parser()
-    psi = tmp_path / "psi.json"
-    save_state_file(str(psi), 2, np.array([0.6, 0.8j]))
-    out = tmp_path / "report.json"
-    assert main(["teleport", "--samples", "7", "--format", "json", "--out", str(out),
-                 "--psi-file", str(psi), "--no-timestamp"]) == 0
-    assert json.loads(out.read_text())["meta"]["samples"] == 7
-    bare = ["teleport", "--shared", "haar-random", "--no-timestamp"]
-    reused = run_cli(bare, capsys)
-    assert reused[0] == 0 and reused[1].startswith("# command: teleport\n") and "# samples: 1000\n" in reused[1]
-    with pytest.raises(SystemExit) as refusal:
-        main(["teleport", "--format", "xml", "--samples", "3"])
-    assert refusal.value.code == 2
-    capsys.readouterr()
-    assert run_cli(bare, capsys) == reused
-    monkeypatch.setattr(cli, "build_parser", build_parser.__wrapped__)
-    assert run_cli(bare, capsys) == reused
-
-
 def test_fidelity_product_resource(capsys):
     code, out, _ = run_cli(
         ["fidelity", "--d", "2", "--shared", "product", "--no-timestamp"], capsys
