@@ -4,12 +4,13 @@
 d in {1, 2, 3, 5} x {Bell, product, custom basis} x all four resources in
 CSV, JSON at d = 2, ``--psi-file`` at every d, an unnormalized shared
 file, ``--out`` files, the default sample counts, tolerance gates, error
-paths and malformed input files, plus ``verify`` and ``teleport`` at the
+paths, malformed input files, the parser's help and usage errors and a
+one-shot JSON transcript, plus ``verify`` and ``teleport`` at the
 benchmark's d = 8 (a rotated custom basis with a custom resource, and Bell
 and product with a Haar-random resource) and at d = 16 (Bell and product,
 Haar-random), and ``fidelity``, ``average`` and ``teleport`` (2,000 shots)
 at d = 17 and 24 (Bell and product, Haar-random), the last also in JSON at
-d = 17: 590 argvs.
+d = 17: 599 argvs.
 Each argv runs in-process through ``cli.main`` in a directory holding the input files that
 :func:`write_inputs` generates from fixed seeds; its record (:func:`run`)
 keeps the exit code and the texts of stdout, stderr and any ``--out`` file.
@@ -225,6 +226,9 @@ def _extra_argvs() -> list[list[str]]:
         kind, flag = ("--basis", "--basis-file") if name in _MALFORMED_BASES else ("--shared", "--shared-file")
         argvs.append(["verify", "--d", "2", kind, "custom", flag, name, ts])
     argvs.append(["teleport", "--d", "2", "--psi-file", "nan_entry.json", ts])
+    # The parser's own text: help, usage errors, and the one-row JSON transcript.
+    argvs += [["--help"], *([command, "--help"] for command in COMMANDS), [], ["nope"],
+              ["verify", "--basis", "nope"], ["teleport", "--samples", "1", "--format", "json", ts]]
     return argvs
 
 
@@ -241,12 +245,25 @@ def _digest(data: bytes) -> dict:
 def run(argv: list[str]) -> dict:
     """Run one argv in the current directory: its exit code and the texts of
     stdout, stderr and its ``--out`` file (``None`` if none was written),
-    which is removed."""
+    which is removed.  The parser's ``SystemExit`` (help, usage errors) gives
+    the exit code, and the run sees ``COLUMNS=80``, so help and usage text
+    wrap the same on any terminal; the old value is restored afterwards."""
     from teleportlab import cli
 
     stdout, stderr = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-        code = cli.main(list(argv))
+    columns = os.environ.get("COLUMNS")
+    os.environ["COLUMNS"] = "80"
+    try:
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            try:
+                code = cli.main(list(argv))
+            except SystemExit as exc:
+                code = exc.code
+    finally:
+        if columns is None:
+            del os.environ["COLUMNS"]
+        else:
+            os.environ["COLUMNS"] = columns
     out = None
     if "--out" in argv:
         path = pathlib.Path(argv[argv.index("--out") + 1])

@@ -114,3 +114,22 @@ def test_main_without_a_tree_lists_moved_records_and_writes_their_digests(monkey
     assert capsys.readouterr().out.splitlines() == ["moved: verify", "1 of 3 records moved",
                                                     f"wrote 2 runs to {golden}"]
     assert cli_grid.load() == cli_grid.digests(new)
+
+
+
+def test_run_records_the_parsers_exit_at_80_columns_and_restores_columns(monkeypatch):
+    # Help exits 0 and a usage error 2 through SystemExit.  Both wrap the
+    # same on a 200-column terminal as with none set, and COLUMNS is as it
+    # was afterwards.
+    records = {}
+    for columns in (None, "200"):
+        if columns is None:
+            monkeypatch.delenv("COLUMNS", raising=False)
+        else:
+            monkeypatch.setenv("COLUMNS", columns)
+        records[columns] = [cli_grid.run(argv) for argv in (["verify", "--help"], ["verify", "--basis", "nope"])]
+        assert cli_grid.os.environ.get("COLUMNS") == columns
+    helped, refused = records[None]
+    assert helped["exit"] == 0 and helped["stdout"].startswith("usage: teleportlab verify") and not helped["stderr"]
+    assert refused["exit"] == 2 and not refused["stdout"] and "invalid choice: 'nope'" in refused["stderr"]
+    assert records["200"] == records[None]
