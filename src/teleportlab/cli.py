@@ -61,6 +61,7 @@ from .haar import (
 )
 from .linalg import basis_state, require_dense_size, require_finite, scaled_norm
 from .teleport import (
+    TeleportOutcome,
     TeleportSetup,
     _trials_per_chunk,
     build_setup,
@@ -79,14 +80,16 @@ TRANSCRIPT_COLUMNS = (
     "probability", "conditional_fidelity", "seed",
 )
 
-# Peak bytes one teleport shot adds to a run, sampled and rendered to stdout
-# or --out: the run's tracemalloc peak less that of a run of no shots, per
-# shot.  Over 20,000 shots at d = 2 and 8 that was 600 in JSON and 160-164 in
-# CSV.  Over 100,000 shots at d = 64, a setup too large for the test suite,
-# it was 115 and 106: the setup is freed before the report is rendered, so
-# there the sampling, beside the elements, sets the peak.  1,024 leaves room
-# for longer shot numbers.  At d = 2 and 8 the charge is checked by the
-# teleport-20000-shots rows of tests/test_budgets.py.
+# Peak bytes one teleport shot adds to a run, sampled, rendered and written
+# to --out or stdout: the run's tracemalloc peak less that of a run of no
+# shots, per shot.  Over 20,000 shots at d = 2 and 8 that was 161-164 in CSV
+# and 401-404 in JSON written to a file, and 240-241 and 600-601 written to a
+# text stream that keeps the report as UTF-8 bytes in memory.  Over 100,000
+# shots at d = 64, a setup too large for the test suite, it was 115 in both:
+# the setup is freed before the report is rendered, so there the sampling,
+# beside the elements, sets the peak.  1,024 leaves room for longer shot
+# numbers.  At d = 2 and 8 the teleport-20000-shots rows of
+# tests/test_budgets.py bound a transcript written to a file well inside it.
 _SHOT_BYTES = 1024
 
 _BASIS_KINDS = ("bell", "product", "custom")
@@ -302,20 +305,32 @@ def run_verify(cfg: argparse.Namespace, rng: np.random.Generator, setup: Telepor
     return worst, 0.0, [row]
 
 
+class _RecordRows(dict):
+    """The transcript row of each outcome record, made on the record's first
+    lookup.  Shots with the same xi share one record, so one pass over the
+    shots gives each distinct record one row, which its shots share; the
+    renderers write the shot cell."""
+
+    def __init__(self, cfg: argparse.Namespace):
+        super().__init__()
+        self.cfg = cfg
+
+    def __missing__(self, record: TeleportOutcome) -> dict:
+        row = self[record] = _row(self.cfg, xi=record.xi, probability=record.probability,
+                                  conditional_fidelity=record.conditional_fidelity)
+        return row
+
+
 def run_teleport(cfg: argparse.Namespace, rng: np.random.Generator, setup: TeleportSetup):
     """Shot-by-shot protocol transcript for one input state; its excess is the
     largest probability or conditional fidelity (1 if none) minus 1, with floor
     ``PROBABILITY_TOL``.  One row per shot; shots with the same xi share one dict."""
     psi = _resolve_psi(cfg, rng)
-    outcomes = sample_outcome(psi, setup, rng, size=cfg.samples)
-    # Shots with the same xi share one record, so each record is checked and
-    # given a row once; the renderers write the shot cell.
-    distinct = {outcome: _row(cfg, xi=outcome.xi, probability=outcome.probability,
-                              conditional_fidelity=outcome.conditional_fidelity)
-                for outcome in dict.fromkeys(outcomes)}
-    largest = max((value for outcome in distinct
-                   for value in (outcome.probability, outcome.conditional_fidelity)), default=1.0)
-    return largest - 1.0, PROBABILITY_TOL, list(map(distinct.__getitem__, outcomes))
+    rows = _RecordRows(cfg)
+    transcript = list(map(rows.__getitem__, sample_outcome(psi, setup, rng, size=cfg.samples)))
+    largest = max((value for record in rows for value in (record.probability, record.conditional_fidelity)),
+                  default=1.0)
+    return largest - 1.0, PROBABILITY_TOL, transcript
 
 
 def run_fidelity(cfg: argparse.Namespace, rng: np.random.Generator, setup: TeleportSetup):
@@ -387,36 +402,39 @@ def _format_scalar(value, null: str = "", text=str) -> str:
 
 
 def _row_texts(columns, rows, cell, labels, sep: str, end: str) -> list[str]:
-    """The text of each row in order: ``labels[i] + cell(value)`` per column,
-    joined by ``sep``, then ``end``.  A ``shot`` cell is the row's position in
-    ``rows``.  Each distinct row object is formatted once, into the text
-    before and after its shot cell, so rows that share one object cost a
-    join each.
+    """The text of the rows in order, as pieces to join: per row,
+    ``labels[i] + cell(value)`` per column, joined by ``sep``, then ``end``.
+    A ``shot`` cell is the row's position in ``rows``.  Each distinct row
+    object is formatted once, into the text before and after its shot cell,
+    and a row with a shot cell is three pieces (that text before, the
+    position, that text after), so rows that share one object cost no join.
     """
     shot = columns.index("shot") if "shot" in columns else None
     cached = {}
-    texts = []
+    pieces = []
     for position, row in enumerate(rows):
         parts = cached.get(id(row))
         if parts is None:
             items = [label + cell(row[c]) for label, c in zip(labels, columns)]
             if shot is None:
-                parts = (sep.join(items) + end, None)
+                parts = (sep.join(items) + end,)
             else:
                 parts = (sep.join(items[:shot] + [labels[shot]]), sep.join([""] + items[shot + 1:]) + end)
             cached[id(row)] = parts
-        head, tail = parts
-        texts.append(head if tail is None else head + str(position) + tail)
-    return texts
+        pieces.append(parts[0])
+        if shot is not None:
+            pieces.append(str(position))
+            pieces.append(parts[1])
+    return pieces
 
 
 def render_csv(meta: dict, columns, rows) -> str:
     """The CSV report: ``#`` meta lines, the header, one line per row.  A
     ``shot`` cell is the row's position in ``rows``."""
-    lines = [f"# {key}: {_format_scalar(value)}\n" for key, value in meta.items()]
-    lines.append(",".join(columns) + "\n")
-    lines += _row_texts(columns, rows, _format_scalar, ("",) * len(columns), ",", "\n")
-    return "".join(lines)
+    pieces = [f"# {key}: {_format_scalar(value)}\n" for key, value in meta.items()]
+    pieces.append(",".join(columns) + "\n")
+    pieces += _row_texts(columns, rows, _format_scalar, ("",) * len(columns), ",", "\n")
+    return "".join(pieces)
 
 
 def render_json(meta: dict, columns, rows) -> str:
@@ -426,16 +444,16 @@ def render_json(meta: dict, columns, rows) -> str:
         return _format_scalar(value, "null", json.dumps)
 
     meta_items = ", ".join(f"{json.dumps(k)}: {cell(v)}" for k, v in meta.items())
-    # Each row's object opens before its first label and closes at its end.
+    # Each row's object opens before its first label and ends "},\n"; the
+    # last row's ",\n" is cut, so the report is one join of its pieces.
     labels = [f"{json.dumps(c)}: " for c in columns]
     labels[0] = "    {" + labels[0]
-    rows_block = ",\n".join(_row_texts(columns, rows, cell, labels, ", ", "}"))
-    return (
-        "{\n"
-        f'  "meta": {{{meta_items}}},\n'
-        '  "rows": [\n' + rows_block + "\n  ]\n"
-        "}\n"
-    )
+    pieces = ["{\n", f'  "meta": {{{meta_items}}},\n', '  "rows": [\n']
+    pieces += _row_texts(columns, rows, cell, labels, ", ", "},\n")
+    if rows:
+        pieces[-1] = pieces[-1][:-2]
+    pieces.append("\n  ]\n}\n")
+    return "".join(pieces)
 
 
 def _build_meta(cfg: argparse.Namespace) -> dict:
@@ -459,32 +477,35 @@ def _build_meta(cfg: argparse.Namespace) -> dict:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # The options every command takes, declared once and given to each
+    # command's parser as a parent.
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--d", type=int, default=2, help="local dimension (default 2)")
+    common.add_argument("--basis", choices=_BASIS_KINDS, default="bell",
+                        help="measurement basis kind (default bell)")
+    common.add_argument("--shared", choices=_SHARED_KINDS, default="maximally-entangled",
+                        help="shared resource kind (default maximally-entangled)")
+    common.add_argument("--samples", type=int, default=None,
+                        help="trials / shots / Monte-Carlo samples (command-dependent default)")
+    common.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
+    common.add_argument("--tolerance", type=float, default=1e-10,
+                        help="residual tolerance for pass/fail gates (default 1e-10)")
+    common.add_argument("--basis-file", default=None, help="JSON basis file for --basis custom")
+    common.add_argument("--shared-file", default=None, help="JSON state file for --shared custom")
+    common.add_argument("--psi-file", default=None,
+                        help="JSON state file fixing the teleported input state")
+    common.add_argument("--out", default=None, help="write the report here instead of stdout")
+    common.add_argument("--format", choices=("csv", "json"), default="csv",
+                        help="report format (default csv)")
+    common.add_argument("--no-timestamp", action="store_true",
+                        help="omit the timestamp for byte-reproducible output")
     parser = argparse.ArgumentParser(
         prog="teleportlab",
         description="Numerical laboratory for qudit teleportation experiments.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, command in _COMMANDS.items():
-        p = sub.add_parser(name, help=command.help)
-        p.add_argument("--d", type=int, default=2, help="local dimension (default 2)")
-        p.add_argument("--basis", choices=_BASIS_KINDS, default="bell",
-                       help="measurement basis kind (default bell)")
-        p.add_argument("--shared", choices=_SHARED_KINDS, default="maximally-entangled",
-                       help="shared resource kind (default maximally-entangled)")
-        p.add_argument("--samples", type=int, default=None,
-                       help="trials / shots / Monte-Carlo samples (command-dependent default)")
-        p.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
-        p.add_argument("--tolerance", type=float, default=1e-10,
-                       help="residual tolerance for pass/fail gates (default 1e-10)")
-        p.add_argument("--basis-file", default=None, help="JSON basis file for --basis custom")
-        p.add_argument("--shared-file", default=None, help="JSON state file for --shared custom")
-        p.add_argument("--psi-file", default=None,
-                       help="JSON state file fixing the teleported input state")
-        p.add_argument("--out", default=None, help="write the report here instead of stdout")
-        p.add_argument("--format", choices=("csv", "json"), default="csv",
-                       help="report format (default csv)")
-        p.add_argument("--no-timestamp", action="store_true",
-                       help="omit the timestamp for byte-reproducible output")
+        sub.add_parser(name, help=command.help, parents=[common])
     return parser
 
 

@@ -284,6 +284,26 @@ def test_renderers_match_the_per_row_oracle_on_a_transcript(render, oracle):
     assert render(_META, columns, rows) == oracle(_META, columns, _fresh_rows(columns, rows))
 
 
+@pytest.mark.parametrize("shots", [0, 1, 2000])
+@pytest.mark.parametrize("d", [2, 8, 17])
+def test_transcript_rows_are_the_sampled_records_in_shot_order(d, shots):
+    # run_teleport draws what sample_outcome draws, in shot order, with one
+    # row object per distinct record, which that record's shots share; both
+    # leave their generators in the same state.
+    argv = ["teleport", "--d", str(d), "--shared", "haar-random", "--samples", str(shots), "--seed", "5"]
+    cfg = config_from_namespace(build_parser().parse_args(argv))
+    rng, setup = cli._resolve_setup(cfg)
+    rows = cli.run_teleport(cfg, rng, setup)[2]
+    twin, twin_setup = cli._resolve_setup(cfg)
+    records = teleport.sample_outcome(cli._resolve_psi(cfg, twin), twin_setup, twin, size=shots)
+    assert [(row["xi"], row["probability"], row["conditional_fidelity"]) for row in rows] == [
+        (record.xi, record.probability, record.conditional_fidelity) for record in records]
+    first = {}
+    assert all(first.setdefault(record.xi, row) is row for row, record in zip(rows, records))
+    assert len({id(row) for row in rows}) == len(first)
+    assert rng.bit_generator.state == twin.bit_generator.state
+
+
 _A = {"shot": None, "xi": 3, "probability": 0.1, "label": "bell"}
 _B = {"shot": None, "xi": 0, "probability": 1 / 3, "label": None}
 
