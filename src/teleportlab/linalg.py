@@ -20,9 +20,10 @@ _MAX_ELEMENTS = 1 << 26
 # Bytes of complex working set processed at once, so temporaries stay small
 # against a d^4-entry stack.  bases._unitarity_residual sizes the basis
 # check's b x b Gram blocks from it (b = 256); teleport._rows_per_block the
-# blocks of T_xi whose |T_xi| transfer_abs_packed packs and the blocks of
-# input rows of state_fidelity_batch, and a quarter of it the blocks of
-# outcomes whose corrections teleport._outcome_records takes at once;
+# blocks of T_xi whose |T_xi| transfer_abs_packed packs or whose T_xi psi
+# teleport._probabilities reads, and the blocks of input rows of
+# state_fidelity_batch, and a quarter of it the blocks of outcomes whose
+# T_xi, T_xi psi and corrections teleport._outcome_records forms at once;
 # teleport._trials_per_chunk verify's chunks of states; require_finite its
 # slices.
 _BLOCK_BYTES = 1 << 20

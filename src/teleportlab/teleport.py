@@ -57,7 +57,7 @@ class TeleportSetup:
     Tr|T_xi|, all that the analytic E(F) needs, and |T_xi| is held only as
     ``transfer_abs_packed[xi]``, the Monte-Carlo kernel's weights, in the
     layout that property describes; both read fresh blocks of T_xi, never
-    ``transfer_ops``, as ``teleport``'s images and corrections do, so
+    ``transfer_ops``, as ``teleport``'s probabilities and records do, so
     ``teleport``, ``fidelity`` and ``average`` hold no T stack.  Each is
     derived on first read and cached read-only.  For a normalized resource,
     sum_xi Tr(T_xi^dag T_xi) = d.
@@ -262,15 +262,6 @@ def _transfer_images(v: np.ndarray, transfer: np.ndarray) -> np.ndarray:
     return (transfer.reshape(-1, d) @ v[..., None]).reshape(*v.shape[:-1], k, d)
 
 
-def _state_images(v: np.ndarray, setup: TeleportSetup) -> np.ndarray:
-    """T_xi v for every xi of one state v, shape (d^2, d): the
-    :func:`_transfer_images` of one ``_rows_per_block`` block of fresh T_xi
-    at a time, so no T stack is held; tests pin its bits to each T_xi @ v."""
-    rows = _rows_per_block(setup.local_dim)
-    return np.concatenate([_transfer_images(v, setup._transfer_block(slice(start, start + rows)))
-                           for start in range(0, len(setup.basis), rows)])
-
-
 def _sized_input(states: np.ndarray, setup: TeleportSetup) -> np.ndarray:
     """``states``, one state or rows of states, if each has the setup's dimension."""
     if states.ndim not in (1, 2) or states.shape[-1] != setup.local_dim:
@@ -282,13 +273,20 @@ def _input_state(psi, setup: TeleportSetup) -> np.ndarray:
     return _sized_input(require_normalized(psi, what="input state"), setup)
 
 
-def _probabilities(images: np.ndarray) -> np.ndarray:
+def _probabilities(v: np.ndarray, setup: TeleportSetup) -> np.ndarray:
+    """||T_xi v||^2 for every xi of one state v: the :func:`_transfer_images`
+    of one ``_rows_per_block`` block of fresh T_xi at a time, so no T stack is
+    held, then one einsum over all xi; tests pin the images' bits to each
+    T_xi @ v."""
+    rows = _rows_per_block(setup.local_dim)
+    images = np.concatenate([_transfer_images(v, setup._transfer_block(slice(start, start + rows)))
+                             for start in range(0, len(setup.basis), rows)])
     return np.einsum("xi,xi->x", images.conj(), images).real
 
 
 def outcome_probabilities(psi, setup: TeleportSetup) -> np.ndarray:
     """p(xi | psi) = ||T_xi psi||^2 for every outcome; sums to 1."""
-    return _probabilities(_state_images(_input_state(psi, setup), setup))
+    return _probabilities(_input_state(psi, setup), setup)
 
 
 def optimal_correction(transfer) -> np.ndarray:
@@ -304,33 +302,34 @@ def optimal_correction(transfer) -> np.ndarray:
     return dagger(polar_unitary(transfer))
 
 
-def _outcome_records(v: np.ndarray, images, setup: TeleportSetup, xis) -> list[TeleportOutcome]:
+def _outcome_records(v: np.ndarray, setup: TeleportSetup, xis) -> list[TeleportOutcome]:
     """The record of each of the distinct outcomes ``xis``, in their order,
-    for the checked input ``v``; ``images[xi]`` is T_xi v, a row of one
-    :func:`_state_images` call or, for one outcome, its own product.
-
-    An outcome whose row of ``images`` has norm at most ``ZERO_OUTCOME_TOL``
-    gets the zero-vector sentinel and needs no correction.  The others go
-    through in blocks of a quarter of ``_rows_per_block(d)``, each one stacked
-    :func:`optimal_correction` of the block's T_xi, formed from the gathered
-    elements, so that T block, U, V^dag and U V^dag fit in ``_BLOCK_BYTES``.
+    for the checked input ``v``, in blocks of a quarter of
+    ``_rows_per_block(d)``, so that T block, U, V^dag and U V^dag fit in
+    ``_BLOCK_BYTES``.  Each block forms its T_xi once, from the gathered
+    elements, and T_xi v from them.  An outcome whose T_xi v has norm at most
+    ``ZERO_OUTCOME_TOL`` gets the zero-vector sentinel; the block's others take
+    one stacked :func:`optimal_correction`, and a block with none takes no SVD.
     """
     d = setup.local_dim
-    norms = {xi: float(np.linalg.norm(images[xi])) for xi in xis}
-    live = [xi for xi, norm in norms.items() if norm > ZERO_OUTCOME_TOL]
-    records = {}
     rows = max(1, _rows_per_block(d) // 4)
-    for start in range(0, len(live), rows):
-        block = live[start:start + rows]
-        for xi, correction in zip(block, optimal_correction(setup._transfer_block(block))):
-            norm = norms[xi]
-            raw = images[xi] / norm
-            corrected = correction @ raw
-            records[xi] = _record(xi, norm * norm, raw, corrected, float(np.abs(np.vdot(v, corrected)) ** 2))
-    for xi in norms.keys() - records.keys():
-        zero = np.zeros(d, dtype=complex)
-        records[xi] = _record(xi, 0.0, zero, zero, 0.0)
-    return [records[xi] for xi in xis]
+    records = []
+    for start in range(0, len(xis), rows):
+        block = xis[start:start + rows]
+        transfer = setup._transfer_block(block)
+        images = _transfer_images(v, transfer)
+        norms = [float(np.linalg.norm(image)) for image in images]
+        live = [i for i, norm in enumerate(norms) if norm > ZERO_OUTCOME_TOL]
+        corrections = dict(zip(live, optimal_correction(transfer[live]) if live else ()))
+        for i, (xi, image, norm) in enumerate(zip(block, images, norms)):
+            if i in corrections:
+                raw = image / norm
+                corrected = corrections[i] @ raw
+                records.append(_record(xi, norm * norm, raw, corrected, float(np.abs(np.vdot(v, corrected)) ** 2)))
+            else:
+                zero = np.zeros(d, dtype=complex)
+                records.append(_record(xi, 0.0, zero, zero, 0.0))
+    return records
 
 
 def _record(xi, probability, raw, corrected, fidelity) -> TeleportOutcome:
@@ -343,18 +342,17 @@ def _record(xi, probability, raw, corrected, fidelity) -> TeleportOutcome:
 
 def realize_outcome(psi, setup: TeleportSetup, xi: int) -> TeleportOutcome:
     """Construct the full outcome record for measurement result ``xi``, from
-    its own T_xi and T_xi psi alone, not all d^2 of them."""
+    its own T_xi alone, not all d^2 of them."""
     v = _input_state(psi, setup)
     require_integer(xi, "outcome index")
     if not 0 <= xi < len(setup.basis):
         raise DimensionError(f"outcome index {xi} out of range")
-    return _outcome_records(v, {xi: setup._transfer_block(slice(xi, xi + 1))[0] @ v}, setup, [xi])[0]
+    return _outcome_records(v, setup, [xi])[0]
 
 
 def enumerate_outcomes(psi, setup: TeleportSetup) -> list[TeleportOutcome]:
     """Outcome records for all d^2 measurement results, in xi order."""
-    v = _input_state(psi, setup)
-    return _outcome_records(v, _state_images(v, setup), setup, range(len(setup.basis)))
+    return _outcome_records(_input_state(psi, setup), setup, range(len(setup.basis)))
 
 
 def sample_outcome(psi, setup: TeleportSetup, rng: np.random.Generator,
@@ -369,16 +367,16 @@ def sample_outcome(psi, setup: TeleportSetup, rng: np.random.Generator,
     leaves ``rng`` exactly where n scalar calls would and selects the
     same xi sequence.  Zero-probability outcomes are never selected.
 
-    T_xi psi is formed once, for the probabilities and the records alike.
-    One record is built per distinct xi, so shots with the same xi share
-    one record object, and the corrections take one stacked SVD call per
-    block of distinct outcomes (:func:`_outcome_records`), whatever ``size`` is.
+    Every T_xi is formed once for the probabilities, which the draw needs
+    whole, and each drawn xi's T_xi once more for its record.  One record is
+    built per distinct xi, so shots with the same xi share one record
+    object, and the corrections take one stacked SVD call per block of
+    distinct outcomes (:func:`_outcome_records`), whatever ``size`` is.
     """
     if size is not None:
         require_count(size, "size")
     v = _input_state(psi, setup)
-    images = _state_images(v, setup)
-    probs = _probabilities(images)
+    probs = _probabilities(v, setup)
     total = probs.sum()
     if total <= 0.0:
         raise AssertionError("probability vector vanished for a normalized input")
@@ -389,7 +387,7 @@ def sample_outcome(psi, setup: TeleportSetup, rng: np.random.Generator,
     xis = np.minimum(np.searchsorted(cdf, rng.random(1 if size is None else size), side="right"),
                      np.flatnonzero(probs)[-1])
     distinct = np.flatnonzero(np.bincount(xis)).tolist()
-    records = dict(zip(distinct, _outcome_records(v, images, setup, distinct)))
+    records = dict(zip(distinct, _outcome_records(v, setup, distinct)))
     outcomes = list(map(records.__getitem__, xis.tolist()))
     return outcomes[0] if size is None else outcomes
 

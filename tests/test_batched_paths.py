@@ -144,6 +144,12 @@ def _per_shot(c, rng, size):
     return shots[0] if size is None else shots
 
 
+def _block_images(v, setup):
+    rows = teleport._rows_per_block(setup.local_dim)
+    return np.concatenate([teleport._transfer_images(v, setup._transfer_block(slice(start, start + rows)))
+                           for start in range(0, len(setup.basis), rows)])
+
+
 _RECORD_SHOTS = 200
 
 
@@ -262,11 +268,12 @@ _ROWS = [
     # verify_identity's chunks, and one state alone (a float).
     ("identity-chunks", _grid((1, 2, 3, 5, 8, 16), (*_BELL_PRODUCT_ROTATED, "random"), ("haar-random",), 700),
      _chunked_residuals, _per_trial_residuals, "equal"),
-    # T_xi psi of rows from T, and of one state from blocks of fresh T_xi, against
-    # each T_xi @ v; from d = 17 one state's outcomes span several blocks.
+    # T_xi psi of rows from T, and of one state from the _rows_per_block blocks of
+    # fresh T_xi that teleport._probabilities reads, against each T_xi @ v; from
+    # d = 17 one state's outcomes span several blocks.
     ("transfer-images", _grid((1, 2, 3, 5, 8, 16, 24, 32), _BELL_PRODUCT_ROTATED, ("haar-random",), 900, states=3),
      lambda c: (teleport._transfer_images(c.states, c.setup.transfer_ops),
-                np.array([teleport._state_images(v, c.setup) for v in c.states])),
+                np.array([_block_images(v, c.setup) for v in c.states])),
      lambda c: (np.array([[t @ v for t in c.setup.transfer_ops] for v in c.states]),) * 2, "equal"),
     # size=n is a list of n per-shot draws and leaves the generator where they do.
     # On seed 16 the product resource and basis at d = 2 give probabilities

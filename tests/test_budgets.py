@@ -129,13 +129,14 @@ _ROWS = [
         lambda d: (oracles.haar_states_gaussian(np.random.default_rng(32), d, 2000),
                    _ideal(d, "transfer_abs_packed")),
         lambda args: state_fidelity_batch(*args), lambda f: np.allclose(f, 1.0, rtol=0, atol=1e-12), 0, 3.5),
-    # The corrections of a quarter _rows_per_block block of outcomes at a time,
-    # beside T psi and the records; whole blocks would hold 4 _BLOCK_BYTES.
+    # The T_xi, T_xi psi and corrections of a quarter _rows_per_block block of
+    # outcomes at a time beside the records: 2.92 blocks, and 3.10 with the
+    # probabilities and 20,000 shots; whole blocks would hold 4 _BLOCK_BYTES.
     Row("enumerate-outcomes-d32", 32, _outcome_input, lambda args: enumerate_outcomes(*args),
         lambda records: len({r.xi for r in records}) == 32**2, 0, 4),
     Row("sample-outcome-d32", 32, _outcome_input, lambda args: sample_outcome(*args, np.random.default_rng(0), 20000),
         lambda records: len(records) == 20000 and len({r.xi for r in records}) == 32**2, 0, 4),
-    # One outcome forms its own T_xi psi, not all d^2 of them (half a block at d = 32).
+    # One outcome forms its own T_xi alone, not all d^2 of them: 0.08 blocks at d = 32.
     Row("realize-outcome-d32", 32, _outcome_input, lambda args: realize_outcome(*args, 5),
         lambda record: record.xi == 5 and record.probability > 0, 0, 0.25),
     # One conjugated row block of b = 256 rows and one b x b Gram block at a

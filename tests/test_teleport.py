@@ -37,6 +37,7 @@ from teleportlab import (
     verify_identity,
 )
 from teleportlab import linalg, teleport
+from teleportlab.tolerances import ZERO_OUTCOME_TOL
 
 
 def _random_shared(rng, d):
@@ -446,3 +447,59 @@ def test_a_numpy_integer_outcome_index_gives_the_int_record():
     by_int, by_numpy = realize_outcome(psi, setup, 3), realize_outcome(psi, setup, np.int64(3))
     assert (by_numpy.xi, by_numpy.probability) == (3, by_int.probability)
     np.testing.assert_array_equal(by_numpy.corrected_state, by_int.corrected_state)
+
+
+def _formation_case(case, d):
+    """A setup and an input: a Bell basis with a Haar resource, or the product
+    basis with the resource |00>, where T_xi psi = psi_j |0> for xi = j d and
+    0 for every other xi, so zero outcomes sit between live ones; for the
+    input |d - 1> only xi = d (d - 1) is live, and most blocks have none."""
+    rng = np.random.default_rng(d)
+    if case == "bell-haar":
+        return build_setup(_random_shared(rng, d), bell_basis(d)), _random_psi(rng, d)
+    setup = build_setup(product_state(basis_state(d, 0), basis_state(d, 0)), product_basis(d))
+    return setup, _random_psi(rng, d) if case == "product" else basis_state(d, d - 1)
+
+
+@pytest.mark.parametrize("case", ["bell-haar", "product", "product-one-live"])
+@pytest.mark.parametrize("d", [2, 17, 24])
+def test_outcome_paths_form_each_transfer_once(monkeypatch, d, case):
+    # Counts the T_xi that _transfer_block returns and the SVD calls and
+    # matrices: each record's T_xi is formed once, and only a block of outcomes
+    # with a live one (norm of T_xi psi above ZERO_OUTCOME_TOL) takes an SVD.
+    setup, psi = _formation_case(case, d)
+    images = oracles.transfer_ops(setup.shared.operator_form, setup.basis.elements) @ psi
+    live = [xi for xi, image in enumerate(images) if np.linalg.norm(image) > ZERO_OUTCOME_TOL]
+    quarter = max(1, teleport._rows_per_block(d) // 4)
+    formed, svds = [], []
+    form, svd = TeleportSetup._transfer_block, np.linalg.svd
+
+    def counted_form(self, outcomes):
+        block = form(self, outcomes)
+        formed.append(len(block))
+        return block
+
+    def counted_svd(m, *args, **kwargs):
+        svds.append(len(m) if m.ndim == 3 else 1)
+        return svd(m, *args, **kwargs)
+
+    monkeypatch.setattr(TeleportSetup, "_transfer_block", counted_form)
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+
+    def counts(call):
+        formed.clear()
+        svds.clear()
+        result = call()
+        return (sum(formed), len(svds), sum(svds)), result
+
+    assert counts(lambda: enumerate_outcomes(psi, setup))[0] == (
+        d**2, len({xi // quarter for xi in live}), len(live))
+    assert counts(lambda: outcome_probabilities(psi, setup))[0] == (d**2, 0, 0)
+    zero = [xi for xi in range(d**2) if xi not in live]
+    assert (case == "bell-haar") == (not zero)
+    for xi in [live[0], *zero[:1]]:
+        svd_calls = int(xi in live)
+        assert counts(lambda: realize_outcome(psi, setup, xi))[0] == (1, svd_calls, svd_calls)
+    shot_counts, shots = counts(lambda: sample_outcome(psi, setup, np.random.default_rng(d), size=2000))
+    distinct = len({shot.xi for shot in shots})
+    assert shot_counts == (d**2 + distinct, math.ceil(distinct / quarter), distinct)
