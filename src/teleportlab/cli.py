@@ -169,7 +169,7 @@ def _load_file(path: str, key: str) -> tuple[int, object]:
             data = json.load(handle)
     except OSError as exc:
         raise ConfigurationError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise ConfigurationError(f"{path} is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise ConfigurationError(f"{path}: expected a JSON object")

@@ -10,7 +10,7 @@ benchmark's d = 8 (a rotated custom basis with a custom resource, and Bell
 and product with a Haar-random resource) and at d = 16 (Bell and product,
 Haar-random), and ``fidelity``, ``average`` and ``teleport`` (2,000 shots)
 at d = 17 and 24 (Bell and product, Haar-random), the last also in JSON at
-d = 17: 599 argvs.
+d = 17: 601 argvs.
 Each argv runs in-process through ``cli.main`` in a directory holding the input files that
 :func:`write_inputs` generates from fixed seeds; its record (:func:`run`)
 keeps the exit code and the texts of stdout, stderr and any ``--out`` file.
@@ -91,22 +91,24 @@ _SAMPLES = {"verify": ["--samples", "10"], "teleport": ["--samples", "40"],
             "fidelity": [], "average": ["--samples", "1000"]}
 _BLOCKED_SAMPLES = {**_SAMPLES, "teleport": ["--samples", "2000"]}
 
-# Malformed files, written verbatim; those in _MALFORMED_BASES are read as bases.
+# Malformed files, written as these bytes; those in _MALFORMED_BASES are read as bases.
 _MALFORMED = {
-    "not_json.json": "{",
-    "not_object.json": "[]",
-    "no_elements.json": '{"d": 2}',
-    "no_amplitudes.json": '{"d": 2}',
-    "d_string.json": '{"d": "x", "amplitudes": [[1, 0], [0, 0]]}',
-    "d_float.json": '{"d": 2.5, "amplitudes": [[1, 0], [0, 0]]}',
-    "d_bool.json": '{"d": true, "amplitudes": [[1, 0]]}',
-    "d_zero.json": '{"d": 0, "amplitudes": []}',
-    "nan_entry.json": '{"d": 2, "amplitudes": [[NaN, 0], [0, 0]]}',
-    "not_pairs.json": '{"d": 2, "amplitudes": [1, 0]}',
-    "wrong_count.json": '{"d": 2, "amplitudes": [[1, 0], [0, 0], [0, 0]]}',
-    "zero_state.json": '{"d": 2, "amplitudes": [[0, 0], [0, 0]]}',
-    "ragged_basis.json": '{"d": 1, "elements": [[[[1, 0]]], [[[1, 0], [0, 0]]]]}',
-    "elements_not_list.json": '{"d": 1, "elements": 3}',
+    "not_json.json": b"{",
+    "not_object.json": b"[]",
+    "no_elements.json": b'{"d": 2}',
+    "no_amplitudes.json": b'{"d": 2}',
+    "d_string.json": b'{"d": "x", "amplitudes": [[1, 0], [0, 0]]}',
+    "d_float.json": b'{"d": 2.5, "amplitudes": [[1, 0], [0, 0]]}',
+    "d_bool.json": b'{"d": true, "amplitudes": [[1, 0]]}',
+    "d_zero.json": b'{"d": 0, "amplitudes": []}',
+    "nan_entry.json": b'{"d": 2, "amplitudes": [[NaN, 0], [0, 0]]}',
+    "not_pairs.json": b'{"d": 2, "amplitudes": [1, 0]}',
+    "wrong_count.json": b'{"d": 2, "amplitudes": [[1, 0], [0, 0], [0, 0]]}',
+    "zero_state.json": b'{"d": 2, "amplitudes": [[0, 0], [0, 0]]}',
+    "ragged_basis.json": b'{"d": 1, "elements": [[[[1, 0]]], [[[1, 0], [0, 0]]]]}',
+    "elements_not_list.json": b'{"d": 1, "elements": 3}',
+    "not_utf8.json": b'{"d": 2, "amplitudes": "\xff\xfe"}',
+    "long_integer.json": b'{"d": 2, "amplitudes": [[' + b"9" * 5000 + b', 0], [0, 0]]}',
 }
 _MALFORMED_BASES = {"no_elements.json", "ragged_basis.json", "elements_not_list.json"}
 
@@ -129,8 +131,8 @@ def write_inputs(directory: pathlib.Path) -> dict:
     broken = bell_basis(2).elements.copy()
     broken[1] *= 1.01
     save_basis_file(str(directory / "broken_basis_d2.json"), OperatorBasis(local_dim=2, elements=broken))
-    for name, text in _MALFORMED.items():
-        (directory / name).write_text(text, encoding="utf-8")
+    for name, data in _MALFORMED.items():
+        (directory / name).write_bytes(data)
     return {path.name: _digest(path.read_bytes()) for path in sorted(directory.iterdir())}
 
 
@@ -246,7 +248,9 @@ def run(argv: list[str]) -> dict:
     """Run one argv in the current directory: its exit code and the texts of
     stdout, stderr and its ``--out`` file (``None`` if none was written),
     which is removed.  The parser's ``SystemExit`` (help, usage errors) gives
-    the exit code, and the run sees ``COLUMNS=80``, so help and usage text
+    the exit code; any other exception that escapes ``cli.main`` gives exit
+    ``None`` and ``Type: message`` on stderr, so one crashing argv does not
+    stop a grid.  The run sees ``COLUMNS=80``, so help and usage text
     wrap the same on any terminal; the old value is restored afterwards."""
     from teleportlab import cli
 
@@ -259,6 +263,9 @@ def run(argv: list[str]) -> dict:
                 code = cli.main(list(argv))
             except SystemExit as exc:
                 code = exc.code
+            except Exception as exc:
+                code = None
+                print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
     finally:
         if columns is None:
             del os.environ["COLUMNS"]

@@ -13,13 +13,12 @@ from teleportlab import (
     OperatorBasis,
     analyze_entanglement,
     bell_basis,
-    custom_basis,
     haar_unitary,
     product_basis,
     rotated_basis,
     validate_basis,
 )
-from teleportlab import bases, linalg
+from teleportlab import linalg
 from teleportlab.choi import schmidt_shape
 from teleportlab.cli import main, save_basis_file
 from teleportlab.tolerances import BASIS_TOL
@@ -406,19 +405,3 @@ def test_read_only_view_of_a_writable_array_is_copied():
     base[...] = product_basis(2).elements
     assert OperatorBasis(local_dim=2, elements=basis.elements.copy()).element_shape == (True, False)
     assert basis.element_shape == (True, False)
-
-
-def test_built_in_constructors_do_not_copy_their_stack(monkeypatch):
-    kept = []
-
-    def recording_read_only(array):
-        result = linalg.read_only(array)
-        kept.append(result is array)
-        return result
-
-    monkeypatch.setattr(bases, "read_only", recording_read_only)
-    bell_basis(3)
-    product_basis(3)
-    rotated_basis(bell_basis(3), np.eye(9))
-    custom_basis(np.eye(4).reshape(4, 2, 2))
-    assert kept == [True] * 5

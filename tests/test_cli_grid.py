@@ -116,7 +116,6 @@ def test_main_without_a_tree_lists_moved_records_and_writes_their_digests(monkey
     assert cli_grid.load() == cli_grid.digests(new)
 
 
-
 def test_run_records_the_parsers_exit_at_80_columns_and_restores_columns(monkeypatch):
     # Help exits 0 and a usage error 2 through SystemExit.  Both wrap the
     # same on a 200-column terminal as with none set, and COLUMNS is as it
@@ -133,3 +132,14 @@ def test_run_records_the_parsers_exit_at_80_columns_and_restores_columns(monkeyp
     assert helped["exit"] == 0 and helped["stdout"].startswith("usage: teleportlab verify") and not helped["stderr"]
     assert refused["exit"] == 2 and not refused["stdout"] and "invalid choice: 'nope'" in refused["stderr"]
     assert records["200"] == records[None]
+
+
+def test_run_records_an_exception_that_escapes_main(monkeypatch):
+    # Exit None and the exception's type and message after what was written,
+    # so one crashing argv in another tree does not stop the comparison.
+    def crash(argv):
+        print("partial", file=cli_grid.sys.stderr)
+        raise ValueError("boom")
+
+    monkeypatch.setattr("teleportlab.cli.main", crash)
+    assert cli_grid.run(["verify"]) == _run(["verify"], exit=None, stderr="partial\nValueError: boom\n")

@@ -11,7 +11,6 @@ from teleportlab import (
     SpecialCase,
     BipartiteState,
     TeleportSetup,
-    analyze_entanglement,
     average_fidelity_analytic,
     basis_state,
     bell_basis,
@@ -33,7 +32,6 @@ from teleportlab import (
     special_case_fidelity,
     state_fidelity_batch,
 )
-from teleportlab.cli import main, save_basis_file
 
 
 def test_haar_states_are_normalized():
@@ -195,103 +193,6 @@ def test_detected_cases_agree_with_general_formula():
         assert case is expected
         assert value == pytest.approx(average_fidelity_analytic(setup), abs=1e-12)
 
-
-def _count_svds(monkeypatch) -> list:
-    # One entry per np.linalg.svd call: the number of matrices it decomposed,
-    # so len() counts calls and sum() counts matrices.
-    calls = []
-    svd = np.linalg.svd
-
-    def counting_svd(a, *args, **kwargs):
-        calls.append(math.prod(np.shape(a)[:-2]))
-        return svd(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", counting_svd)
-    return calls
-
-
-# (id, argv, basis written to --basis-file or None, SVD calls, matrices they decompose)
-_SVD_COUNTS = [
-    # d = 2, Bell basis, Haar resource: 1 SVD for the resource's Schmidt
-    # spectrum and 4 for the transfers' singular values, whose row sums are
-    # the trace norms, all 4 outcomes in one block: 5 matrices take 2 calls.
-    # The Bell element shape is preset by its builder, and no |T| is built.
-    ("fidelity", ["fidelity", "--d", "2", "--shared", "haar-random"], None, 2, 5),
-    # d = 32: the 1,024 transfers' singular values take one call per
-    # _rows_per_block block of 64 outcomes, so 1,025 matrices take 17 calls.
-    ("fidelity-d32", ["fidelity", "--d", "32", "--shared", "haar-random"], None, 17, 1025),
-    # The fidelity command's 2 calls over 5 matrices, plus one stacked SVD
-    # that builds |T| for the Monte-Carlo kernel: at d = 2 all 4 outcomes
-    # fit in one block, so 9 matrices take 3 calls.
-    ("average", ["average", "--d", "2", "--shared", "haar-random", "--samples", "100"], None, 3, 9),
-    # Only the correction of each distinct drawn xi needs an SVD; |T| is never
-    # read.  Seven shots at seed 0 draw two distinct outcomes, and a block of
-    # outcomes holds _rows_per_block(2) // 4 = 4096, so one call over two.
-    ("teleport", ["teleport", "--d", "2", "--samples", "7"], None, 1, 2),
-    # 500 shots at seed 0 draw 138 of the 144 outcomes at d = 12, and a block
-    # holds _rows_per_block(12) // 4 = 455 // 4 = 113: 113 + 25 in two calls.
-    ("teleport-blocks", ["teleport", "--d", "12", "--samples", "500"], None, 2, 138),
-    # The identity reads T only, and a custom basis is checked without an SVD.
-    ("verify", ["verify", "--d", "3", "--basis", "custom"], bell_basis(3), 0, 0),
-]
-
-
-@pytest.mark.parametrize("argv, basis, calls, matrices", [row[1:] for row in _SVD_COUNTS],
-                         ids=[row[0] for row in _SVD_COUNTS])
-def test_each_command_runs_its_pinned_svds(tmp_path, monkeypatch, capsys, argv, basis, calls, matrices):
-    if basis is not None:
-        path = tmp_path / "basis.json"
-        save_basis_file(str(path), basis)
-        argv = argv + ["--basis-file", str(path)]
-    counted = _count_svds(monkeypatch)
-    code = main(argv + ["--no-timestamp"])
-    capsys.readouterr()
-    assert code == 0
-    assert (len(counted), sum(counted)) == (calls, matrices)
-
-
-def test_analytic_fidelity_builds_no_abs_t():
-    # The trace norms read fresh blocks of T_xi: neither |T| nor the cached T is built.
-    setup = build_setup(random_shared_state(3, np.random.default_rng(72)), bell_basis(3))
-    average_fidelity_analytic(setup)
-    assert "transfer_abs_packed" not in vars(setup) and "transfer_ops" not in vars(setup)
-    assert "transfer_trace_norms" in vars(setup)
-
-
-def test_monte_carlo_fidelity_builds_no_t():
-    # The packed |T| and the trace norms both read fresh blocks of T_xi.
-    setup = build_setup(random_shared_state(3, np.random.default_rng(73)), bell_basis(3))
-    monte_carlo_fidelity(setup, 100, np.random.default_rng(0))
-    assert "transfer_abs_packed" in vars(setup) and "transfer_trace_norms" in vars(setup)
-    assert "transfer_ops" not in vars(setup)
-
-
-def test_setups_sharing_a_basis_decompose_its_elements_once(monkeypatch):
-    # The element shape is cached on the basis, not on each setup: two
-    # resources measured in one basis cost 2 resource SVDs and d^2 element
-    # SVDs, not 2 (1 + d^2); the d^2 in one stacked call, so 3 calls.  The
-    # Bell elements in reverse order, a rotated basis that measures its
-    # shape, since a built-in one holds it preset.
-    d = 3
-    basis = rotated_basis(bell_basis(d), np.eye(d * d)[::-1])
-    rng = np.random.default_rng(70)
-    setups = [build_setup(random_shared_state(d, rng), basis) for _ in range(2)]
-    calls = _count_svds(monkeypatch)
-    for setup in setups:
-        assert special_case_fidelity(setup)[0] is SpecialCase.MAXENT_BASIS
-    assert sum(calls) == 2 + d * d
-    assert len(calls) == 3
-
-
-def test_entanglement_report_reads_the_detected_spectrum(monkeypatch):
-    # The resource's Schmidt spectrum is cached on the state, so reporting
-    # on a setup's resource after the closed form runs no SVD.
-    setup = build_setup(random_shared_state(3, np.random.default_rng(71)), bell_basis(3))
-    special_case_fidelity(setup)
-    calls = _count_svds(monkeypatch)
-    report = analyze_entanglement(setup.shared)
-    assert calls == []
-    assert report.schmidt_coefficients is setup.shared.schmidt_coefficients
 
 def _near_identity(rng, n, eps):
     # exp(i eps H) for a random Hermitian H scaled to unit spectral norm.
