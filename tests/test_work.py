@@ -203,7 +203,9 @@ _ROWS = [
           returns=lambda code: code == 0 and not hasattr(cli, "validate_basis")),
     _main("verify-product-d3", "verify --d 3 --basis product --samples 5", dict(build_setup=1, validate_basis=0)),
     _main("verify-custom-basis-d3", "verify --d 3 --basis custom --basis-file basis.json",
-          dict(svd=(0, 0), build_setup=1, validate_basis=1), basis=bell_basis(3)),
+          dict(svd=(0, 0)), basis=bell_basis(3)),
+    _main("verify-custom-basis-5-samples-d3", "verify --d 3 --basis custom --basis-file basis.json --samples 5",
+          dict(build_setup=1, validate_basis=1), basis=bell_basis(3)),
     *(Row(f"build-setup-{way}-bell-d3", functools.partial(wrap, bell_basis(3).elements), _build(3),
           lambda result: result == (False, True), dict(validate_basis=1)) for way, wrap in _WRAPPINGS.items()),
     *(Row(f"build-setup-{way}-stretched-d3", functools.partial(wrap, _STRETCHED), _build(3),
