@@ -39,7 +39,7 @@ import numpy as np
 
 from .choi import schmidt_shape
 from .errors import BasisStructureError, DimensionError
-from .linalg import (_BLOCK_BYTES, as_square_matrix, read_only, require_dense_size, require_dimension,
+from .linalg import (_BLOCK_BYTES, as_square_matrix, frozen, read_only, require_dense_size, require_dimension,
                      require_finite)
 from .tolerances import BASIS_TOL
 
@@ -93,9 +93,7 @@ class OperatorBasis:
         amplitude i of every element, so a sum over xi runs along a row.
         ``verify_identity`` contracts it with a whole chunk of states' T psi
         in one einsum, with each state's bits."""
-        vectors_t = self.vectors().T.copy()
-        vectors_t.setflags(write=False)
-        return vectors_t
+        return frozen(self.vectors().T.copy())
 
     @cached_property
     def element_shape(self) -> tuple[bool, bool]:
@@ -109,8 +107,7 @@ class OperatorBasis:
 def _built_in(local_dim: int, elements: np.ndarray, element_shape: tuple[bool, bool]) -> OperatorBasis:
     """The basis of a builder's own stack, marked ``built_in`` and with its
     ``element_shape`` preset."""
-    elements.setflags(write=False)
-    basis = OperatorBasis(local_dim=local_dim, elements=elements)
+    basis = OperatorBasis(local_dim=local_dim, elements=frozen(elements))
     object.__setattr__(basis, "built_in", True)
     basis.__dict__["element_shape"] = element_shape
     return basis
@@ -170,8 +167,7 @@ def custom_basis(elements, local_dim: Optional[int] = None) -> OperatorBasis:
     if arr.ndim != 3:
         raise BasisStructureError("elements must be a sequence of square matrices")
     d = local_dim if local_dim is not None else arr.shape[1]
-    arr.setflags(write=False)
-    return OperatorBasis(local_dim=d, elements=arr)
+    return OperatorBasis(local_dim=d, elements=frozen(arr))
 
 
 def _unitarity_residual(rows: np.ndarray) -> float:
@@ -223,8 +219,7 @@ def rotated_basis(basis: OperatorBasis, rotation: np.ndarray) -> OperatorBasis:
     d = basis.local_dim
     elements = np.empty((n, d, d), dtype=complex)
     np.matmul(basis.vectors(), w.T, out=elements.reshape(n, n))
-    elements.setflags(write=False)
-    return OperatorBasis(local_dim=d, elements=elements)
+    return OperatorBasis(local_dim=d, elements=frozen(elements))
 
 
 @dataclass(frozen=True)

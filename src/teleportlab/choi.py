@@ -17,8 +17,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionError
-from .linalg import (as_square_matrix, as_square_pair, as_state, dagger, normalize_state, read_only,
-                     require_dimension, require_normalized)
+from .linalg import (as_square_matrix, as_square_pair, as_state, dagger, frozen, normalize_state,
+                     read_only, require_dimension, require_normalized)
 from .tolerances import RANK_TOL
 
 
@@ -104,9 +104,7 @@ class BipartiteState:
     def schmidt_coefficients(self) -> np.ndarray:
         """Singular values of the operator form, descending and read-only;
         one SVD per state, cached for the entanglement report and closed forms."""
-        coeffs = np.linalg.svd(self.operator_form, compute_uv=False)
-        coeffs.setflags(write=False)
-        return coeffs
+        return frozen(np.linalg.svd(self.operator_form, compute_uv=False))
 
     @classmethod
     def from_vector(cls, vector) -> "BipartiteState":

@@ -134,16 +134,20 @@ def require_count(value, what: str) -> None:
         raise ValueError(f"{what} must be nonnegative")
 
 
+def frozen(array: np.ndarray) -> np.ndarray:
+    """``array`` itself, made read-only: the one way a stored or cached array is frozen."""
+    array.setflags(write=False)
+    return array
+
+
 def read_only(array) -> np.ndarray:
     """``array`` as a complex array that nothing can write.  A read-only
     complex array that owns its data is kept; any other input, a view
-    included, is converted or copied once and the result frozen."""
+    included, is converted or copied once and the result :func:`frozen`."""
     if (isinstance(array, np.ndarray) and array.dtype == complex
             and array.flags.owndata and not array.flags.writeable):
         return array
-    converted = np.array(array, dtype=complex)
-    converted.setflags(write=False)
-    return converted
+    return frozen(np.array(array, dtype=complex))
 
 
 def basis_state(dim: int, index: int) -> np.ndarray:

@@ -27,8 +27,8 @@ import numpy as np
 from .bases import BasisStructureError, OperatorBasis, validate_basis
 from .choi import BipartiteState
 from .errors import DimensionError
-from .linalg import (_BLOCK_BYTES, _abs_from_svd, dagger, polar_unitary, require_count, require_dense_size,
-                     require_finite, require_integer, require_normalized)
+from .linalg import (_BLOCK_BYTES, _abs_from_svd, dagger, frozen, polar_unitary, require_count,
+                     require_dense_size, require_finite, require_integer, require_normalized)
 from .tolerances import ZERO_OUTCOME_TOL
 
 # Complex d^4-entry stacks live at a setup's peak.  No command holds more
@@ -97,9 +97,7 @@ class TeleportSetup:
     def transfer_ops(self) -> np.ndarray:
         """T_xi for every outcome, shape (d^2, d, d): the whole-range
         :meth:`_transfer_block`."""
-        transfer_ops = self._transfer_block(slice(None))
-        transfer_ops.setflags(write=False)
-        return transfer_ops
+        return frozen(self._transfer_block(slice(None)))
 
     @cached_property
     def transfer_trace_norms(self) -> np.ndarray:
@@ -111,8 +109,7 @@ class TeleportSetup:
         for start in range(0, len(trace_norms), rows):
             s = np.linalg.svd(self._transfer_block(slice(start, start + rows)), compute_uv=False)
             trace_norms[start:start + rows] = s.sum(axis=1)
-        trace_norms.setflags(write=False)
-        return trace_norms
+        return frozen(trace_norms)
 
     @cached_property
     def transfer_abs_packed(self) -> np.ndarray:
@@ -141,8 +138,7 @@ class TeleportSetup:
             block = _abs_from_svd(s, vh).reshape(-1, d * d)
             packed[start:start + rows, :d] = block[:, ::d + 1].real
             np.multiply(block.take(upper, axis=1).view(float), 2.0, out=packed[start:start + rows, d:])
-        packed.setflags(write=False)
-        return packed
+        return frozen(packed)
 
 
 @dataclass(frozen=True, eq=False)
@@ -323,21 +319,14 @@ def _outcome_records(v: np.ndarray, setup: TeleportSetup, xis) -> list[TeleportO
         corrections = dict(zip(live, optimal_correction(transfer[live]) if live else ()))
         for i, (xi, image, norm) in enumerate(zip(block, images, norms)):
             if i in corrections:
-                raw = image / norm
-                corrected = corrections[i] @ raw
-                records.append(_record(xi, norm * norm, raw, corrected, float(np.abs(np.vdot(v, corrected)) ** 2)))
+                raw = frozen(image / norm)
+                corrected = frozen(corrections[i] @ raw)
+                records.append(TeleportOutcome(xi, norm * norm, raw, corrected,
+                                               float(np.abs(np.vdot(v, corrected)) ** 2)))
             else:
-                zero = np.zeros(d, dtype=complex)
-                records.append(_record(xi, 0.0, zero, zero, 0.0))
+                zero = frozen(np.zeros(d, dtype=complex))
+                records.append(TeleportOutcome(xi, 0.0, zero, zero, 0.0))
     return records
-
-
-def _record(xi, probability, raw, corrected, fidelity) -> TeleportOutcome:
-    """A read-only :class:`TeleportOutcome`; ``raw`` and ``corrected`` are frozen."""
-    raw.setflags(write=False)
-    corrected.setflags(write=False)
-    return TeleportOutcome(xi=xi, probability=probability, raw_conditional_state=raw,
-                           corrected_state=corrected, conditional_fidelity=fidelity)
 
 
 def realize_outcome(psi, setup: TeleportSetup, xi: int) -> TeleportOutcome:

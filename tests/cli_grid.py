@@ -17,9 +17,11 @@ keeps the exit code and the texts of stdout, stderr and any ``--out`` file.
 The golden file keeps the SHA-256 and length of each text
 (:func:`digests`), and the input files' own digests too, so a change to
 how they are generated shows up as such and not as a moved report.  It
-also records the Python, numpy and BLAS it was made with.  The bytes rest
-on numpy's RNG stream, its einsum loop order and the BLAS, so byte
-identity is checked only on that environment; a replay that moves on
+also records the Python, numpy and BLAS it was made with, and the BLAS
+thread variables it ran under.  The bytes rest on numpy's RNG stream, its
+einsum loop order, the BLAS and its thread count (two ``average --d 17``
+standard errors differ in their last bits between one thread and two), so
+byte identity is checked only on that environment; a replay that moves on
 another one names both.
 
     python tests/cli_grid.py              # list the moved records, regenerate tests/golden/cli_grid.json
@@ -28,15 +30,18 @@ another one names both.
 Both run the grid against this checkout's ``src/`` in a fresh interpreter,
 and the second against PARENT_SRC (say, ``src/`` of a checkout of the
 parent commit) in another, because both packages are named
-``teleportlab``.  For every argv whose exit code or texts differ, the
+``teleportlab``.  Each interpreter (:func:`collect`) runs with every one of
+``BLAS_THREAD_VARS`` set to 1, as the benchmark does, whatever the calling
+shell sets.  For every argv whose exit code or texts differ, the
 second prints the max |Δ| over the float cells that differ (CSV cells,
 JSON numbers, and numbers in messages), and flags any difference that is
 not a float: other text, integers, or a float turned into nan or inf.  It
 exits 1 when an input digest or any argv moved and 0 when nothing did,
 and writes nothing outside its temporary directories.
 
-``tests/test_cli_grid.py`` replays the grid against the committed file;
-``python -m pytest tests/test_cli_grid.py`` is the check that writes nothing.
+``tests/test_cli_grid.py`` replays the grid through :func:`collect` against
+the committed file; ``python -m pytest tests/test_cli_grid.py`` is the
+check that writes nothing.
 A change that moves bytes by design regenerates the file and names the
 moved argvs in CHANGES.md.
 
@@ -69,6 +74,8 @@ import numpy as np
 TESTS = pathlib.Path(__file__).resolve().parent
 SRC = TESTS.parent / "src"
 GOLDEN = TESTS / "golden" / "cli_grid.json"
+# bench/run.py's: the grid runs at the benchmark's one BLAS thread.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 DIMS = (1, 2, 3, 5)
 SEEDS = (0, 1)
@@ -137,10 +144,11 @@ def write_inputs(directory: pathlib.Path) -> dict:
 
 
 def environment() -> dict:
-    """The Python, numpy and BLAS the grid runs on."""
+    """The Python, numpy and BLAS the grid runs on, and its BLAS thread variables."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {"python": platform.python_version(), "numpy": np.__version__,
-            "blas": blas["name"], "blas_version": blas["version"]}
+            "blas": blas["name"], "blas_version": blas["version"],
+            "blas_threads": {var: os.environ.get(var) for var in BLAS_THREAD_VARS}}
 
 
 def _grid_argvs() -> list[list[str]]:
@@ -343,8 +351,10 @@ def emit(src: str) -> None:
 
 
 def collect(src: pathlib.Path) -> dict:
-    """The grid run against the package in ``src``, in its own interpreter."""
+    """The grid run against the package in ``src``, in its own interpreter
+    with one BLAS thread."""
     proc = subprocess.run([sys.executable, "-c", _WORKER, str(src), str(TESTS)],
+                          env={**os.environ, **dict.fromkeys(BLAS_THREAD_VARS, "1")},
                           capture_output=True, text=True, check=True)
     return json.loads(proc.stdout)
 

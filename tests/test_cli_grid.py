@@ -1,23 +1,27 @@
 """Tests for tests/cli_grid.py: the replay of the CLI golden grid, and the
 |Δ| report between two source trees.
 
-The report's functions are called on hand-made texts and records, and
-``collect`` is replaced by a stub for ``main``, so no subprocess runs.
+The replay runs the grid in one subprocess through ``collect``.  The
+report's functions are called on hand-made texts and records, and
+``collect`` is replaced by a stub for ``main``, so no other test starts one.
 """
 
 import pytest
 
 import cli_grid
+from bench.run import BLAS_THREAD_VARS
 from cli_grid import record_delta, report, text_delta
 
 
-def test_cli_grid_replays_the_golden_file(tmp_path):
+def test_cli_grid_replays_the_golden_file():
     # Every input file, exit code and output byte of the grid is unchanged.
     # The bytes are promised only on the environment the file was recorded
-    # on, so a failure on another one names both.
+    # on, so a failure on another one names both.  Both run at the
+    # benchmark's one BLAS thread, whatever this shell sets.
     golden = cli_grid.load()
     assert [r["argv"] for r in golden["runs"]] == cli_grid.GRID
-    grid = cli_grid.digests(cli_grid.generate(tmp_path))
+    assert cli_grid.BLAS_THREAD_VARS == BLAS_THREAD_VARS
+    grid = cli_grid.digests(cli_grid.collect(cli_grid.SRC))
     where = "" if golden["environment"] == grid["environment"] else (
         f"recorded on {golden['environment']}, replayed on {grid['environment']}")
     assert cli_grid.moved(golden, grid) == [], where

@@ -150,8 +150,8 @@ def test_value_objects_hold_read_only_arrays():
     product_setup = build_setup(product_state([1, 0], [1, 0]), product_basis(2))
     impossible = realize_outcome(basis_state(2, 1), product_setup, 0)
     assert impossible.probability == 0.0 and impossible.raw_conditional_state is impossible.corrected_state
-    for arr in (shared.vector, shared.operator_form, basis.elements, setup.transfer_ops,
-                setup.transfer_abs_packed, setup.transfer_trace_norms,
+    for arr in (shared.vector, shared.operator_form, shared.schmidt_coefficients, basis.elements,
+                basis.vectors_t, setup.transfer_ops, setup.transfer_abs_packed, setup.transfer_trace_norms,
                 sampled.raw_conditional_state, sampled.corrected_state, impossible.corrected_state):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):

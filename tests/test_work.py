@@ -2,7 +2,10 @@
 
 Every number the lab prints comes from the transfer operators T_xi and their
 SVDs, so a call's cost is how many T_xi, SVDs and basis checks it makes and
-which cached stacks it builds.  Each row of ``_ROWS`` is an id, a setup run in
+which cached facts it builds: every ``functools.cached_property`` of
+``BipartiteState``, ``OperatorBasis`` and ``TeleportSetup``, named
+``Class.name``, is counted each time it is built, and a fact its builder
+presets is never built.  Each row of ``_ROWS`` is an id, a setup run in
 a fresh directory before the measurement (it gives the call's input), the
 measured call, what the call must return, so that a refused or empty call
 cannot pass, and the exact counts of the counters it names, checked by one
@@ -42,10 +45,15 @@ _COUNTERS = {
 }
 
 
+# The value objects whose cached facts counter "built" reads.
+_CACHED = (BipartiteState, OperatorBasis, TeleportSetup)
+
+
 def work(call):
-    """Run ``call()`` with the ``_COUNTERS`` functions and the builders of a
-    setup's cached stacks wrapped; (its result, {counter: what the call did}),
-    where counter "built" reads the stacks the call built, sorted."""
+    """Run ``call()`` with the ``_COUNTERS`` functions and every
+    ``functools.cached_property`` of the ``_CACHED`` classes wrapped; (its
+    result, {counter: what the call did}), where counter "built" reads the
+    ``Class.name`` of each cached fact the call built, sorted."""
     tallies = {name: [0, 0] for name in _COUNTERS}
     built = []
 
@@ -60,11 +68,14 @@ def work(call):
     with pytest.MonkeyPatch.context() as patch:
         for name, (owner, attribute, amount) in _COUNTERS.items():
             patch.setattr(owner, attribute, counted(name, getattr(owner, attribute), amount))
-        for name in ("transfer_ops", "transfer_trace_norms", "transfer_abs_packed"):
-            build = vars(TeleportSetup)[name].func
-            stack = functools.cached_property(lambda setup, name=name, build=build: built.append(name) or build(setup))
-            stack.__set_name__(TeleportSetup, name)
-            patch.setattr(TeleportSetup, name, stack)
+        for owner in _CACHED:
+            for name, fact in list(vars(owner).items()):
+                if isinstance(fact, functools.cached_property):
+                    label, build = f"{owner.__name__}.{name}", fact.func
+                    fact = functools.cached_property(
+                        lambda obj, label=label, build=build: built.append(label) or build(obj))
+                    fact.__set_name__(owner, name)
+                    patch.setattr(owner, name, fact)
         result = call()
     done = {name: tuple(tally) if _COUNTERS[name][2] else tally[0] for name, tally in tallies.items()}
     return result, {**done, "built": tuple(sorted(built))}
@@ -176,15 +187,17 @@ _ROWS = [
     # the trace norms, all 4 outcomes in one block: 5 matrices take 2 calls.
     # The Bell element shape is preset by its builder; neither T nor |T| is built.
     _main("fidelity-d2", "fidelity --d 2 --shared haar-random",
-          dict(svd=(2, 5), validate_basis=0, built=("transfer_trace_norms",))),
+          dict(svd=(2, 5), validate_basis=0,
+               built=("BipartiteState.schmidt_coefficients", "TeleportSetup.transfer_trace_norms"))),
     # d = 32: one call per _rows_per_block block of 64 outcomes, so 1,025 matrices take 17 calls.
     _main("fidelity-d32", "fidelity --d 32 --shared haar-random",
-          dict(svd=(17, 1025), built=("transfer_trace_norms",))),
+          dict(svd=(17, 1025), built=("BipartiteState.schmidt_coefficients", "TeleportSetup.transfer_trace_norms"))),
     # Plus one stacked SVD of the 4 T_xi for the Monte-Carlo kernel's packed |T|.
     _main("average-d2", "average --d 2 --shared haar-random --samples 100",
-          dict(svd=(3, 9), built=("transfer_abs_packed", "transfer_trace_norms"))),
-    # Only the correction of each distinct drawn xi takes an SVD, and no stack
-    # is built.  Seven shots at seed 0 draw two distinct outcomes, and a block
+          dict(svd=(3, 9), built=("BipartiteState.schmidt_coefficients", "TeleportSetup.transfer_abs_packed",
+                                  "TeleportSetup.transfer_trace_norms"))),
+    # Only the correction of each distinct drawn xi takes an SVD, and no cached
+    # fact is built.  Seven shots at seed 0 draw two distinct outcomes, and a block
     # holds _rows_per_block(2) // 4 = 4096 of them: one call over two.  500
     # shots at d = 12 draw 138 of the 144, and a block holds 455 // 4 = 113:
     # 113 + 25 in two calls.
@@ -199,8 +212,12 @@ _ROWS = [
     # build_setup, without an SVD; a built-in basis is never checked, and the
     # CLI holds no check of its own.  One chunk holds all 20 trials.
     _main("verify-bell-d3", "verify --d 3 --shared haar-random --samples 20",
-          dict(build_setup=1, validate_basis=0, verify_identity=1, built=("transfer_ops",)),
+          dict(build_setup=1, validate_basis=0, verify_identity=1,
+               built=("OperatorBasis.vectors_t", "TeleportSetup.transfer_ops")),
           returns=lambda code: code == 0 and not hasattr(cli, "validate_basis")),
+    # _trials_per_chunk(8) = 32: two chunks read one T and one vectors_t.
+    _main("verify-bell-2-chunks-d8", "verify --d 8 --samples 40",
+          dict(verify_identity=2, built=("OperatorBasis.vectors_t", "TeleportSetup.transfer_ops"))),
     _main("verify-product-d3", "verify --d 3 --basis product --samples 5", dict(build_setup=1, validate_basis=0)),
     _main("verify-custom-basis-d3", "verify --d 3 --basis custom --basis-file basis.json",
           dict(svd=(0, 0)), basis=bell_basis(3)),
@@ -222,16 +239,20 @@ _ROWS = [
     Row("custom-basis-d2", lambda: np.eye(4).reshape(4, 2, 2), custom_basis,
         lambda basis: basis.local_dim == 2, dict(read_only=(1, 1))),
     # The trace norms, and the packed |T|, read fresh blocks of T_xi: T is never built.
+    # The Monte-Carlo result names its special case from the resource's Schmidt spectrum.
     Row("average-fidelity-analytic-d3", lambda: _haar_setup(72), average_fidelity_analytic,
-        lambda value: 0.5 <= value <= 1, dict(built=("transfer_trace_norms",))),
+        lambda value: 0.5 <= value <= 1, dict(built=("TeleportSetup.transfer_trace_norms",))),
     Row("monte-carlo-fidelity-d3", lambda: _haar_setup(73),
         lambda setup: monte_carlo_fidelity(setup, 100, np.random.default_rng(0)),
-        lambda result: result.samples == 100, dict(built=("transfer_abs_packed", "transfer_trace_norms"))),
+        lambda result: result.samples == 100,
+        dict(built=("BipartiteState.schmidt_coefficients", "TeleportSetup.transfer_abs_packed",
+                    "TeleportSetup.transfer_trace_norms"))),
     # The element shape is cached on the basis, not on each setup: two resources in one
     # basis cost 2 resource SVDs and d^2 element SVDs in one stacked call, not 2 (1 + d^2).
     Row("special-case-fidelity-sharing-a-basis-d3", _sharing_a_basis,
         lambda setups: [special_case_fidelity(setup)[0] for setup in setups],
-        lambda cases: cases == [SpecialCase.MAXENT_BASIS] * 2, dict(svd=(3, 2 + 9))),
+        lambda cases: cases == [SpecialCase.MAXENT_BASIS] * 2,
+        dict(svd=(3, 2 + 9), built=("BipartiteState.schmidt_coefficients",) * 2 + ("OperatorBasis.element_shape",))),
     # The Schmidt spectrum is cached on the state: reporting on a setup's
     # resource after the closed form runs no SVD.
     Row("analyze-entanglement-after-closed-form-d3", lambda: _detected(71),
