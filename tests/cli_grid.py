@@ -32,7 +32,8 @@ and the second against PARENT_SRC (say, ``src/`` of a checkout of the
 parent commit) in another, because both packages are named
 ``teleportlab``.  Each interpreter (:func:`collect`) runs with every one of
 ``BLAS_THREAD_VARS`` set to 1, as the benchmark does, whatever the calling
-shell sets.  For every argv whose exit code or texts differ, the
+shell sets, and with ``WARNINGS``, the filter pytest runs tier-1 under, so
+a RuntimeWarning in any argv records exit None instead of a line of stderr.  For every argv whose exit code or texts differ, the
 second prints the max |Δ| over the float cells that differ (CSV cells,
 JSON numbers, and numbers in messages), and flags any difference that is
 not a float: other text, integers, or a float turned into nan or inf.  It
@@ -76,6 +77,9 @@ SRC = TESTS.parent / "src"
 GOLDEN = TESTS / "golden" / "cli_grid.json"
 # bench/run.py's: the grid runs at the benchmark's one BLAS thread.
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# pyproject.toml's pytest filter: a RuntimeWarning in an argv is an exception
+# that ``run`` records as exit None, so the replay fails as tier-1 would.
+WARNINGS = "error::RuntimeWarning"
 
 DIMS = (1, 2, 3, 5)
 SEEDS = (0, 1)
@@ -352,8 +356,8 @@ def emit(src: str) -> None:
 
 def collect(src: pathlib.Path) -> dict:
     """The grid run against the package in ``src``, in its own interpreter
-    with one BLAS thread."""
-    proc = subprocess.run([sys.executable, "-c", _WORKER, str(src), str(TESTS)],
+    with one BLAS thread and RuntimeWarnings raised as errors."""
+    proc = subprocess.run([sys.executable, "-W", WARNINGS, "-c", _WORKER, str(src), str(TESTS)],
                           env={**os.environ, **dict.fromkeys(BLAS_THREAD_VARS, "1")},
                           capture_output=True, text=True, check=True)
     return json.loads(proc.stdout)

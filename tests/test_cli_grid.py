@@ -1,10 +1,13 @@
 """Tests for tests/cli_grid.py: the replay of the CLI golden grid, and the
 |Δ| report between two source trees.
 
-The replay runs the grid in one subprocess through ``collect``.  The
-report's functions are called on hand-made texts and records, and
-``collect`` is replaced by a stub for ``main``, so no other test starts one.
+The replay runs the grid in one subprocess through ``collect``, and one
+test runs a one-line worker through it.  The report's functions are called
+on hand-made texts and records, and ``collect`` is replaced by a stub for
+``main``, so no other test starts a subprocess.
 """
+
+import subprocess
 
 import pytest
 
@@ -25,6 +28,16 @@ def test_cli_grid_replays_the_golden_file():
     where = "" if golden["environment"] == grid["environment"] else (
         f"recorded on {golden['environment']}, replayed on {grid['environment']}")
     assert cli_grid.moved(golden, grid) == [], where
+
+
+def test_collect_raises_runtime_warnings_as_the_test_suite_does(monkeypatch, pytestconfig):
+    # The worker's interpreter runs under the same filter as tier-1, so a
+    # numpy RuntimeWarning is an error there, not a line of stderr.
+    assert cli_grid.WARNINGS in pytestconfig.getini("filterwarnings")
+    monkeypatch.setattr(cli_grid, "_WORKER", "import numpy; numpy.float64(1) / 0; print('{}')")
+    with pytest.raises(subprocess.CalledProcessError) as failed:
+        cli_grid.collect(cli_grid.SRC)
+    assert "RuntimeWarning: divide by zero" in failed.value.stderr
 
 
 def _run(argv, exit=0, stdout="", stderr="", out=None):
