@@ -82,14 +82,10 @@ TRANSCRIPT_COLUMNS = (
 
 # Peak bytes one teleport shot adds to a run, sampled, rendered and written
 # to --out or stdout: the run's tracemalloc peak less that of a run of no
-# shots, per shot.  Over 20,000 shots at d = 2 and 8 that was 161-164 in CSV
-# and 401-404 in JSON written to a file, and 240-241 and 600-601 written to a
-# text stream that keeps the report as UTF-8 bytes in memory.  Over 100,000
-# shots at d = 64, a setup too large for the test suite, it was 115 in both:
-# the setup is freed before the report is rendered, so there the sampling,
-# beside the elements, sets the peak.  1,024 leaves room for longer shot
-# numbers.  At d = 2 and 8 the teleport-20000-shots rows of
-# tests/test_budgets.py bound a transcript written to a file well inside it.
+# shots, per shot.  A JSON row written to a text stream that keeps the report
+# as UTF-8 bytes costs the most; 1,024 covers it and leaves room for longer
+# shot numbers.  The teleport-20000-shots rows of tests/test_budgets.py bound
+# a transcript at d = 2 and 8 well inside it.
 _SHOT_BYTES = 1024
 
 _BASIS_KINDS = ("bell", "product", "custom")

@@ -11,9 +11,12 @@ and product with a Haar-random resource) and at d = 16 (Bell and product,
 Haar-random), and ``fidelity``, ``average`` and ``teleport`` (2,000 shots)
 at d = 17 and 24 (Bell and product, Haar-random), the last also in JSON at
 d = 17: 601 argvs.
-Each argv runs in-process through ``cli.main`` in a directory holding the input files that
-:func:`write_inputs` generates from fixed seeds; its record (:func:`run`)
-keeps the exit code and the texts of stdout, stderr and any ``--out`` file.
+Each argv runs in-process, through ``cli.main`` inside the worker's
+interpreter (:func:`emit`, started by :func:`collect`), in a directory
+holding the input files that :func:`write_inputs` generates from fixed
+seeds; its record (:func:`run`) keeps the exit code and the texts of
+stdout, stderr and any ``--out`` file.  ``tests/test_cli.py`` runs its
+tables of reports and refusals through :func:`run` too.
 The golden file keeps the SHA-256 and length of each text
 (:func:`digests`), and the input files' own digests too, so a change to
 how they are generated shows up as such and not as a moved report.  It
@@ -293,18 +296,6 @@ def run(argv: list[str]) -> dict:
             "stderr": stderr.getvalue(), "out": out}
 
 
-def generate(directory: pathlib.Path) -> dict:
-    """Write the inputs into ``directory`` and run the whole grid there."""
-    inputs = write_inputs(directory)
-    cwd = os.getcwd()
-    os.chdir(directory)
-    try:
-        runs = [run(argv) for argv in GRID]
-    finally:
-        os.chdir(cwd)
-    return {"environment": environment(), "inputs": inputs, "runs": runs}
-
-
 def digests(grid: dict) -> dict:
     """The grid as the golden file keeps it: each text replaced by the
     SHA-256 and length of its UTF-8 bytes."""
@@ -344,14 +335,21 @@ _WORKER = "import sys; sys.path[:0] = sys.argv[1:]; import cli_grid; cli_grid.em
 
 
 def emit(src: str) -> None:
-    """Print the grid, texts and all, as JSON, for the package imported from ``src``."""
+    """Write the inputs into a temporary directory, run the whole grid there
+    and print it, texts and all, as JSON, for the package imported from ``src``."""
     import teleportlab
 
     if not pathlib.Path(teleportlab.__file__).resolve().is_relative_to(pathlib.Path(src).resolve()):
         raise ImportError(f"teleportlab was imported from {teleportlab.__file__}, not {src}")
+    cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
-        grid = generate(pathlib.Path(tmp))
-    json.dump(grid, sys.stdout)
+        inputs = write_inputs(pathlib.Path(tmp))
+        os.chdir(tmp)
+        try:
+            runs = [run(argv) for argv in GRID]
+        finally:
+            os.chdir(cwd)
+    json.dump({"environment": environment(), "inputs": inputs, "runs": runs}, sys.stdout)
 
 
 def collect(src: pathlib.Path) -> dict:

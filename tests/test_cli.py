@@ -1,4 +1,5 @@
-"""Tests for the command-line front end."""
+"""Tests for the command-line front end: what a run reports and when it exits 1 (``_REPORTS``) and
+what it refuses with exit 2 (``_REFUSALS``), each one table; every run goes through ``cli_grid.run``."""
 
 import csv
 import dataclasses
@@ -8,90 +9,201 @@ import json
 import math
 import os
 import re
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
+import cli_grid
 import oracles
-from bench import checks as bench_checks
-from bench.workloads import WORKLOADS, invocation_argv, write_inputs
-from teleportlab import DimensionError, bell_basis, product_basis, rotated_basis
-from teleportlab import cli, linalg, teleport
-from teleportlab.cli import (
-    build_parser,
-    config_from_namespace,
-    load_basis_file,
-    load_state_file,
-    main,
-    render_csv,
-    render_json,
-    save_basis_file,
-    save_state_file,
-)
+from teleportlab import DimensionError, bell_basis, cli, linalg, product_basis, rotated_basis, teleport
+from teleportlab.cli import (build_parser, config_from_namespace, load_basis_file, load_state_file, render_csv,
+                             render_json, save_basis_file, save_state_file)
 
 
-def run_cli(args, capsys):
-    code = main(args)
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
+def _write(path, payload):
+    """Write an input file: bytes as they are, any other payload JSON-encoded."""
+    path.write_bytes(payload if isinstance(payload, bytes) else json.dumps(payload).encode("utf-8"))
 
 
-def read_csv_report(path):
-    meta = {}
-    rows = []
-    header = None
-    with open(path, newline="") as handle:
-        for line in handle:
-            if line.startswith("#"):
-                key, _, value = line[1:].strip().partition(":")
-                meta[key.strip()] = value.strip()
-            elif header is None:
-                header = line.strip().split(",")
-            else:
-                rows.append(dict(zip(header, line.strip().split(","))))
-    return meta, rows
+def _state(d, amplitudes):  # a state file's payload, as save_state_file writes it
+    return {"d": d, "amplitudes": [[z.real, z.imag] for z in np.asarray(amplitudes, complex)]}
 
 
-def test_verify_passes_and_reports_residual(tmp_path):
-    out = tmp_path / "verify.csv"
-    code = main([
-        "verify", "--d", "3", "--shared", "haar-random", "--samples", "25",
-        "--seed", "7", "--no-timestamp", "--out", str(out),
-    ])
-    assert code == 0
-    meta, rows = read_csv_report(out)
-    assert meta["command"] == "verify"
-    assert len(rows) == 1
-    row = rows[0]
-    assert row["quantity"] == "max_identity_residual"
-    assert float(row["residual"]) < 1e-10
-    assert row["seed"] == "7"
+def _bell_payload(d=2):
+    return [[[[z.real, z.imag] for z in row] for row in el] for el in bell_basis(d).elements]
 
 
-def test_verify_fails_loudly_with_absurd_tolerance(tmp_path):
-    out = tmp_path / "verify.csv"
-    code = main([
-        "verify", "--d", "2", "--samples", "5", "--tolerance", "1e-30",
-        "--no-timestamp", "--out", str(out),
-    ])
-    assert code == 1
+class Report(NamedTuple):
+    """A run's ``--out`` file or else stdout (CSV with its ``#`` lines as meta, or JSON), and its stderr."""
+
+    meta: dict
+    rows: list
+    stderr: str
 
 
-@pytest.mark.parametrize("entries, norm_text", [
-    ([[1e308, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]], "1e+308"),
-    ([[10**20, 0], [0, 0], [0, 0], [0, 0]], "1e+20"),  # an integer numpy holds as an object
-    ([[0.0, 0.0], [1e-320, 0.0], [0.0, 0.0], [0.0, 0.0]], "9.99988867183e-321"),
-])
-def test_shared_file_with_extreme_norm_is_normalized(tmp_path, capsys, entries, norm_text):
-    # Neither the plain norm's overflow to inf nor its underflow to 0 may
-    # reach the warning, the rescaling or the zero-amplitude refusal.
-    path = tmp_path / "shared.json"
-    path.write_text(json.dumps({"d": 2, "amplitudes": entries}), encoding="utf-8")
-    code, out, err = run_cli(["fidelity", "--d", "2", "--shared", "custom",
-                              "--shared-file", str(path), "--no-timestamp"], capsys)
-    assert code == 0
-    assert err == f"warning: normalizing {path} (norm was {norm_text})\n"
-    assert out.count(",product-shared,0.66666666666666663,") == 2  # E(F) = 2/(d + 1)
+def _parse(record):
+    text = record["stdout"] if record["out"] is None else record["out"]
+    if text.startswith("{"):
+        report = json.loads(text)
+        return Report(report["meta"], report["rows"], record["stderr"])
+    lines = text.splitlines()
+    meta = [line[1:].partition(":") for line in lines if line.startswith("#")]
+    rows = csv.DictReader(line for line in lines if not line.startswith("#"))
+    return Report({key.strip(): value.strip() for key, _, value in meta}, list(rows), record["stderr"])
+
+
+def _near(value, target, tol):
+    return abs(float(value) - target) <= tol
+
+
+def _near_product(d, tail):
+    # Schmidt coefficients (sqrt(1 - (d-1) tail^2), tail, ..., tail): rank
+    # one under the rule while tail <= RANK_TOL, so labelled product-shared.
+    s = np.array([math.sqrt(1.0 - (d - 1) * tail**2)] + [tail] * (d - 1))
+    return {"shared.json": _state(d, np.diag(s).reshape(-1))}
+
+
+_FIDELITY_FILE = "fidelity --d {d} --shared custom --shared-file shared.json --no-timestamp"
+_EXACT = "average --d {d} --basis bell --shared maximally-entangled --samples 30001"
+_TELEPORT_GATE = "teleport --d 2 --samples 5 --no-timestamp"
+_AVERAGE_GATE = "average --d 2 --samples 1000 --no-timestamp"
+_P_ABOVE_1 = ("sample_outcome", lambda out: [dataclasses.replace(out[0], probability=1 + 1e-9), *out[1:]])
+_MEAN_MOVED = ("monte_carlo_fidelity", lambda mc: dataclasses.replace(mc, monte_carlo_mean=mc.monte_carlo_mean - 1e-9))
+_CLOSED_FORM_MOVED = ("special_case_fidelity", lambda found: (found[0], found[1] + 1e-6))
+# (name, flags, exit) of a gate whose value moved by 1e-9: past the default and the floor, within 1e-8.
+_MOVED = (("default", "", 1), ("tolerance-1e-8", " --tolerance 1e-8", 0), ("tolerance-1e-30", " --tolerance 1e-30", 1))
+_TIMESTAMP = r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\dZ"
+
+# What the CLI reports and when it exits 1, one row per run: (id, argv split
+# on spaces, input files {name: payload} written into the run's working
+# directory, patch, exit code, check).  A patch (name, change) makes
+# cli.<name> return change(what it returned) for the run; the check takes the
+# run's Report and says whether it holds what the row asserts.
+_REPORTS = [
+    ("verify-reports-its-residual",
+     "verify --d 3 --shared haar-random --samples 25 --seed 7 --no-timestamp --out verify.csv", {}, None, 0,
+     lambda r: (r.meta["command"], len(r.rows), r.rows[0]["quantity"], r.rows[0]["seed"])
+     == ("verify", 1, "max_identity_residual", "7") and float(r.rows[0]["residual"]) < 1e-10),
+    ("verify-tolerance-1e-30-exits-1", "verify --d 2 --samples 5 --tolerance 1e-30 --no-timestamp --out verify.csv",
+     {}, None, 1, lambda r: float(r.rows[0]["residual"]) > 1e-30),
+    ("verify-product-basis-d8", "verify --d 8 --basis product --samples 10 --no-timestamp --out verify8.csv",
+     {}, None, 0, lambda r: float(r.rows[0]["residual"]) < 1e-10),
+    # An unnormalized resource is rescaled with notice.
+    ("verify-custom-basis-and-unnormalized-shared-file", "verify --d 2 --basis custom --basis-file basis.json "
+     "--shared custom --shared-file shared.json --samples 10 --no-timestamp --out custom.csv",
+     {"basis.json": {"d": 2, "elements": _bell_payload()}, "shared.json": _state(2, [1.0, 0.0, 0.0, 1.0])},
+     None, 0, lambda r: "normalizing" in r.stderr and float(r.rows[0]["residual"]) < 1e-10),
+    # Neither the plain norm's overflow to inf nor its underflow to 0 may reach
+    # the warning, the rescaling or the zero-amplitude refusal.  E(F) = 2/(d + 1).
+    *((f"shared-file-norm-{norm}", _FIDELITY_FILE.format(d=2), {"shared.json": {"d": 2, "amplitudes": entries}},
+       None, 0, lambda r, norm=norm: r.stderr == f"warning: normalizing shared.json (norm was {norm})\n"
+       and [(row["label"], row["analytic"]) for row in r.rows] == [("product-shared", "0.66666666666666663")] * 2)
+      for entries, norm in (([[1e308, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]], "1e+308"),
+                            ([[10**20, 0], [0, 0], [0, 0], [0, 0]], "1e+20"),  # an integer numpy holds as an object
+                            ([[0.0, 0.0], [1e-320, 0.0], [0.0, 0.0], [0.0, 0.0]], "9.99988867183e-321"))),
+    # Every shot exact; the outcome histogram within 3 binomial standard errors, sqrt(1000 / 4 * 3 / 4), of 250.
+    ("teleport-ideal-transcript", "teleport --d 2 --samples 1000 --seed 3 --no-timestamp --out teleport.csv",
+     {}, None, 0, lambda r: len(r.rows) == 1000 and all(
+         _near(row["conditional_fidelity"], 1.0, 1e-10) and _near(row["probability"], 0.25, 1e-10) for row in r.rows)
+     and all(abs(np.bincount([int(row["xi"]) for row in r.rows], minlength=4) - 250) <= 3 * 187.5**0.5)),
+    ("teleport-product-resource-rows-in-range",
+     "teleport --d 2 --shared product --samples 100 --seed 9 --no-timestamp --out product.csv", {}, None, 0,
+     lambda r: len(r.rows) == 100 and all(0.0 <= float(row[key]) <= 1.0 + 1e-12 for row in r.rows
+                                           for key in ("probability", "conditional_fidelity"))),
+    # Classical re-preparation of |0> always fires outcome (0, 0).
+    ("teleport-psi-file-fixes-the-input", "teleport --d 2 --shared product --basis product --psi-file psi.json "
+     "--samples 20 --no-timestamp --out shots.csv", {"psi.json": _state(2, [1.0, 0.0])}, None, 0,
+     lambda r: {row["xi"] for row in r.rows} == {"0"}
+     and all(_near(row["conditional_fidelity"], 1.0, 1e-12) for row in r.rows)),
+    # The gate is 1 + max(PROBABILITY_TOL, --tolerance): a sound run passes
+    # even a --tolerance below the floor, and a probability of 1 + 1e-9 fails
+    # the default 1e-10 and the floor but passes --tolerance 1e-8.
+    ("teleport-gate-sound-tolerance-1e-30", f"{_TELEPORT_GATE} --tolerance 1e-30", {}, None, 0,
+     lambda r: max(float(row["probability"]) for row in r.rows) <= 1.0),
+    *((f"teleport-gate-p-1+1e-9-{name}", _TELEPORT_GATE + extra, {}, _P_ABOVE_1, code,
+       lambda r: float(r.rows[0]["probability"]) == 1 + 1e-9) for name, extra, code in _MOVED),
+    ("fidelity-product-resource", "fidelity --d 2 --shared product --no-timestamp", {}, None, 0,
+     lambda r: (r.rows[0]["label"], r.rows[1]["quantity"]) == ("product-shared", "special_case_fidelity")
+     and all(_near(row["analytic"], 2 / 3, 1e-12) for row in r.rows[:2])),
+    *((f"fidelity-classical-sweep-d{d}", f"fidelity --d {d} --shared product --no-timestamp --out sweep{d}.csv",
+       {}, None, 0, lambda r, d=d: _near(r.rows[0]["analytic"], 2 / (d + 1), 1e-12)) for d in range(2, 7)),
+    ("fidelity-csv-module-reads-the-report", "fidelity --d 3 --no-timestamp --out roundtrip.csv", {}, None, 0,
+     lambda r: r.rows[0]["experiment"] == "fidelity" and _near(r.rows[0]["analytic"], 1.0, 1e-10)),
+    # A near-product resource passes: the gap is 6.7e-12 at d = 2 and 1.4e-10, above the default --tolerance, at d = 8.
+    *((f"fidelity-near-product-d{d}-tail-{tail:g}-tolerance-{tolerance}", _FIDELITY_FILE.format(d=d)
+       + ("" if tolerance == "default" else f" --tolerance {tolerance}"), _near_product(d, tail), None, 0,
+       lambda r: any(row["label"] == "product-shared" for row in r.rows))
+      for d, tail, tolerance in ((2, 1e-11, "1e-6"), (2, 1e-11, "1e-10"), (8, 9e-11, "default"))),
+    # A closed form moved by 1e-6 fails: the special-case row less the analytic one, within 2 d RANK_TOL.
+    *((f"fidelity-gate-closed-form-moved-{name}", argv, files, _CLOSED_FORM_MOVED, 1,
+       lambda r: _near(float(r.rows[1]["analytic"]) - float(r.rows[0]["analytic"]), 1e-6, 1e-9))
+      for name, argv, files in (("near-product-d2", _FIDELITY_FILE.format(d=2), _near_product(2, 1e-11)),
+                                ("ideal-d3", "fidelity --d 3 --no-timestamp", {}))),
+    # 17 significant digits round-trip the double.
+    ("average-json-product-resource", "average --d 2 --shared product --samples 5000 --seed 5 --format json "
+     "--no-timestamp --out avg.json", {}, None, 0,
+     lambda r: (r.meta["command"], r.rows[0]["label"]) == ("average", "product-shared")
+     and _near(r.rows[0]["analytic"], 2 / 3, 1e-12)
+     and abs(r.rows[0]["mc_mean"] - r.rows[0]["analytic"]) <= 4 * r.rows[0]["mc_stderr"] + 1e-9
+     and float(format(r.rows[0]["mc_mean"], ".17g")) == r.rows[0]["mc_mean"]),
+    ("average-ideal-d4-every-sample-exact",
+     "average --d 4 --samples 2000 --seed 1 --format json --no-timestamp --out ideal.json", {}, None, 0,
+     lambda r: _near(r.rows[0]["analytic"], 1.0, 1e-10) and _near(r.rows[0]["mc_mean"], 1.0, 1e-10)
+     and r.rows[0]["mc_stderr"] <= 1e-12),
+    # Every input teleports perfectly, so the spread of the samples is rounding
+    # noise.  A variance taken as sum(f^2) - n mean^2 turned that noise into
+    # 6e-11 (d=3) with the per-outcome kernel and 1e-10 (d=5) with the GEMM kernel.
+    # The mean is rounding noise off the analytic value, which the floor 64 d^2 eps covers.
+    *((f"average-exact-d{d}-rounding-level-stderr",
+       _EXACT.format(d=d) + " --format json --no-timestamp --out exact.json", {}, None, 0,
+       lambda r: r.rows[0]["mc_stderr"] <= 1e-15) for d in (3, 5)),
+    ("average-exact-d3-floor-under-tolerance-1e-30", _EXACT.format(d=3) + " --tolerance 1e-30 --no-timestamp",
+     {}, None, 0, lambda r: r.rows[0]["mc_mean"] != r.rows[0]["analytic"]),
+    # The gate is 4 standard errors + max(monte_carlo_rounding_bound(d),
+    # --tolerance).  Every sample of the ideal setup is exact, so a sound run
+    # passes even a --tolerance below the floor, and an estimate moved by 1e-9
+    # fails the default 1e-10 and the floor but passes --tolerance 1e-8.
+    ("average-gate-sound-tolerance-1e-30", f"{_AVERAGE_GATE} --tolerance 1e-30", {}, None, 0,
+     lambda r: r.rows[0]["mc_mean"] == r.rows[0]["analytic"]),
+    *((f"average-gate-mean-moved-1e-9-{name}", _AVERAGE_GATE + extra, {}, _MEAN_MOVED, code,
+       lambda r: _near(float(r.rows[0]["analytic"]) - float(r.rows[0]["mc_mean"]), 1e-9, 1e-15))
+      for name, extra, code in _MOVED),
+    # A UTC timestamp unless --no-timestamp, the ninth line of a CSV report.
+    ("timestamp-csv", "fidelity --format csv", {}, None, 0,
+     lambda r: list(r.meta)[8] == "timestamp" and re.fullmatch(_TIMESTAMP, r.meta["timestamp"]) is not None),
+    ("timestamp-json", "fidelity --format json", {}, None, 0,
+     lambda r: re.fullmatch(_TIMESTAMP, r.meta["timestamp"]) is not None),
+]
+
+
+def _run_row(argv, files, patch, tmp_path, monkeypatch):
+    """A row's record from ``cli_grid.run`` in ``tmp_path``, which holds its files, and its report."""
+    monkeypatch.chdir(tmp_path)
+    for name, payload in files.items():
+        _write(tmp_path / name, payload)
+    if patch:
+        name, change = patch
+        real = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda *args, **kwargs: change(real(*args, **kwargs)))
+    record = cli_grid.run(argv.split())
+    return record, _parse(record)
+
+
+@pytest.mark.parametrize("argv, files, patch, exit, check", [row[1:] for row in _REPORTS],
+                         ids=[row[0] for row in _REPORTS])
+def test_run_matches_its_row(argv, files, patch, exit, check, tmp_path, monkeypatch):
+    record, report = _run_row(argv, files, patch, tmp_path, monkeypatch)
+    assert (record["exit"], check(report)) == (exit, True)
+
+
+@pytest.mark.parametrize("row_id", ["verify-reports-its-residual", "teleport-gate-p-1+1e-9-default"])
+def test_the_assertion_rejects_a_wrong_exit_or_check(row_id, tmp_path, monkeypatch):
+    _, argv, files, patch, exit, check = next(row for row in _REPORTS if row[0] == row_id)
+    record, report = _run_row(argv, files, patch, tmp_path, monkeypatch)
+    assert (record["exit"], check(report)) == (exit, True)
+    for wrong_exit, wrong_check in ((1 - exit, check), (exit, lambda r: not check(r))):
+        assert (record["exit"], wrong_check(report)) != (wrong_exit, True)
 
 
 @pytest.mark.parametrize("kind", ["bell", "product", "rotated"])
@@ -107,87 +219,19 @@ def test_saved_files_match_comprehension_oracle(tmp_path, kind, d):
         assert (tmp_path / "state.json").read_text() == oracles.state_file_text(d, amplitudes)
 
 
-def test_teleport_transcript_ideal(tmp_path):
-    out = tmp_path / "teleport.csv"
-    shots = 1000
-    code = main([
-        "teleport", "--d", "2", "--samples", str(shots), "--seed", "3",
-        "--no-timestamp", "--out", str(out),
-    ])
-    assert code == 0
-    _, rows = read_csv_report(out)
-    assert len(rows) == shots
-    for row in rows:
-        assert float(row["conditional_fidelity"]) == pytest.approx(1.0, abs=1e-10)
-        assert float(row["probability"]) == pytest.approx(0.25, abs=1e-10)
-    # outcome histogram stays within 3 binomial standard errors of uniform
-    counts = np.zeros(4)
-    for row in rows:
-        counts[int(row["xi"])] += 1
-    sigma = math.sqrt(shots * 0.25 * 0.75)
-    assert np.all(np.abs(counts - shots * 0.25) <= 3 * sigma)
+def test_custom_state_and_basis_files(tmp_path):
+    basis_path, shared_path = tmp_path / "basis.json", tmp_path / "shared.json"
+    save_basis_file(basis_path, bell_basis(2))
+    np.testing.assert_allclose(load_basis_file(str(basis_path)).elements, bell_basis(2).elements, atol=1e-15)
+    save_state_file(shared_path, 2, np.array([1.0, 0.0, 0.0, 1.0]))  # unnormalized
+    d, amplitudes = load_state_file(str(shared_path))
+    assert d == 2 and amplitudes.size == 4
 
 
-def test_teleport_product_resource_rows_are_sane(tmp_path):
-    out = tmp_path / "product.csv"
-    code = main([
-        "teleport", "--d", "2", "--shared", "product", "--samples", "100",
-        "--seed", "9", "--no-timestamp", "--out", str(out),
-    ])
-    assert code == 0
-    _, rows = read_csv_report(out)
-    assert len(rows) == 100
-    for row in rows:
-        assert 0.0 <= float(row["probability"]) <= 1.0 + 1e-12
-        assert 0.0 <= float(row["conditional_fidelity"]) <= 1.0 + 1e-12
-
-
-def test_teleport_exit_gate_reads_its_stated_tolerance(monkeypatch, capsys):
-    # The gate is 1 + max(PROBABILITY_TOL, --tolerance): a sound run passes
-    # even a --tolerance below the floor, and a probability of 1 + 1e-9 fails
-    # the default 1e-10 and the floor but passes --tolerance 1e-8.
-    argv = ["teleport", "--d", "2", "--samples", "5", "--no-timestamp"]
-    assert run_cli(argv + ["--tolerance", "1e-30"], capsys)[0] == 0
-    sample = cli.sample_outcome
-
-    def corrupted(*args, **kwargs):
-        outcomes = sample(*args, **kwargs)
-        bad = dataclasses.replace(outcomes[0], probability=1.0 + 1e-9)
-        return [bad] + outcomes[1:]
-
-    monkeypatch.setattr(cli, "sample_outcome", corrupted)
-    assert run_cli(argv, capsys)[0] == 1
-    assert run_cli(argv + ["--tolerance", "1e-8"], capsys)[0] == 0
-    assert run_cli(argv + ["--tolerance", "1e-30"], capsys)[0] == 1
-
-
-def test_average_exit_gate_reads_its_stated_tolerance(monkeypatch, capsys):
-    # The gate is 4 standard errors + max(monte_carlo_rounding_bound(d),
-    # --tolerance).  Every sample of the ideal setup is exact, so a sound run
-    # passes even a --tolerance below the floor, and an estimate moved by 1e-9
-    # fails the default 1e-10 and the floor but passes --tolerance 1e-8.
-    argv = ["average", "--d", "2", "--samples", "1000", "--no-timestamp"]
-    assert run_cli(argv + ["--tolerance", "1e-30"], capsys)[0] == 0
-    estimate = cli.monte_carlo_fidelity
-
-    def corrupted(*args, **kwargs):
-        result = estimate(*args, **kwargs)
-        return dataclasses.replace(result, monte_carlo_mean=result.monte_carlo_mean - 1e-9)
-
-    monkeypatch.setattr(cli, "monte_carlo_fidelity", corrupted)
-    assert run_cli(argv, capsys)[0] == 1
-    assert run_cli(argv + ["--tolerance", "1e-8"], capsys)[0] == 0
-    assert run_cli(argv + ["--tolerance", "1e-30"], capsys)[0] == 1
-
-
-@pytest.mark.parametrize("command, argv", [
-    ("verify", ["--samples", "1"]),
-    ("teleport", ["--samples", "3"]),
-    ("fidelity", []),
-    ("average", ["--samples", "100"]),
-])
+@pytest.mark.parametrize("command, argv", [("verify", ["--samples", "1"]), ("teleport", ["--samples", "3"]),
+                                           ("fidelity", []), ("average", ["--samples", "100"])])
 @pytest.mark.parametrize("floor", [0.0, 1e-6])
-def test_one_exit_rule_at_its_boundary(monkeypatch, capsys, command, argv, floor):
+def test_one_exit_rule_at_its_boundary(monkeypatch, command, argv, floor):
     # Each runner returns (excess, floor, rows) and main alone decides: an
     # excess equal to max(floor, --tolerance) passes, the next float up fails,
     # and a floor above --tolerance is the bound.
@@ -197,26 +241,32 @@ def test_one_exit_rule_at_its_boundary(monkeypatch, capsys, command, argv, floor
     for excess, code in ((bound, 0), (math.nextafter(bound, math.inf), 1)):
         fake = lambda cfg, rng, setup, excess=excess: (excess, floor, real.runner(cfg, rng, setup)[2])
         monkeypatch.setitem(cli._COMMANDS, command, real._replace(runner=fake))
-        assert run_cli([command, *argv, "--tolerance", str(tolerance), "--no-timestamp"], capsys)[0] == code
+        assert cli_grid.run([command, *argv, "--tolerance", str(tolerance), "--no-timestamp"])["exit"] == code
 
 
-_REFERENCE = bench_checks.load_references()
+_WORKLOADS = ["average-mc", "fidelity-setup", "teleport-shots", "verify-custom"]
 
 
-@pytest.mark.parametrize("name", sorted(_REFERENCE["outputs"]))
-def test_each_bench_workload_matches_its_reference(name, tmp_path, capsys):
+@pytest.mark.parametrize("name", _WORKLOADS)
+def test_each_bench_workload_matches_its_reference(name, tmp_path):
     # Each benchmark workload replays its output pinned in bench/reference.json:
     # the teleport transcript by SHA-256 and length, fidelity and verify byte
-    # for byte, and average with its floats within bench's FLOAT_TOL.
-    seed, workload, pinned = _REFERENCE["seed"], WORKLOADS[name], _REFERENCE["outputs"][name]
-    argv = invocation_argv(workload, seed, write_inputs(workload, seed, str(tmp_path)))
-    code, out, _ = run_cli(argv, capsys)
-    assert code == 0
+    # for byte, and average with its floats within bench's FLOAT_TOL.  bench
+    # is imported here, so an import error there fails this test alone.
+    from bench import checks
+    from bench.workloads import WORKLOADS, invocation_argv, write_inputs
+
+    reference = checks.load_references()
+    assert sorted(reference["outputs"]) == _WORKLOADS
+    seed, workload, pinned = reference["seed"], WORKLOADS[name], reference["outputs"][name]
+    record = cli_grid.run(invocation_argv(workload, seed, write_inputs(workload, seed, str(tmp_path))))
+    assert record["exit"] == 0
+    out = record["stdout"]
     if name == "teleport-shots":
         data = out.encode()
         assert (hashlib.sha256(data).hexdigest(), len(data)) == (pinned["sha256"], pinned["bytes"])
     elif name == "average-mc":
-        assert bench_checks.reference_problems("average", out, pinned) == []
+        assert checks.reference_problems("average", out, pinned) == []
     else:
         assert out == pinned["text"]
 
@@ -303,186 +353,10 @@ def test_renderers_match_the_per_row_oracle(render, oracle, columns, rows):
     assert render(_META, columns, rows) == oracle(_META, columns, _fresh_rows(columns, rows))
 
 
-def test_verify_large_dimension_product_basis(tmp_path):
-    out = tmp_path / "verify8.csv"
-    code = main([
-        "verify", "--d", "8", "--basis", "product", "--samples", "10",
-        "--no-timestamp", "--out", str(out),
-    ])
-    assert code == 0
-    _, rows = read_csv_report(out)
-    assert float(rows[0]["residual"]) < 1e-10
-
-
 def test_same_seed_gives_identical_bytes(tmp_path):
-    paths = []
-    for name in ("a.csv", "b.csv"):
-        out = tmp_path / name
-        code = main([
-            "teleport", "--d", "3", "--shared", "haar-random", "--samples", "50",
-            "--seed", "11", "--no-timestamp", "--out", str(out),
-        ])
-        assert code == 0
-        paths.append(out.read_bytes())
-    assert paths[0] == paths[1]
-
-
-def test_fidelity_product_resource(capsys):
-    code, out, _ = run_cli(
-        ["fidelity", "--d", "2", "--shared", "product", "--no-timestamp"], capsys
-    )
-    assert code == 0
-    lines = [l for l in out.splitlines() if l and not l.startswith("#")]
-    header = lines[0].split(",")
-    values = dict(zip(header, lines[1].split(",")))
-    assert values["label"] == "product-shared"
-    assert float(values["analytic"]) == pytest.approx(2 / 3, abs=1e-12)
-    closed = dict(zip(header, lines[2].split(",")))
-    assert closed["quantity"] == "special_case_fidelity"
-    assert float(closed["analytic"]) == pytest.approx(2 / 3, abs=1e-12)
-
-
-def _near_product_resource(tmp_path, d, tail):
-    # Schmidt coefficients (sqrt(1 - (d-1) tail^2), tail, ..., tail): rank
-    # one under the rule while tail <= RANK_TOL, so labelled product-shared.
-    s = np.full(d, tail)
-    s[0] = math.sqrt(1.0 - (d - 1) * tail**2)
-    path = tmp_path / "shared.json"
-    save_state_file(path, d, np.diag(s).reshape(-1))
-    return ["fidelity", "--d", str(d), "--shared", "custom", "--shared-file", str(path),
-            "--no-timestamp"]
-
-
-@pytest.mark.parametrize("d, tail, tolerance", [
-    (2, 1e-11, "1e-6"),    # gap 6.7e-12
-    (2, 1e-11, "1e-10"),
-    (8, 9e-11, None),      # gap 1.4e-10, above the default --tolerance
-])
-def test_fidelity_near_product_resource_passes(tmp_path, capsys, d, tail, tolerance):
-    args = _near_product_resource(tmp_path, d, tail)
-    if tolerance is not None:
-        args += ["--tolerance", tolerance]
-    code, out, _ = run_cli(args, capsys)
-    assert "product-shared" in out
-    assert code == 0
-
-
-def test_fidelity_fails_on_a_wrong_closed_form(tmp_path, capsys, monkeypatch):
-    real = cli.special_case_fidelity
-
-    def off_by_1e_6(setup):
-        case, value = real(setup)
-        return case, value + 1e-6
-
-    monkeypatch.setattr(cli, "special_case_fidelity", off_by_1e_6)
-    code, _, _ = run_cli(_near_product_resource(tmp_path, 2, 1e-11), capsys)
-    assert code == 1
-    code, _, _ = run_cli(["fidelity", "--d", "3", "--no-timestamp"], capsys)
-    assert code == 1
-
-
-def test_average_json_report(tmp_path):
-    out = tmp_path / "avg.json"
-    code = main([
-        "average", "--d", "2", "--shared", "product", "--samples", "5000",
-        "--seed", "5", "--format", "json", "--no-timestamp", "--out", str(out),
-    ])
-    assert code == 0
-    data = json.loads(out.read_text())
-    assert data["meta"]["command"] == "average"
-    row = data["rows"][0]
-    assert row["label"] == "product-shared"
-    assert row["analytic"] == pytest.approx(2 / 3, abs=1e-12)
-    gap = abs(row["mc_mean"] - row["analytic"])
-    assert gap <= 4 * row["mc_stderr"] + 1e-9
-    # 17-significant-digit serialization round-trips the double exactly
-    assert float(format(row["mc_mean"], ".17g")) == row["mc_mean"]
-
-
-def test_average_ideal_setup_every_sample_exact(tmp_path):
-    out = tmp_path / "ideal.json"
-    code = main([
-        "average", "--d", "4", "--samples", "2000", "--seed", "1",
-        "--format", "json", "--no-timestamp", "--out", str(out),
-    ])
-    assert code == 0
-    row = json.loads(out.read_text())["rows"][0]
-    assert row["analytic"] == pytest.approx(1.0, abs=1e-10)
-    assert row["mc_mean"] == pytest.approx(1.0, abs=1e-10)
-    assert row["mc_stderr"] <= 1e-12
-
-
-@pytest.mark.parametrize("d", [3, 5])
-def test_average_exact_setup_reports_rounding_level_stderr(tmp_path, d):
-    # Every input teleports perfectly, so the spread of the samples is
-    # rounding noise.  A variance taken as sum(f^2) - n mean^2 turned that
-    # noise into 6e-11 (d=3) with the per-outcome kernel and 1e-10 (d=5)
-    # with the GEMM kernel.
-    out = tmp_path / "exact.json"
-    code = main([
-        "average", "--d", str(d), "--basis", "bell", "--shared", "maximally-entangled",
-        "--samples", "30001", "--format", "json", "--no-timestamp", "--out", str(out),
-    ])
-    assert code == 0
-    row = json.loads(out.read_text())["rows"][0]
-    assert row["mc_stderr"] <= 1e-15
-
-
-def test_classical_sweep_matches_closed_form(tmp_path):
-    for d in range(2, 7):
-        out = tmp_path / f"sweep{d}.csv"
-        code = main([
-            "fidelity", "--d", str(d), "--shared", "product", "--no-timestamp",
-            "--out", str(out),
-        ])
-        assert code == 0
-        _, rows = read_csv_report(out)
-        assert float(rows[0]["analytic"]) == pytest.approx(2 / (d + 1), abs=1e-12)
-
-
-def test_custom_state_and_basis_files(tmp_path, capsys):
-    basis_path = tmp_path / "basis.json"
-    save_basis_file(basis_path, bell_basis(2))
-    reloaded = load_basis_file(str(basis_path))
-    np.testing.assert_allclose(reloaded.elements, bell_basis(2).elements, atol=1e-15)
-
-    shared_path = tmp_path / "shared.json"
-    save_state_file(shared_path, 2, np.array([1.0, 0.0, 0.0, 1.0]))  # unnormalized
-    d, amplitudes = load_state_file(str(shared_path))
-    assert d == 2 and amplitudes.size == 4
-
-    out = tmp_path / "custom.csv"
-    code = main([
-        "verify", "--d", "2", "--basis", "custom", "--basis-file", str(basis_path),
-        "--shared", "custom", "--shared-file", str(shared_path),
-        "--samples", "10", "--no-timestamp", "--out", str(out),
-    ])
-    err = capsys.readouterr().err
-    assert code == 0
-    assert "normalizing" in err  # the unnormalized resource is rescaled with notice
-    _, rows = read_csv_report(out)
-    assert float(rows[0]["residual"]) < 1e-10
-
-
-def test_custom_psi_file_fixes_the_input(tmp_path):
-    psi_path = tmp_path / "psi.json"
-    save_state_file(psi_path, 2, np.array([1.0, 0.0]))
-    out = tmp_path / "shots.csv"
-    code = main([
-        "teleport", "--d", "2", "--shared", "product", "--basis", "product",
-        "--psi-file", str(psi_path), "--samples", "20", "--no-timestamp",
-        "--out", str(out),
-    ])
-    assert code == 0
-    _, rows = read_csv_report(out)
-    # classical re-preparation of |0> always fires outcome (0, 0)
-    assert {row["xi"] for row in rows} == {"0"}
-    for row in rows:
-        assert float(row["conditional_fidelity"]) == pytest.approx(1.0, abs=1e-12)
-
-
-def _bell_payload(d=2):
-    return [[[[z.real, z.imag] for z in row] for row in el] for el in bell_basis(d).elements]
+    argv = ["teleport", "--d", "3", "--shared", "haar-random", "--samples", "50", "--seed", "11", "--no-timestamp"]
+    first, second = (cli_grid.run(argv + ["--out", str(tmp_path / name)]) for name in ("a.csv", "b.csv"))
+    assert first["exit"] == second["exit"] == 0 and first["out"] and first["out"] == second["out"]
 
 
 def _no_such_file(verb, path):
@@ -607,47 +481,29 @@ def _refusal_id(argv, flag, payload, text):
 
 
 @pytest.mark.parametrize("argv, flag, payload, text", _REFUSALS, ids=[_refusal_id(*row) for row in _REFUSALS])
-def test_an_unusable_input_exits_2_with_one_error_line(tmp_path, capsys, argv, flag, payload, text):
+def test_an_unusable_input_exits_2_with_one_error_line(tmp_path, argv, flag, payload, text):
     path = tmp_path / "input.json"
     if flag:
-        path.write_bytes(payload if isinstance(payload, bytes) else json.dumps(payload).encode("utf-8"))
+        _write(path, payload)
         argv = [*argv, flag, str(path)]
+    record = cli_grid.run([*argv, "--no-timestamp"])
     expected = f"error: {text.replace('{path}', str(path))}\n"
-    assert run_cli([*argv, "--no-timestamp"], capsys) == (2, "", expected)
+    assert (record["exit"], record["stdout"], record["stderr"]) == (2, "", expected)
 
 
-@pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_reports_carry_a_utc_timestamp_by_default(capsys, fmt):
-    code, out, _ = run_cli(["fidelity", "--format", fmt], capsys)
-    assert code == 0
-    if fmt == "csv":
-        stamp = out.splitlines()[8]
-        assert re.fullmatch(r"# timestamp: \d{4}-\d\d-\d\dT\d\d:\d\d:\d\dZ", stamp)
-    else:
-        stamp = json.loads(out)["meta"]["timestamp"]
-        assert re.fullmatch(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\dZ", stamp)
-
-
-@pytest.mark.parametrize(
-    "args, message",
-    [
-        (["fidelity", "--basis-file"], "--basis-file is read only with --basis custom"),
-        (["verify", "--basis", "product", "--shared-file"],
-         "--shared-file is read only with --shared custom"),
-        (["average", "--psi-file"], "--psi-file is read only by the teleport command"),
-    ],
-    ids=["basis-file", "shared-file", "psi-file"],
-)
-def test_file_flag_the_chosen_kind_does_not_read_exits_2(tmp_path, monkeypatch, capsys, args, message):
+@pytest.mark.parametrize("args, message", [
+    (["fidelity", "--basis-file"], "--basis-file is read only with --basis custom"),
+    (["verify", "--basis", "product", "--shared-file"], "--shared-file is read only with --shared custom"),
+    (["average", "--psi-file"], "--psi-file is read only by the teleport command"),
+], ids=["basis-file", "shared-file", "psi-file"])
+def test_file_flag_the_chosen_kind_does_not_read_exits_2(tmp_path, monkeypatch, args, message):
     # Refused before any file is read: reading one fails the test.
     def no_read(path, key):
         raise AssertionError(f"{path} was opened")
 
     monkeypatch.setattr(cli, "_load_file", no_read)
-    code = main(args + [str(tmp_path / "missing.json"), "--no-timestamp"])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+    record = cli_grid.run(args + [str(tmp_path / "missing.json"), "--no-timestamp"])
+    assert (record["exit"], record["stdout"], record["stderr"]) == (2, "", f"error: {message}\n")
 
 
 def test_oversized_dimension_is_refused_with_its_estimate():
@@ -668,7 +524,7 @@ def test_oversized_dimension_is_refused_with_its_estimate():
         config_from_namespace(ns)
 
 
-def test_oversized_transcript_is_refused_before_sampling(monkeypatch, capsys):
+def test_oversized_transcript_is_refused_before_sampling(monkeypatch):
     # A shot costs _SHOT_BYTES of the dense budget, 16 bytes per entry.  With
     # the limit shrunk to 100 shots' worth, 100 shots run and 101 exit 2 with
     # the estimate, before anything is sampled; at the real limit a shot
@@ -676,28 +532,18 @@ def test_oversized_transcript_is_refused_before_sampling(monkeypatch, capsys):
     per_shot = cli._SHOT_BYTES // 16
     argv = ["teleport", "--d", "2", "--no-timestamp", "--samples"]
     monkeypatch.setattr(linalg, "_MAX_ELEMENTS", 100 * per_shot)
-    assert run_cli(argv + ["100"], capsys)[0] == 0
+    assert cli_grid.run(argv + ["100"])["exit"] == 0
 
     def unreachable(*args, **kwargs):
         raise AssertionError("the shot guard must run first")
 
     monkeypatch.setattr(cli, "sample_outcome", unreachable)
-    code, _, err = run_cli(argv + ["101"], capsys)
-    assert code == 2
+    record = cli_grid.run(argv + ["101"])
+    assert record["exit"] == 2
     estimate = f"a transcript of 101 shots at {cli._SHOT_BYTES:,} bytes each needs {101 * per_shot:,}"
-    assert estimate in err
+    assert estimate in record["stderr"]
     monkeypatch.undo()
     monkeypatch.setattr(cli, "sample_outcome", unreachable)
-    code, _, err = run_cli(argv + ["10000000000000"], capsys)
-    assert code == 2
-    assert "a transcript of 10,000,000,000,000 shots" in err and "GiB" in err
-
-
-def test_csv_is_parseable_by_csv_module(tmp_path):
-    out = tmp_path / "roundtrip.csv"
-    main(["fidelity", "--d", "3", "--no-timestamp", "--out", str(out)])
-    with open(out, newline="") as handle:
-        body = [line for line in handle if not line.startswith("#")]
-    rows = list(csv.DictReader(body))
-    assert rows and rows[0]["experiment"] == "fidelity"
-    assert float(rows[0]["analytic"]) == pytest.approx(1.0, abs=1e-10)
+    record = cli_grid.run(argv + ["10000000000000"])
+    assert record["exit"] == 2
+    assert "a transcript of 10,000,000,000,000 shots" in record["stderr"] and "GiB" in record["stderr"]

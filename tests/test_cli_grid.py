@@ -12,7 +12,6 @@ import subprocess
 import pytest
 
 import cli_grid
-from bench.run import BLAS_THREAD_VARS
 from cli_grid import record_delta, report, text_delta
 
 
@@ -20,7 +19,10 @@ def test_cli_grid_replays_the_golden_file():
     # Every input file, exit code and output byte of the grid is unchanged.
     # The bytes are promised only on the environment the file was recorded
     # on, so a failure on another one names both.  Both run at the
-    # benchmark's one BLAS thread, whatever this shell sets.
+    # benchmark's one BLAS thread, whatever this shell sets.  bench is
+    # imported here, so an import error there fails this test alone.
+    from bench.run import BLAS_THREAD_VARS
+
     golden = cli_grid.load()
     assert [r["argv"] for r in golden["runs"]] == cli_grid.GRID
     assert cli_grid.BLAS_THREAD_VARS == BLAS_THREAD_VARS
